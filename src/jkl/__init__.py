@@ -51,11 +51,7 @@ from .engine import (
     simulate_rtc,
 )
 from .model import (
-    Bilinear,
-    Constant,
-    Dimer,
-    Linear,
-    MassAction,
+    Propensity,
     Reaction,
     ReactionNetwork,
     apply_reaction,

@@ -31,19 +31,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from .model import (
-    Bilinear,
-    Constant,
-    Dimer,
-    Linear,
-    MassAction,
-    Reaction,
-    ReactionNetwork,
-    canonical_kind,
-    drift_eval,
-    propensity_eval,
-    validate_network,
-)
+from .model import Reaction, ReactionNetwork, drift_eval, validate_network
 
 __all__ = [
     "AnalyzerError",
@@ -149,80 +137,63 @@ def log_norm_rank1(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reaction classification
+# per-reaction rows
 
 
 @dataclass(frozen=True)
-class _Classified:
-    constants: list  # (reaction, c)
-    linears: list  # (reaction, k, species)
-    bilinears: list  # (reaction, k, m, n)
-    dimers: list  # (reaction, k, species)
+class ReactionContribution:
+    """Per-reaction summands of the constant pairs (at the reaction's rate)."""
+
+    label: str
+    kind: str
+    M: float = 0.0
+    mu: float = 0.0
+    L: float = 0.0
+    lam: float = 0.0
+    Gamma: float = 0.0
+    gamma: float = 0.0
 
 
-def _classify(net: ReactionNetwork, caller: str = "analysis") -> _Classified:
-    out = _Classified([], [], [], [])
-    for rxn in net.reactions:
-        prop = canonical_kind(rxn.propensity)
-        if isinstance(prop, Constant):
-            out.constants.append((rxn, prop.rate))
-        elif isinstance(prop, Linear):
-            out.linears.append((rxn, prop.rate, prop.species))
-        elif isinstance(prop, Bilinear):
-            out.bilinears.append((rxn, prop.rate, prop.species_a, prop.species_b))
-        elif isinstance(prop, Dimer):
-            out.dimers.append((rxn, prop.rate, prop.species))
-        else:
-            assert isinstance(prop, MassAction)
-            raise CubicUnsupported(rxn.label)
-    return out
+def _contribution(rxn: Reaction) -> ReactionContribution:
+    """The summands a reaction adds to every constant pair but (A, alpha).
+
+    They are fixed by the reaction's kind, rate and stoichiometric column:
+    M and mu are the rank-1 logarithmic-norm terms, L and lambda the
+    Lipschitz terms (|S| = k/2 for a bilinear term, k for a squared one,
+    plus the dimer's linear correction in L), and Gamma and gamma the
+    lattice growth terms (x_m x_n <= |x|_1^2 / 4, x_n (x_n - 1) <= |x|_1^2).
+
+    Raises:
+        CubicUnsupported: for an order-3 propensity.
+    """
+    prop = rxn.propensity
+    kind, k = prop.kind, prop.rate
+    species = [s for s, _ in prop.reactants]
+    nu = np.array(rxn.nu, dtype=float)
+    norm = float(np.linalg.norm(nu))
+    if kind == "constant":
+        return ReactionContribution(rxn.label, kind, Gamma=k)
+    if kind == "linear":
+        m_r = float(k * (-nu[species[0]] + norm) / 2.0)
+        return ReactionContribution(rxn.label, kind, M=m_r, L=k, gamma=k)
+    if kind == "bilinear":
+        mu_r = float(k * max(-nu[j] + norm for j in species) / 4.0)
+        return ReactionContribution(rxn.label, kind, mu=mu_r, lam=k / 2.0, gamma=k / 4.0)
+    if kind == "dimer":
+        n = species[0]
+        m_r = float(k * (nu[n] + norm) / 2.0)
+        mu_r = float(k * (-nu[n] + norm) / 2.0)
+        return ReactionContribution(rxn.label, kind, M=m_r, mu=mu_r, L=k, lam=k, gamma=k)
+    raise CubicUnsupported(rxn.label)
 
 
-def _superlinear_columns(net: ReactionNetwork) -> list[tuple[int, Reaction]]:
-    cols = []
-    for j, rxn in enumerate(net.reactions):
-        prop = canonical_kind(rxn.propensity)
-        order = getattr(prop, "order", None)
-        if order is None:
-            order = prop.order
-        if order >= 2:
-            cols.append((j, rxn))
-    return cols
+def _contributions(net: ReactionNetwork) -> tuple[ReactionContribution, ...]:
+    """One row per reaction, in reaction order."""
+    return tuple(_contribution(rxn) for rxn in net.reactions)
 
 
 # ---------------------------------------------------------------------------
 # weight vector
-
-
-def _exact_nullspace(rows: list[tuple[int, ...]], dim: int) -> list[list[Fraction]]:
-    """Basis of {l : rows . l = 0} by Gaussian elimination over Fractions."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
 
 
 def _min_norm_positive(n2t: np.ndarray, equality: bool) -> np.ndarray | None:
@@ -270,8 +241,8 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     """Strictly positive weight vector taming all superlinear columns.
 
     Prefers an exact annihilator (``l . nu_r = 0`` for every superlinear
-    reaction r, found in the rational null space of the superlinear
-    stoichiometry); otherwise falls back to the inequality form
+    reaction r, searched for when the superlinear stoichiometry has a
+    non-trivial null space); otherwise falls back to the inequality form
     ``l . nu_r >= 0``.  The result is normalized to ``min(l) = 1``.
 
     Raises:
@@ -279,14 +250,14 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
             exception lists the obstructing reaction columns.
     """
     dim = net.n_species
-    sup = _superlinear_columns(net)
+    sup = [rxn for rxn in net.reactions if rxn.propensity.order >= 2]
     if not sup:
         return np.ones(dim)
-    cols = [rxn.nu for _, rxn in sup]
+    cols = [rxn.nu for rxn in sup]
     n2t = np.array(cols, dtype=float)  # rows are the superlinear columns of N
 
     # exact annihilation first: strictly positive element of the null space
-    if _exact_nullspace(cols, dim):
+    if np.linalg.matrix_rank(n2t) < dim:
         l = _min_norm_positive(n2t, equality=True)
         if l is not None:
             exact = _snap_rational(l, cols, equality=True)
@@ -311,7 +282,7 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
 
     obstructions = [
         rxn.label
-        for _, rxn in sup
+        for rxn in sup
         if min(rxn.nu) < 0 and max(rxn.nu) <= 0 or any(v < 0 for v in rxn.nu)
     ]
     raise WeightVectorNotFound(obstructions)
@@ -336,7 +307,9 @@ def drift_constants(
         CubicUnsupported: for order-3 propensities.
         QuadraticObstruction: if a quadratic reaction has ``d_r > 0``.
     """
-    cls = _classify(net)
+    for rxn in net.reactions:
+        if rxn.propensity.kind == "mass-action":
+            raise CubicUnsupported(rxn.label)
     dim = net.n_species
     lv = np.ones(dim) if l is None else np.asarray(l, dtype=float)
     if lv.shape != (dim,):
@@ -344,79 +317,41 @@ def drift_constants(
     if dim and lv.min() <= 0:
         raise ValueError("weight vector must be strictly positive")
 
-    def d_of(rxn: Reaction) -> float:
-        return -float(lv @ np.array(rxn.nu, dtype=float))
-
-    for rxn, k, *_ in cls.bilinears + cls.dimers:
-        d = d_of(rxn)
-        if d > 1e-12:
-            raise QuadraticObstruction(rxn.label, d)
-
-    a_const = sum(d_of(rxn) * c for rxn, c in cls.constants)
+    a_const = 0.0
     coeff = np.zeros(dim)
-    for rxn, k, n in cls.linears:
-        coeff[n] += d_of(rxn) * k
-    for rxn, k, n in cls.dimers:
-        coeff[n] += abs(d_of(rxn)) * k
+    for rxn in net.reactions:
+        kind, k = rxn.propensity.kind, rxn.propensity.rate
+        d = -float(lv @ np.array(rxn.nu, dtype=float))
+        if kind in ("bilinear", "dimer") and d > 1e-12:
+            raise QuadraticObstruction(rxn.label, d)
+        if kind == "constant":
+            a_const += d * k
+        elif kind == "linear":
+            coeff[rxn.propensity.reactants[0][0]] += d * k
+        elif kind == "dimer":
+            coeff[rxn.propensity.reactants[0][0]] += abs(d) * k
     alpha = float((coeff / lv).max()) if dim else 0.0
     return max(0.0, float(a_const)), alpha
 
 
-@dataclass(frozen=True)
-class ReactionContribution:
-    """Per-reaction summands of the constant pairs (at the reaction's rate)."""
-
-    label: str
-    kind: str
-    M: float = 0.0
-    mu: float = 0.0
-    L: float = 0.0
-    lam: float = 0.0
-    Gamma: float = 0.0
-    gamma: float = 0.0
+def _column_sum(rows: Sequence[ReactionContribution], name: str) -> float:
+    return float(sum(getattr(row, name) for row in rows))
 
 
-def _one_sided_details(net: ReactionNetwork):
-    cls = _classify(net)
+def _linear_part_log_norm(net: ReactionNetwork) -> float:
+    """Logarithmic norm of the drift's full linear part.
+
+    A linear reaction adds ``-k nu e_n^T``; a dimer's linear correction
+    ``-k x_n`` of its propensity adds ``+k nu e_n^T``.
+    """
     dim = net.n_species
-    rows: dict[str, ReactionContribution] = {}
-    special_sum = 0.0
-    mu = 0.0
     lin_part = np.zeros((dim, dim))
-
-    for rxn, c in cls.constants:
-        rows[rxn.label] = ReactionContribution(rxn.label, "constant")
-    for rxn, k, n in cls.linears:
-        nu = np.array(rxn.nu, dtype=float)
-        m_r = float(k * (-nu[n] + np.linalg.norm(nu)) / 2.0)
-        special_sum += m_r
-        lin_part -= np.outer(nu, k * _unit(dim, n))
-        rows[rxn.label] = ReactionContribution(rxn.label, "linear", M=m_r)
-    for rxn, k, m, n in cls.bilinears:
-        nu = np.array(rxn.nu, dtype=float)
-        mu_r = float(k * max(-nu[j] + np.linalg.norm(nu) for j in (m, n)) / 4.0)
-        mu += mu_r
-        rows[rxn.label] = ReactionContribution(rxn.label, "bilinear", mu=mu_r)
-    for rxn, k, n in cls.dimers:
-        nu = np.array(rxn.nu, dtype=float)
-        norm = float(np.linalg.norm(nu))
-        mu_r = k * (-nu[n] + norm) / 2.0
-        m_r = k * (nu[n] + norm) / 2.0
-        mu += mu_r
-        special_sum += m_r
-        # the dimer's linear correction -k x_n joins the combined linear part
-        lin_part -= np.outer(nu, -k * _unit(dim, n))
-        rows[rxn.label] = ReactionContribution(rxn.label, "dimer", M=m_r, mu=mu_r)
-
-    combined = log_norm(lin_part) if dim else 0.0
-    special_sum, combined, mu = float(special_sum), float(combined), float(mu)
-    return min(special_sum, combined), mu, special_sum, combined, rows
-
-
-def _unit(dim: int, n: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[n] = 1.0
-    return e
+    for rxn in net.reactions:
+        prop = rxn.propensity
+        if prop.kind in ("linear", "dimer"):
+            k = prop.rate if prop.kind == "linear" else -prop.rate
+            lin_part[:, prop.reactants[0][0]] -= np.array(rxn.nu, dtype=float) * k
+    return float(log_norm(lin_part)) if dim else 0.0
 
 
 def one_sided_constants(net: ReactionNetwork) -> tuple[float, float]:
@@ -426,8 +361,9 @@ def one_sided_constants(net: ReactionNetwork) -> tuple[float, float]:
     logarithmic norm of the full linear part (including dimer linear
     corrections); mu sums the per-reaction quadratic contributions.
     """
-    m, mu, _, _, _ = _one_sided_details(net)
-    return m, mu
+    rows = _contributions(net)
+    special_sum = _column_sum(rows, "M")
+    return min(special_sum, _linear_part_log_norm(net)), _column_sum(rows, "mu")
 
 
 def lipschitz_constants(net: ReactionNetwork) -> tuple[float, float]:
@@ -437,10 +373,8 @@ def lipschitz_constants(net: ReactionNetwork) -> tuple[float, float]:
     <= |S| |x+y|_1 |x-y|, with |S| = k/2 for a bilinear term and k for a
     squared one; the dimer's linear correction joins L.
     """
-    cls = _classify(net)
-    big_l = sum(k for _, k, _ in cls.linears) + sum(k for _, k, _ in cls.dimers)
-    lam = sum(k / 2.0 for _, k, _, _ in cls.bilinears) + sum(k for _, k, _ in cls.dimers)
-    return float(big_l), float(lam)
+    rows = _contributions(net)
+    return _column_sum(rows, "L"), _column_sum(rows, "lam")
 
 
 def growth_constants(net: ReactionNetwork) -> tuple[float, float]:
@@ -450,14 +384,8 @@ def growth_constants(net: ReactionNetwork) -> tuple[float, float]:
     (where linear propensities vanish anyway), x_m x_n <= |x|_1^2 / 4,
     and x_n (x_n - 1) <= |x|_1^2.
     """
-    cls = _classify(net)
-    big_g = sum(c for _, c in cls.constants)
-    gamma = (
-        sum(k for _, k, _ in cls.linears)
-        + sum(k / 4.0 for _, k, _, _ in cls.bilinears)
-        + sum(k for _, k, _ in cls.dimers)
-    )
-    return float(big_g), float(gamma)
+    rows = _contributions(net)
+    return _column_sum(rows, "Gamma"), _column_sum(rows, "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +512,7 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
     if issues:
         raise InvalidNetworkError(issues)
 
+    rows = _contributions(net)
     dim = net.n_species
     if isinstance(weight, str):
         if weight == "ones":
@@ -602,19 +531,8 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
         lv = np.asarray(weight, dtype=float)
         a, alpha = drift_constants(net, lv)
 
-    m, mu, m_special, m_combined, rows = _one_sided_details(net)
-    big_l, lam = lipschitz_constants(net)
-    big_g, gamma = growth_constants(net)
-
-    cls = _classify(net)
-    for rxn, c in cls.constants:
-        rows[rxn.label] = _merge(rows[rxn.label], Gamma=c)
-    for rxn, k, _ in cls.linears:
-        rows[rxn.label] = _merge(rows[rxn.label], L=k, gamma=k)
-    for rxn, k, *_ in cls.bilinears:
-        rows[rxn.label] = _merge(rows[rxn.label], lam=k / 2.0, gamma=k / 4.0)
-    for rxn, k, _ in cls.dimers:
-        rows[rxn.label] = _merge(rows[rxn.label], L=k, lam=k, gamma=k)
+    m_special = _column_sum(rows, "M")
+    m_combined = _linear_part_log_norm(net)
 
     if net.n_reactions:
         nmat = net.stoichiometry.astype(float)
@@ -628,32 +546,18 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
     return StabilityReport(
         A=a,
         alpha=alpha,
-        L=big_l,
-        lam=lam,
-        Gamma=big_g,
-        gamma=gamma,
-        M=m,
-        mu=mu,
+        L=_column_sum(rows, "L"),
+        lam=_column_sum(rows, "lam"),
+        Gamma=_column_sum(rows, "Gamma"),
+        gamma=_column_sum(rows, "gamma"),
+        M=min(m_special, m_combined),
+        mu=_column_sum(rows, "mu"),
         l=tuple(float(v) for v in lv),
         norm_1tN=norm_1tn,
         norm_1tN_sq=norm_1tn_sq,
         norm_1tN2=norm_1tn2,
         M_special_sum=m_special,
         M_combined=m_combined,
-        per_reaction=tuple(rows[rxn.label] for rxn in net.reactions),
+        per_reaction=rows,
     )
 
-
-def _merge(row: ReactionContribution, **updates) -> ReactionContribution:
-    vals = {
-        "label": row.label,
-        "kind": row.kind,
-        "M": row.M,
-        "mu": row.mu,
-        "L": row.L,
-        "lam": row.lam,
-        "Gamma": row.Gamma,
-        "gamma": row.gamma,
-    }
-    vals.update(updates)
-    return ReactionContribution(**vals)

@@ -23,6 +23,10 @@ and schedule-independent:
 The lockstep batch sampler (:func:`batch_states`) trades per-trajectory
 streams for one master-seeded vector stream; it is exact and
 deterministic but its per-trajectory paths depend on the batch size.
+
+Every public sampler runs :func:`~jkl.model.validate_network` once per
+call and raises ``ValueError`` listing the diagnostics; ensemble chunks
+then call the per-trajectory cores, which skip the check.
 """
 
 from __future__ import annotations
@@ -37,16 +41,7 @@ from typing import Sequence
 import numpy as np
 import scipy.integrate
 
-from .model import (
-    Bilinear,
-    Constant,
-    Dimer,
-    Linear,
-    MassAction,
-    ReactionNetwork,
-    canonical_kind,
-    propensity_eval,
-)
+from .model import ReactionNetwork, propensity_eval, validate_network
 
 __all__ = [
     "SimulationError",
@@ -121,9 +116,9 @@ class SimConfig:
     state_cap: float = 1e9
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if self.max_events <= 0 or self.state_cap <= 0:
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if self.max_events <= 0 or not self.state_cap > 0:
             raise ValueError("caps must be positive")
 
 
@@ -221,49 +216,30 @@ class PerturbationSpec:
 
 
 def _compile(net: ReactionNetwork):
-    """Flatten reactions into (code, rate, i, j, extras) rows plus updates."""
-    rows = []
-    for rxn in net.reactions:
-        prop = canonical_kind(rxn.propensity)
-        if isinstance(prop, Constant):
-            rows.append((0, prop.rate, 0, 0, ()))
-        elif isinstance(prop, Linear):
-            rows.append((1, prop.rate, prop.species, 0, ()))
-        elif isinstance(prop, Bilinear):
-            rows.append((2, prop.rate, prop.species_a, prop.species_b, ()))
-        elif isinstance(prop, Dimer):
-            rows.append((3, prop.rate, prop.species, 0, ()))
-        else:
-            assert isinstance(prop, MassAction)
-            rows.append((4, prop.rate, 0, 0, prop.reactants))
+    """Per-reaction scalar evaluators plus sparse state updates."""
+    evaluators = [rxn.propensity.evaluate for rxn in net.reactions]
     updates = [
         tuple((s, d) for s, d in enumerate(rxn.nu) if d) for rxn in net.reactions
     ]
-    return rows, updates
+    return evaluators, updates
 
 
-def _eval_into(rows, x, w) -> float:
+def _eval_into(evaluators, x, w) -> float:
     """Evaluate all propensities at x into list w; returns the total."""
     total = 0.0
-    for idx, (code, k, i, j, extra) in enumerate(rows):
-        if code == 0:
-            v = k
-        elif code == 1:
-            v = k * x[i]
-        elif code == 2:
-            v = k * x[i] * x[j]
-        elif code == 3:
-            xi = x[i]
-            v = k * xi * (xi - 1)
-        else:
-            v = k
-            for s, m in extra:
-                xs = x[s]
-                for step in range(m):
-                    v *= xs - step
+    for idx, evaluate in enumerate(evaluators):
+        v = evaluate(x)
         w[idx] = v
         total += v
     return total
+
+
+def _check_network(net: ReactionNetwork) -> None:
+    """Reject a network that fails validation before simulating it."""
+    issues = validate_network(net)
+    if issues:
+        msgs = "; ".join(str(d) for d in issues)
+        raise ValueError(f"network fails validation: {msgs}")
 
 
 def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
@@ -295,9 +271,14 @@ def simulate_direct(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> 
     W.  Zero total intensity is not an error: the state is frozen and
     the path runs to t_end.
     """
+    _check_network(net)
+    return _direct_core(net, x0, cfg)
+
+
+def _direct_core(net, x0, cfg: SimConfig) -> Trajectory:
     x = _check_state(x0, net)
-    rows, updates = _compile(net)
-    n_r = len(rows)
+    evaluators, updates = _compile(net)
+    n_r = len(evaluators)
     rng = random.Random(cfg.seed & _MASK64)
     w = [0.0] * n_r
     times = [0.0]
@@ -309,7 +290,7 @@ def simulate_direct(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> 
         if len(channels) >= cfg.max_events:
             status = "max_events"
             break
-        total = _eval_into(rows, x, w)
+        total = _eval_into(evaluators, x, w)
         if not total < 1e300:
             raise SimulationError(f"propensity overflow at state {x}")
         if total <= 0.0:
@@ -339,8 +320,8 @@ def simulate_direct(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> 
 
 def _rtc_core(net, x0, cfg: SimConfig, channel_rngs) -> Trajectory:
     x = _check_state(x0, net)
-    rows, updates = _compile(net)
-    n_r = len(rows)
+    evaluators, updates = _compile(net)
+    n_r = len(evaluators)
     w = [0.0] * n_r
     # integrated intensity consumed per channel, and its next clock point
     t_int = [0.0] * n_r
@@ -355,7 +336,7 @@ def _rtc_core(net, x0, cfg: SimConfig, channel_rngs) -> Trajectory:
         if len(channels) >= cfg.max_events:
             status = "max_events"
             break
-        total = _eval_into(rows, x, w)
+        total = _eval_into(evaluators, x, w)
         if not total < 1e300:
             raise SimulationError(f"propensity overflow at state {x}")
         if total <= 0.0:
@@ -406,6 +387,7 @@ def simulate_rtc(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> Tra
     uses.  Channel r draws its clock increments from the stream seeded
     ``mix64(seed, _CHANNEL_TAG, r)``.
     """
+    _check_network(net)
     rngs = [
         random.Random(mix64(cfg.seed, _CHANNEL_TAG, r)) for r in range(net.n_reactions)
     ]
@@ -427,6 +409,8 @@ def simulate_coupled(
     legs coincide event for event.
     """
     pert_net = pert.apply(net)
+    _check_network(net)
+    _check_network(pert_net)
 
     def streams():
         return [
@@ -495,7 +479,7 @@ def _moment_chunk(args):
         cfg = SimConfig(
             t_end=t_end, seed=mix64(seed, i), max_events=max_events, state_cap=state_cap
         )
-        traj = simulate_direct(net, x0, cfg)
+        traj = _direct_core(net, x0, cfg)
         samples = traj.sample(grid).astype(float)
         ok = grid < traj.cap_time
         norms = samples.sum(axis=1)
@@ -538,6 +522,7 @@ def ensemble_moments(
         raise ValueError("ensemble needs n >= 2")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
+    _check_network(net)
     grid = np.asarray(grid, dtype=float)
     args = [
         (net, x0, grid, p_max, seed, start, min(start + _CHUNK, n), max_events, state_cap)
@@ -647,6 +632,8 @@ def coupled_rms(
         raise ValueError("ensemble needs n >= 2")
     grid = np.asarray(grid, dtype=float)
     pert_net = pert.apply(net)
+    _check_network(net)
+    _check_network(pert_net)
     args = [
         (net, pert_net, x0, y0, grid, seed, start, min(start + _CHUNK, n), max_events, state_cap)
         for start in range(0, n, _CHUNK)
@@ -682,27 +669,6 @@ def coupled_rms(
 _BATCH_TAG = 0xBA7C4
 
 
-def _prop_matrix_into(rows, x: np.ndarray, w: np.ndarray) -> None:
-    """Write propensities into the preallocated (R, n) buffer w."""
-    for r, (code, k, i, j, extra) in enumerate(rows):
-        if code == 0:
-            w[r].fill(k)
-        elif code == 1:
-            np.multiply(x[:, i], k, out=w[r])
-        elif code == 2:
-            np.multiply(x[:, i], x[:, j], out=w[r])
-            w[r] *= k
-        elif code == 3:
-            np.subtract(x[:, i], 1.0, out=w[r])
-            w[r] *= x[:, i]
-            w[r] *= k
-        else:
-            w[r].fill(k)
-            for s, m in extra:
-                for step in range(m):
-                    w[r] *= x[:, s] - step
-
-
 def batch_states(
     net: ReactionNetwork,
     x0: Sequence[int],
@@ -726,13 +692,14 @@ def batch_states(
     grid = np.asarray(grid, dtype=float)
     if (np.diff(grid) <= 0).any():
         raise ValueError("grid must be strictly increasing")
-    x_init = np.asarray(x0, dtype=float)
+    _check_network(net)
+    x_init = np.asarray(_check_state(x0, net), dtype=float)
     dim = net.n_species
     n_g = len(grid)
     n_r = net.n_reactions
     t_end = float(grid[-1])
     rng = np.random.Generator(np.random.PCG64(mix64(seed, _BATCH_TAG)))
-    rows, _ = _compile(net)
+    props = [rxn.propensity for rxn in net.reactions]
 
     x = np.tile(x_init, (n, 1))
     t = np.zeros(n)
@@ -747,7 +714,8 @@ def batch_states(
     cum = np.empty((n_r, n))
 
     while active.any():
-        _prop_matrix_into(rows, x, w)
+        for r, prop in enumerate(props):
+            prop.evaluate_batch(x, w[r])
         total = w.sum(axis=0)
         if not np.isfinite(total[active]).all():
             raise SimulationError("propensity overflow in batch run")

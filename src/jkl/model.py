@@ -3,11 +3,14 @@
 A network is a list of species, a list of reactions and a map of named
 rate constants.  Each reaction carries a stoichiometric column ``nu``
 with the sign convention that firing the reaction moves the state from
-``x`` to ``x - nu`` (so a pure birth has a negative entry).  Propensities
-are mass-action falling-factorial products, with dedicated kinds for the
-elementary orders (constant, linear, bilinear, dimerization) and a
-general kind for order-3 terms, which are representable for simulation
-but rejected by the stability analysis.
+``x`` to ``x - nu`` (so a pure birth has a negative entry).  Every
+propensity is one :class:`Propensity`: a rate and a reactant multiset,
+evaluated as the mass-action falling-factorial product.  Its ``kind`` is
+derived from the multiplicities: ``"constant"`` (no reactant),
+``"linear"`` (one copy of one species), ``"bilinear"`` (two distinct
+species), ``"dimer"`` (two copies of one species) and ``"mass-action"``
+for total order 3, which is representable for simulation but rejected
+by the stability analysis.
 
 All objects in this module are immutable and safe to share between
 threads; every operation is a pure function of its inputs.
@@ -15,18 +18,14 @@ threads; every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Constant",
-    "Linear",
-    "Bilinear",
-    "Dimer",
-    "MassAction",
     "Propensity",
     "Reaction",
     "ReactionNetwork",
@@ -39,138 +38,103 @@ __all__ = [
 
 MAX_ORDER = 3
 
-
-@dataclass(frozen=True)
-class Constant:
-    """Zeroth-order propensity ``w(x) = c`` (units 1/time)."""
-
-    rate: float
-
-    order = 0
-
-    def reactant_counts(self, n_species: int) -> tuple[int, ...]:
-        return (0,) * n_species
-
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.rate
+# reactant multiplicities -> kind; every other multiset has order 3
+_KINDS = {(): "constant", (1,): "linear", (1, 1): "bilinear", (2,): "dimer"}
 
 
 @dataclass(frozen=True)
-class Linear:
-    """First-order propensity ``w(x) = k * x[n]``."""
+class Propensity:
+    """Mass-action propensity ``w(x) = k * prod_s x_s (x_s - 1) ... (x_s - m_s + 1)``.
 
-    rate: float
-    species: int
-
-    order = 1
-
-    def reactant_counts(self, n_species: int) -> tuple[int, ...]:
-        counts = [0] * n_species
-        counts[self.species] = 1
-        return tuple(counts)
-
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.rate * x[self.species]
-
-
-@dataclass(frozen=True)
-class Bilinear:
-    """Second-order propensity ``w(x) = k * x[m] * x[n]`` with ``m != n``."""
-
-    rate: float
-    species_a: int
-    species_b: int
-
-    order = 2
-
-    def __post_init__(self):
-        if self.species_a == self.species_b:
-            raise ValueError("bilinear propensity requires two distinct species")
-
-    def reactant_counts(self, n_species: int) -> tuple[int, ...]:
-        counts = [0] * n_species
-        counts[self.species_a] = 1
-        counts[self.species_b] = 1
-        return tuple(counts)
-
-    def __call__(self, x: Sequence[float]) -> float:
-        return self.rate * x[self.species_a] * x[self.species_b]
-
-
-@dataclass(frozen=True)
-class Dimer:
-    """Dimerization propensity ``w(x) = k * x[n] * (x[n] - 1)``."""
-
-    rate: float
-    species: int
-
-    order = 2
-
-    def reactant_counts(self, n_species: int) -> tuple[int, ...]:
-        counts = [0] * n_species
-        counts[self.species] = 2
-        return tuple(counts)
-
-    def __call__(self, x: Sequence[float]) -> float:
-        xn = x[self.species]
-        return self.rate * xn * (xn - 1)
-
-
-@dataclass(frozen=True)
-class MassAction:
-    """General mass-action propensity over a reactant multiset.
-
-    ``w(x) = k * prod_s x_s (x_s - 1) ... (x_s - nu_s + 1)`` where
-    ``reactants`` maps species index -> multiplicity.  Total order is
-    capped at 3; order-3 kinds are admitted for simulation only.
+    ``reactants`` holds the reactant multiset as ``(species, multiplicity)``
+    pairs with distinct species, stored sorted by species; total order is
+    capped at 3.  ``order`` and ``kind`` are derived from it.
+    ``evaluate(x)`` computes ``w(x)`` at one state and
+    :meth:`evaluate_batch` at every row of a state matrix; both branch
+    once per kind, so the elementary kinds keep their direct products.
     """
 
     rate: float
-    reactants: tuple[tuple[int, int], ...]  # sorted (species, multiplicity)
+    reactants: tuple[tuple[int, int], ...] = ()
+    kind: str = field(init=False, compare=False)
+    evaluate: Callable[[Sequence[float]], float] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "reactants", tuple(sorted(self.reactants)))
-        if any(m <= 0 for _, m in self.reactants):
+        reactants = tuple(sorted(self.reactants))
+        object.__setattr__(self, "reactants", reactants)
+        species = [s for s, _ in reactants]
+        if len(set(species)) != len(species):
+            raise ValueError("reactant species must be distinct")
+        if any(m <= 0 for _, m in reactants):
             raise ValueError("reactant multiplicities must be positive")
         if self.order > MAX_ORDER:
             raise ValueError(f"mass-action order {self.order} exceeds {MAX_ORDER}")
+        kind = _KINDS.get(tuple(m for _, m in reactants), "mass-action")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "evaluate", _scalar_evaluator(self))
+
+    def __reduce__(self):
+        # the evaluator is a closure; rebuild it instead of pickling it
+        return Propensity, (self.rate, self.reactants)
 
     @property
     def order(self) -> int:
         return sum(m for _, m in self.reactants)
 
-    def reactant_counts(self, n_species: int) -> tuple[int, ...]:
-        counts = [0] * n_species
-        for s, m in self.reactants:
-            counts[s] = m
-        return tuple(counts)
+    def evaluate_batch(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write ``w`` at each row of the (n, D) state matrix x into out (n,)."""
+        kind, k = self.kind, self.rate
+        if kind == "constant":
+            out.fill(k)
+        elif kind == "linear":
+            np.multiply(x[:, self.reactants[0][0]], k, out=out)
+        elif kind == "bilinear":
+            (i, _), (j, _) = self.reactants
+            np.multiply(x[:, i], x[:, j], out=out)
+            out *= k
+        elif kind == "dimer":
+            i = self.reactants[0][0]
+            np.subtract(x[:, i], 1.0, out=out)
+            out *= x[:, i]
+            out *= k
+        else:
+            out.fill(k)
+            for s, m in self.reactants:
+                for step in range(m):
+                    out *= x[:, s] - step
 
-    def __call__(self, x: Sequence[float]) -> float:
-        w = self.rate
-        for s, m in self.reactants:
+
+def _scalar_evaluator(prop: Propensity) -> Callable[[Sequence[float]], float]:
+    """A closure computing ``w(x)`` at one state, specialised to the kind."""
+    kind, k, reactants = prop.kind, prop.rate, prop.reactants
+    if kind == "constant":
+        return lambda x: k
+    if kind == "linear":
+        i = reactants[0][0]
+        return lambda x: k * x[i]
+    if kind == "bilinear":
+        (i, _), (j, _) = reactants
+        return lambda x: k * x[i] * x[j]
+    if kind == "dimer":
+        i = reactants[0][0]
+
+        def dimer(x):
+            xi = x[i]
+            return k * xi * (xi - 1)
+
+        return dimer
+
+    def mass_action(x):
+        w = k
+        for s, m in reactants:
             xs = x[s]
-            for j in range(m):
-                w *= xs - j
+            for step in range(m):
+                w *= xs - step
         return w
 
-
-Propensity = Constant | Linear | Bilinear | Dimer | MassAction
-
-
-def canonical_kind(prop: Propensity) -> Propensity:
-    """Map a MassAction of order <= 2 onto the equivalent specific kind."""
-    if not isinstance(prop, MassAction):
-        return prop
-    r = prop.reactants
-    if len(r) == 0:
-        return Constant(prop.rate)
-    if len(r) == 1 and r[0][1] == 1:
-        return Linear(prop.rate, r[0][0])
-    if len(r) == 1 and r[0][1] == 2:
-        return Dimer(prop.rate, r[0][0])
-    if len(r) == 2 and r[0][1] == 1 and r[1][1] == 1:
-        return Bilinear(prop.rate, r[0][0], r[1][0])
-    return prop
+    return mass_action
 
 
 @dataclass(frozen=True)
@@ -191,16 +155,9 @@ class Reaction:
         return self.propensity.rate
 
     def with_rate(self, rate: float) -> "Reaction":
-        prop = self.propensity
-        if isinstance(prop, MassAction):
-            new = MassAction(rate, prop.reactants)
-        elif isinstance(prop, Bilinear):
-            new = Bilinear(rate, prop.species_a, prop.species_b)
-        elif isinstance(prop, (Linear, Dimer)):
-            new = type(prop)(rate, prop.species)
-        else:
-            new = Constant(rate)
-        return Reaction(self.label, self.nu, new, self.rate_name)
+        return dataclasses.replace(
+            self, propensity=dataclasses.replace(self.propensity, rate=rate)
+        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +166,7 @@ class ReactionNetwork:
 
     Attributes:
         species: ordered species names (D entries, unique).
-        reactions: ordered reaction list (R entries).
+        reactions: ordered reaction list (R entries, unique labels).
         parameters: named rate constants (values already include any
             volume scaling; the system size is fixed at 1).
     """
@@ -224,10 +181,14 @@ class ReactionNetwork:
         if len(set(self.species)) != len(self.species):
             raise ValueError("species names must be unique")
         d = self.n_species
+        labels: set[str] = set()
         for rxn in self.reactions:
+            if rxn.label in labels:
+                raise ValueError(f"duplicate reaction label {rxn.label!r}")
+            labels.add(rxn.label)
             if len(rxn.nu) != d:
                 raise ValueError(f"reaction {rxn.label}: stoichiometry has wrong dimension")
-            for s, _ in _reactant_items(rxn.propensity):
+            for s, _ in rxn.propensity.reactants:
                 if not 0 <= s < d:
                     raise ValueError(f"reaction {rxn.label}: invalid species index {s}")
 
@@ -281,19 +242,6 @@ class ReactionNetwork:
         return ReactionNetwork(self.species, tuple(reactions), params)
 
 
-def _reactant_items(prop: Propensity) -> Iterable[tuple[int, int]]:
-    """(species, multiplicity) pairs of the reactant multiset."""
-    if isinstance(prop, Constant):
-        return ()
-    if isinstance(prop, Linear):
-        return ((prop.species, 1),)
-    if isinstance(prop, Bilinear):
-        return ((prop.species_a, 1), (prop.species_b, 1))
-    if isinstance(prop, Dimer):
-        return ((prop.species, 2),)
-    return prop.reactants
-
-
 @dataclass(frozen=True)
 class Diagnostic:
     """A validation finding; the empty list means the network is valid."""
@@ -329,7 +277,7 @@ def validate_network(net: ReactionNetwork) -> list[Diagnostic]:
             issues.append(Diagnostic("rate constant is not finite", rxn.label))
         elif k < 0:
             issues.append(Diagnostic(f"rate constant is negative ({k})", rxn.label))
-        required = dict(_reactant_items(rxn.propensity))
+        required = dict(rxn.propensity.reactants)
         for s, change in enumerate(rxn.nu):
             if change > 0 and required.get(s, 0) < change:
                 issues.append(
@@ -351,7 +299,7 @@ def propensity_eval(net: ReactionNetwork, x: Sequence[float]) -> np.ndarray:
     """
     if len(x) != net.n_species:
         raise ValueError(f"state has dimension {len(x)}, expected {net.n_species}")
-    return np.array([rxn.propensity(x) for rxn in net.reactions], dtype=float)
+    return np.array([rxn.propensity.evaluate(x) for rxn in net.reactions], dtype=float)
 
 
 def drift_eval(net: ReactionNetwork, x: Sequence[float]) -> np.ndarray:

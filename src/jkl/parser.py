@@ -8,13 +8,14 @@ Grammar (whitespace-insensitive within a line, ``#`` starts a comment)::
     side     := "0" | term ("+" term)*
     term     := [integer] ident
 
-The propensity kind is inferred from the reactant side: an empty side
-gives a constant propensity, a single reactant a linear one, two
-distinct reactants a bilinear one, ``2 A`` a dimerization, and total
-order 3 the general mass-action kind (simulation only).  A species
-appearing on both sides (a catalyst) is encoded through the net
-stoichiometric column while the propensity keeps the full reactant
-multiset.
+Each reaction's propensity is a :class:`~jkl.model.Propensity` over
+the reactant side's multiset (repeated terms add up, so ``A + A`` is
+``2 A``); its kind follows from that multiset.  Total reactant order is
+capped at 3.  A species appearing on both sides (a catalyst) is encoded
+through the net stoichiometric column while the propensity keeps the
+full reactant multiset.  Reaction labels are unique: an unlabelled
+reaction is named ``R<n>`` after its position, and a name used twice is
+an error at its second occurrence.
 
 All failures raise :class:`ModelError` carrying a diagnostic with line
 and column; arbitrary byte input never raises anything else.
@@ -25,21 +26,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .model import (
-    Bilinear,
-    Constant,
-    Diagnostic,
-    Dimer,
-    Linear,
-    MassAction,
-    Propensity,
-    Reaction,
-    ReactionNetwork,
-)
+from .model import MAX_ORDER, Diagnostic, Propensity, Reaction, ReactionNetwork
 
 __all__ = ["ModelError", "ModelDocument", "parse_model", "parse_document", "serialize_model"]
-
-MAX_REACTANT_ORDER = 3
 
 
 class ModelError(Exception):
@@ -195,6 +184,7 @@ def parse_document(text: str | bytes) -> ModelDocument:
     for lineno, tokens in pending:
         cur = _Cursor(tokens, lineno)
         label = None
+        label_col = tokens[0][2]
         if (
             len(tokens) >= 2
             and tokens[0][0] == "ident"
@@ -232,15 +222,17 @@ def parse_document(text: str | bytes) -> ModelDocument:
                     raise ModelError(f"unknown species {name!r}", lineno, col)
                 counts[index[name]] = counts.get(index[name], 0) + coeff
         order = sum(react.values())
-        if order > MAX_REACTANT_ORDER:
+        if order > MAX_ORDER:
             raise ModelError(
-                f"reactant order {order} exceeds {MAX_REACTANT_ORDER}", lineno
+                f"reactant order {order} exceeds {MAX_ORDER}", lineno
             )
 
         if label is None:
             label = f"R{len(reactions) + 1}"
+        if f"reaction:{label}" in locations:
+            raise ModelError(f"duplicate reaction label {label!r}", lineno, label_col)
         nu = tuple(react.get(s, 0) - prod.get(s, 0) for s in range(len(species)))
-        reactions.append(Reaction(label, nu, _infer_kind(rate, react), rate_name))
+        reactions.append(Reaction(label, nu, Propensity(rate, tuple(react.items())), rate_name))
         locations[f"reaction:{label}"] = lineno
 
     try:
@@ -248,20 +240,6 @@ def parse_document(text: str | bytes) -> ModelDocument:
     except ValueError as exc:  # construction invariants double as diagnostics
         raise ModelError(str(exc)) from None
     return ModelDocument(text, net, locations)
-
-
-def _infer_kind(rate: float, react: dict[int, int]) -> Propensity:
-    items = sorted(react.items())
-    order = sum(react.values())
-    if order == 0:
-        return Constant(rate)
-    if order == 1:
-        return Linear(rate, items[0][0])
-    if order == 2 and len(items) == 2:
-        return Bilinear(rate, items[0][0], items[1][0])
-    if order == 2:
-        return Dimer(rate, items[0][0])
-    return MassAction(rate, tuple(items))
 
 
 def parse_model(text: str | bytes) -> ReactionNetwork:
@@ -295,12 +273,11 @@ def serialize_model(net: ReactionNetwork) -> str:
     for name in sorted(net.parameters):
         lines.append(f"{name} = {net.parameters[name]!r}")
     for rxn in net.reactions:
-        react: dict[str, int] = {}
-        for s, m in _reactant_multiset(rxn):
-            react[net.species[s]] = m
+        multiset = dict(rxn.propensity.reactants)
+        react = {net.species[s]: m for s, m in multiset.items()}
         prod: dict[str, int] = {}
         for s, change in enumerate(rxn.nu):
-            p = dict(_reactant_multiset(rxn)).get(s, 0) - change
+            p = multiset.get(s, 0) - change
             if p < 0:
                 raise ValueError(
                     f"reaction {rxn.label} implies a negative product count; "
@@ -312,15 +289,3 @@ def serialize_model(net: ReactionNetwork) -> str:
         lines.append(f"{rxn.label}: {_format_side(react)} -> {_format_side(prod)} @ {rate}")
     return "\n".join(lines) + "\n"
 
-
-def _reactant_multiset(rxn: Reaction) -> tuple[tuple[int, int], ...]:
-    prop = rxn.propensity
-    if isinstance(prop, Constant):
-        return ()
-    if isinstance(prop, Linear):
-        return ((prop.species, 1),)
-    if isinstance(prop, Bilinear):
-        return tuple(sorted(((prop.species_a, 1), (prop.species_b, 1))))
-    if isinstance(prop, Dimer):
-        return ((prop.species, 2),)
-    return prop.reactants

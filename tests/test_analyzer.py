@@ -355,9 +355,9 @@ class TestAnalyze:
         assert report.A == pytest.approx(float(lv[:2].sum()), abs=1e-12)
 
     def test_invalid_network_rejected(self):
-        from jkl.model import Constant, Reaction, ReactionNetwork
+        from jkl.model import Propensity, Reaction, ReactionNetwork
 
-        bad = ReactionNetwork(("A",), (Reaction("R1", (1,), Constant(1.0)),), {})
+        bad = ReactionNetwork(("A",), (Reaction("R1", (1,), Propensity(1.0)),), {})
         with pytest.raises(InvalidNetworkError):
             analyze(bad)
 

@@ -1,5 +1,6 @@
 """Simulation engine: laws, determinism, coupling, ensembles, RRE."""
 
+import math
 import os
 
 import numpy as np
@@ -28,6 +29,23 @@ REVERSIBLE = get_preset("reversible").network
 CUBIC = get_preset("cubic").network
 ENZYME = get_preset("enzyme").network
 BIRTH = parse_model("species A\nR: 0 -> A @ 1.0")
+NAMED_BIRTH = parse_model("species A\nk = 1.0\nR: 0 -> A @ k")
+
+# each public sampler entry point, called on a one-species network
+ENTRY_POINTS = {
+    "simulate_direct": lambda net: simulate_direct(net, [0], SimConfig(t_end=1.0)),
+    "simulate_rtc": lambda net: simulate_rtc(net, [0], SimConfig(t_end=1.0)),
+    "simulate_coupled": lambda net: simulate_coupled(
+        net, [0], [0], PerturbationSpec(), SimConfig(t_end=1.0)
+    ),
+    "ensemble_moments": lambda net: ensemble_moments(
+        net, [0], [0.0, 1.0], 1, 4, seed=1, workers=1
+    ),
+    "coupled_rms": lambda net: coupled_rms(
+        net, [0], [0], PerturbationSpec(), [0.0, 1.0], 4, seed=1, workers=1
+    ),
+    "batch_states": lambda net: batch_states(net, [0], [1.0], 4, seed=1),
+}
 
 
 class TestMix64:
@@ -127,6 +145,39 @@ class TestSingleTrajectory:
         text = traj.to_csv(BIMOL.species)
         assert text.splitlines()[0] == "time,A,B"
         assert len(text.splitlines()) == traj.n_events + 2
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+    def test_t_end_must_be_positive_and_finite(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            SimConfig(t_end=t_end)
+
+    def test_nan_state_cap_rejected(self):
+        with pytest.raises(ValueError, match="caps"):
+            SimConfig(t_end=1.0, state_cap=math.nan)
+
+    def test_infinite_state_cap_accepted(self):
+        assert SimConfig(t_end=1.0, state_cap=math.inf).state_cap == math.inf
+
+
+class TestEntryValidation:
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_negative_rate_rejected(self, name):
+        net = parse_model("species A\nk = -1.0\nR: 0 -> A @ k")
+        with pytest.raises(ValueError, match="negative"):
+            ENTRY_POINTS[name](net)
+
+    def test_invalid_perturbed_network_rejected(self):
+        pert = PerturbationSpec({"k": math.inf})
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_coupled(NAMED_BIRTH, [0], [0], pert, SimConfig(t_end=1.0))
+        with pytest.raises(ValueError, match="not finite"):
+            coupled_rms(NAMED_BIRTH, [0], [0], pert, [0.0, 1.0], 4, seed=1, workers=1)
+
+    def test_batch_negative_initial_state_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            batch_states(BIRTH, [-5], [1.0], 4, seed=1)
 
 
 class TestPerturbation:

@@ -1,15 +1,13 @@
 """Core model: propensity evaluation, drift, reaction application, validation."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from jkl.model import (
-    Bilinear,
-    Constant,
-    Dimer,
-    Linear,
-    MassAction,
+    Propensity,
     Reaction,
     ReactionNetwork,
     apply_reaction,
@@ -121,42 +119,60 @@ class TestValidateNetwork:
     def test_constant_consuming_reaction_flagged(self):
         # "A -> 0" with a constant propensity can fire at a = 0
         bad = ReactionNetwork(
-            ("A",), (Reaction("R1", (1,), Constant(1.0)),), {}
+            ("A",), (Reaction("R1", (1,), Propensity(1.0)),), {}
         )
         issues = validate_network(bad)
         assert len(issues) == 1
         assert issues[0].reaction == "R1"
 
     def test_negative_rate_flagged(self):
-        bad = ReactionNetwork(("A",), (Reaction("R1", (1,), Linear(-2.0, 0)),), {})
+        bad = ReactionNetwork(("A",), (Reaction("R1", (1,), Propensity(-2.0, ((0, 1),))),), {})
         assert any("negative" in d.message for d in validate_network(bad))
 
     def test_nonfinite_rate_flagged(self):
         bad = ReactionNetwork(
-            ("A",), (Reaction("R1", (1,), Linear(float("inf"), 0)),), {}
+            ("A",), (Reaction("R1", (1,), Propensity(float("inf"), ((0, 1),))),), {}
         )
         assert any("finite" in d.message for d in validate_network(bad))
 
     def test_underconsuming_propensity_flagged(self):
         # consumes two copies but the propensity only vanishes below one
-        bad = ReactionNetwork(("A",), (Reaction("R1", (2,), Linear(1.0, 0)),), {})
+        bad = ReactionNetwork(("A",), (Reaction("R1", (2,), Propensity(1.0, ((0, 1),))),), {})
         assert validate_network(bad)
 
 
 class TestDomainTypes:
     def test_mass_action_order_cap(self):
         with pytest.raises(ValueError):
-            MassAction(1.0, ((0, 4),))
+            Propensity(1.0, ((0, 4),))
         with pytest.raises(ValueError):
-            MassAction(1.0, ((0, 2), (1, 2)))
+            Propensity(1.0, ((0, 2), (1, 2)))
 
     def test_bilinear_needs_distinct_species(self):
+        # duplicate species in ``reactants`` are rejected; "A + A" is the dimer (0, 2)
         with pytest.raises(ValueError):
-            Bilinear(1.0, 1, 1)
+            Propensity(1.0, ((1, 1), (1, 1)))
 
     def test_duplicate_species_rejected(self):
         with pytest.raises(ValueError):
             ReactionNetwork(("A", "A"), (), {})
+
+    def test_duplicate_reaction_label_rejected(self):
+        rxn = Reaction("R1", (-1,), Propensity(1.0))
+        with pytest.raises(ValueError, match="duplicate reaction label"):
+            ReactionNetwork(("A",), (rxn, rxn), {})
+
+    def test_kind_and_order_derived_from_reactants(self):
+        prop = Propensity(1.5, ((2, 1), (0, 1)))
+        assert prop.reactants == ((0, 1), (2, 1))
+        assert (prop.kind, prop.order) == ("bilinear", 2)
+        assert prop.evaluate([3, 9, 5]) == 1.5 * 3 * 5
+        assert Propensity(1.0, ((0, 2), (1, 1))).kind == "mass-action"
+
+    def test_pickle_round_trip_rebuilds_evaluator(self):
+        net = pickle.loads(pickle.dumps(CUBIC))
+        assert net == CUBIC
+        assert np.array_equal(propensity_eval(net, [4]), propensity_eval(CUBIC, [4]))
 
     def test_stoichiometry_matrix(self):
         n = BIMOL.stoichiometry
@@ -164,5 +180,6 @@ class TestDomainTypes:
         assert np.array_equal(n, [[-1, 0, 1], [0, -1, 1]])
 
     def test_dimer_eval(self):
-        d = Dimer(2.0, 0)
-        assert d([5]) == 2.0 * 5 * 4
+        d = Propensity(2.0, ((0, 2),))
+        assert d.kind == "dimer"
+        assert d.evaluate([5]) == 2.0 * 5 * 4

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jkl.model import Bilinear, Constant, Dimer, Linear, MassAction
 from jkl.parser import ModelError, parse_document, parse_model, serialize_model
 from jkl.presets import PRESETS
 
@@ -21,7 +20,7 @@ class TestGrammar:
     def test_cubic_document(self):
         net = parse_model("species X\nR1: 3 X -> X @ 0.5\nR2: 3 X -> 4 X @ 1.0")
         assert np.array_equal(net.stoichiometry, [[2, -1]])
-        assert isinstance(net.reactions[0].propensity, MassAction)
+        assert net.reactions[0].propensity.kind == "mass-action"
 
     def test_empty_text(self):
         net = parse_model("")
@@ -37,21 +36,21 @@ class TestGrammar:
 
     def test_adjacent_coefficient(self):
         net = parse_model("species A\nR: 2A -> 0 @ 1.0")
-        assert isinstance(net.reactions[0].propensity, Dimer)
+        assert net.reactions[0].propensity.kind == "dimer"
 
     def test_repeated_reactant_sums(self):
         net = parse_model("species A\nR: A + A -> 0 @ 1.0")
-        assert isinstance(net.reactions[0].propensity, Dimer)
+        assert net.reactions[0].propensity.kind == "dimer"
 
     def test_catalyst_keeps_full_multiset(self):
         net = parse_model("species C E\nR: C + E -> E @ 1.0")
         prop = net.reactions[0].propensity
-        assert isinstance(prop, Bilinear)
+        assert prop.kind == "bilinear"
         assert net.reactions[0].nu == (1, 0)
 
     def test_numeric_rate(self):
         net = parse_model("species A\nR: 0 -> A @ 2.5e-3")
-        assert isinstance(net.reactions[0].propensity, Constant)
+        assert net.reactions[0].propensity.kind == "constant"
         assert net.reactions[0].rate == pytest.approx(2.5e-3)
 
 
@@ -59,17 +58,19 @@ class TestKindInference:
     @pytest.mark.parametrize(
         "line,kind",
         [
-            ("R: 0 -> A @ 1.0", Constant),
-            ("R: A -> 0 @ 1.0", Linear),
-            ("R: A + B -> 0 @ 1.0", Bilinear),
-            ("R: 2 A -> 0 @ 1.0", Dimer),
-            ("R: 2 A + B -> 0 @ 1.0", MassAction),
-            ("R: 3 A -> 0 @ 1.0", MassAction),
+            ("R: 0 -> A @ 1.0", "constant"),
+            ("R: A -> 0 @ 1.0", "linear"),
+            ("R: A + B -> 0 @ 1.0", "bilinear"),
+            ("R: 2 A -> 0 @ 1.0", "dimer"),
+            ("R: 2 A + B -> 0 @ 1.0", "mass-action"),
+            ("R: 3 A -> 0 @ 1.0", "mass-action"),
         ],
+        # CamelCase kind ids keep the test names stable, e.g. "R: 2 A -> 0 @ 1.0-Dimer"
+        ids=lambda v: v if v.startswith("R:") else v.title().replace("-", ""),
     )
     def test_kinds(self, line, kind):
         net = parse_model(f"species A B\n{line}")
-        assert isinstance(net.reactions[0].propensity, kind)
+        assert net.reactions[0].propensity.kind == kind
 
     def test_dimer_matches_elementary_form(self):
         # "2 A -> 0 @ k" evaluates as k a (a - 1)
@@ -108,6 +109,20 @@ class TestDiagnostics:
             assert exc.diagnostic.column == 9
         else:
             pytest.fail("expected a diagnostic")
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            # the unlabelled reaction on line 3 is auto-labelled R2
+            ("species A B\nR2: A -> B @ 1\n0 -> A @ 2\nB -> 0 @ 3", 3, 1),
+            ("species A\n0 -> A @ 1\nR1: A -> 0 @ 1", 3, 1),
+            ("species A\nR: 0 -> A @ 1\n  R: A -> 0 @ 1", 3, 3),
+        ],
+    )
+    def test_duplicate_reaction_label(self, text, line, column):
+        with pytest.raises(ModelError, match="duplicate reaction label") as info:
+            parse_model(text)
+        assert (info.value.diagnostic.line, info.value.diagnostic.column) == (line, column)
 
     def test_locations_recorded(self):
         doc = parse_document("species A\nk = 1.0\nR: A -> 0 @ k")
