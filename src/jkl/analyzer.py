@@ -314,8 +314,8 @@ def drift_constants(
     lv = np.ones(dim) if l is None else np.asarray(l, dtype=float)
     if lv.shape != (dim,):
         raise ValueError("weight vector has wrong dimension")
-    if dim and lv.min() <= 0:
-        raise ValueError("weight vector must be strictly positive")
+    if dim and not (np.isfinite(lv).all() and lv.min() > 0):
+        raise ValueError("weight vector must be finite and strictly positive")
 
     a_const = 0.0
     coeff = np.zeros(dim)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -40,19 +39,6 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
 def _finish_summary(out_dir: str | None, summary: dict) -> dict:
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
-
-
-def _batch_job(args):
-    net, x0, grid, n, seed = args
-    return eng.batch_states(net, x0, grid, n, seed)
-
-
-def _two_batches(jobs, workers):
-    if workers >= 2:
-        ctx = get_context("fork")
-        with ctx.Pool(processes=2) as pool:
-            return pool.map(_batch_job, jobs)
-    return [_batch_job(j) for j in jobs]
 
 
 def demo_enzyme_sensitivity(
@@ -105,13 +91,13 @@ def demo_enzyme_sensitivity(
 
     # stochastic mean response (lockstep batch sampler, one stream each)
     sgrid = np.linspace(0.0, t_stoch, 21)[1:]
-    n_workers = eng.worker_count(workers)
-    (s_un, _), (s_pe, _) = _two_batches(
+    (s_un, _), (s_pe, _) = eng._pool_map(
+        eng.batch_states,
         [
             (net, x0, sgrid, samples, eng.mix64(seed, 1)),
             (pert_net, x0, sgrid, samples, eng.mix64(seed, 2)),
         ],
-        n_workers,
+        eng.worker_count(workers),
     )
     cu = s_un[:, :, 0]
     cp = s_pe[:, :, 0]

@@ -17,8 +17,9 @@ and schedule-independent:
 * trajectory ``i`` of an ensemble uses ``mix64(seed, i)``; channel ``r``
   of a coupled pair uses ``mix64(seed, pair, r)`` for both legs;
 * exponentials are inverse-CDF samples ``-log(1 - u)``;
-* ensemble reductions run in fixed chunk order, so serial and parallel
-  runs produce identical bytes.
+* both ensemble estimators go through one reducer, :func:`_reduce`,
+  which combines fixed-size chunk sums in index order, so serial and
+  parallel runs produce identical bytes.
 
 The lockstep batch sampler (:func:`batch_states`) trades per-trajectory
 streams for one master-seeded vector stream; it is exact and
@@ -190,6 +191,8 @@ class PerturbationSpec:
             hits = net.reactions_for_parameter(name)
             if not hits:
                 raise KeyError(f"no reaction rate is bound to parameter {name!r}")
+            if not math.isfinite(delta):
+                raise ValueError(f"perturbation {name}={delta} is not finite")
             if 1.0 + delta < 0:
                 raise ValueError(f"perturbation {name}={delta} makes the rate negative")
             for j in hits:
@@ -388,10 +391,11 @@ def simulate_rtc(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> Tra
     ``mix64(seed, _CHANNEL_TAG, r)``.
     """
     _check_network(net)
-    rngs = [
-        random.Random(mix64(cfg.seed, _CHANNEL_TAG, r)) for r in range(net.n_reactions)
-    ]
-    return _rtc_core(net, x0, cfg, rngs)
+    return _rtc_core(net, x0, cfg, _channel_streams(cfg.seed, net.n_reactions))
+
+
+def _channel_streams(seed: int, n_r: int) -> list[random.Random]:
+    return [random.Random(mix64(seed, _CHANNEL_TAG, r)) for r in range(n_r)]
 
 
 def simulate_coupled(
@@ -411,15 +415,12 @@ def simulate_coupled(
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
+    return _coupled_core(net, pert_net, x0, y0, cfg)
 
-    def streams():
-        return [
-            random.Random(mix64(cfg.seed, _CHANNEL_TAG, r))
-            for r in range(net.n_reactions)
-        ]
 
-    leg_x = _rtc_core(net, x0, cfg, streams())
-    leg_y = _rtc_core(pert_net, y0, cfg, streams())
+def _coupled_core(net, pert_net, x0, y0, cfg: SimConfig) -> tuple[Trajectory, Trajectory]:
+    leg_x = _rtc_core(net, x0, cfg, _channel_streams(cfg.seed, net.n_reactions))
+    leg_y = _rtc_core(pert_net, y0, cfg, _channel_streams(cfg.seed, net.n_reactions))
     return leg_x, leg_y
 
 
@@ -465,40 +466,74 @@ class MomentTable:
 _CHUNK = 256  # fixed reduction granularity: results never depend on workers
 
 
-def _moment_chunk(args):
-    net, x0, grid, p_max, seed, start, stop, max_events, state_cap = args
+def _check_grid(grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array; rejects any grid that is not a time axis."""
     grid = np.asarray(grid, dtype=float)
-    n_g, dim = len(grid), net.n_species
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+        raise ValueError("grid must be a non-empty 1-D sequence of finite times")
+    if grid[0] < 0 or (np.diff(grid) <= 0).any():
+        raise ValueError("grid must be non-negative and strictly increasing")
+    return grid
+
+
+def _chunk(terms, targs, grid, seed, start, stop, max_events, state_cap):
+    """Sums of the per-sample terms of samples start..stop-1 at their valid times.
+
+    ``terms(cfg, grid, *targs)`` runs sample i on the stream ``mix64(seed, i)``
+    and returns its valid-time mask and term arrays, one row per grid time.
+    """
     t_end = float(grid[-1]) if grid[-1] > 0 else 1.0
-    sums = np.zeros((n_g, p_max))
-    sq = np.zeros((n_g, p_max))
-    s_sum = np.zeros((n_g, dim))
-    s_sq = np.zeros((n_g, dim))
-    valid = np.zeros(n_g, dtype=np.int64)
+    valid = np.zeros(len(grid), dtype=np.int64)
     for i in range(start, stop):
         cfg = SimConfig(
             t_end=t_end, seed=mix64(seed, i), max_events=max_events, state_cap=state_cap
         )
-        traj = _direct_core(net, x0, cfg)
-        samples = traj.sample(grid).astype(float)
-        ok = grid < traj.cap_time
-        norms = samples.sum(axis=1)
-        powers = norms[:, None] ** np.arange(1, p_max + 1)[None, :]
+        ok, parts = terms(cfg, grid, *targs)
+        if i == start:
+            sums = [np.zeros_like(term) for term in parts]
         okf = ok.astype(float)
-        sums += powers * okf[:, None]
-        sq += powers**2 * okf[:, None]
-        s_sum += samples * okf[:, None]
-        s_sq += samples**2 * okf[:, None]
+        for acc, term in zip(sums, parts):
+            acc += term * okf[:, None]
         valid += ok
-    return sums, sq, s_sum, s_sq, valid
+    return sums, valid
 
 
-def _run_chunks(worker, args_list, workers):
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
+def _pool_map(fn, jobs, workers):
+    """``[fn(*job) for job in jobs]``, on a fork pool when workers > 1."""
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
     ctx = get_context("fork")
-    with ctx.Pool(processes=min(workers, len(args_list))) as pool:
-        return pool.map(worker, args_list)
+    with ctx.Pool(processes=min(workers, len(jobs))) as pool:
+        return pool.starmap(fn, jobs)
+
+
+def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
+    """Means of the per-sample terms over the valid samples at each time.
+
+    Returns ``(grid, means, valid, nv, bessel)`` with ``nv`` the valid
+    count (at least 1) as a ``(G, 1)`` column and ``bessel = nv / (nv - 1)``
+    (1 where ``nv == 1``).
+    """
+    if n < 2:
+        raise ValueError("ensemble needs n >= 2")
+    grid = _check_grid(grid)
+    jobs = [
+        (terms, targs, grid, seed, start, min(start + _CHUNK, n), max_events, state_cap)
+        for start in range(0, n, _CHUNK)
+    ]
+    parts = _pool_map(_chunk, jobs, worker_count(workers))
+    valid = sum(p[1] for p in parts)
+    nv = np.maximum(valid, 1).astype(float)[:, None]
+    means = [sum(chunk_sums) / nv for chunk_sums in zip(*(p[0] for p in parts))]
+    return grid, means, valid, nv, nv / np.maximum(nv - 1, 1)
+
+
+def _moment_terms(cfg, grid, net, x0, p_max):
+    traj = _direct_core(net, x0, cfg)
+    samples = traj.sample(grid).astype(float)
+    norms = samples.sum(axis=1)
+    powers = norms[:, None] ** np.arange(1, p_max + 1)[None, :]
+    return grid < traj.cap_time, (powers, powers**2, samples, samples**2)
 
 
 def ensemble_moments(
@@ -518,37 +553,20 @@ def ensemble_moments(
     reduced in fixed chunk order, so the table is bit-identical for any
     worker count (set ``workers`` or the JKL_THREADS variable).
     """
-    if n < 2:
-        raise ValueError("ensemble needs n >= 2")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     _check_network(net)
-    grid = np.asarray(grid, dtype=float)
-    args = [
-        (net, x0, grid, p_max, seed, start, min(start + _CHUNK, n), max_events, state_cap)
-        for start in range(0, n, _CHUNK)
-    ]
-    parts = _run_chunks(_moment_chunk, args, worker_count(workers))
-    sums = sum(p[0] for p in parts)
-    sq = sum(p[1] for p in parts)
-    s_sum = sum(p[2] for p in parts)
-    s_sq = sum(p[3] for p in parts)
-    valid = sum(p[4] for p in parts)
-
-    nv = np.maximum(valid, 1).astype(float)[:, None]
-    mean = sums / nv
-    var = np.maximum(sq / nv - mean**2, 0.0)
-    bessel = np.where(valid[:, None] > 1, nv / (nv - 1), 1.0)
-    stderr = np.sqrt(var * bessel) / np.sqrt(nv)
-    sp_mean = s_sum / nv
-    sp_var = np.maximum(s_sq / nv - sp_mean**2, 0.0) * bessel
+    grid, (mean, sq, sp_mean, sp_sq), valid, nv, bessel = _reduce(
+        _moment_terms, (net, x0, p_max), grid, n, seed, workers, max_events, state_cap
+    )
+    var = np.maximum(sq - mean**2, 0.0)
     return MomentTable(
         times=grid,
         p_max=p_max,
         moments=mean,
-        stderr=stderr,
+        stderr=np.sqrt(var * bessel) / np.sqrt(nv),
         species_mean=sp_mean,
-        species_var=sp_var,
+        species_var=np.maximum(sp_sq - sp_mean**2, 0.0) * bessel,
         n=n,
         n_valid=valid,
         n_excluded=n - valid,
@@ -583,36 +601,12 @@ class RmsCurve:
         return "\n".join(lines) + "\n"
 
 
-def _rms_chunk(args):
-    net, pert_net, x0, y0, grid, seed, start, stop, max_events, state_cap = args
-    grid = np.asarray(grid, dtype=float)
-    n_g, dim = len(grid), net.n_species
-    t_end = float(grid[-1]) if grid[-1] > 0 else 1.0
-    sq_sum = np.zeros(n_g)
-    sq_sq = np.zeros(n_g)
-    sp_sq = np.zeros((n_g, dim))
-    valid = np.zeros(n_g, dtype=np.int64)
-    n_r = net.n_reactions
-    for i in range(start, stop):
-        pair_seed = mix64(seed, i)
-        cfg = SimConfig(
-            t_end=t_end, seed=pair_seed, max_events=max_events, state_cap=state_cap
-        )
-
-        def streams():
-            return [random.Random(mix64(pair_seed, _CHANNEL_TAG, r)) for r in range(n_r)]
-
-        leg_x = _rtc_core(net, x0, cfg, streams())
-        leg_y = _rtc_core(pert_net, y0, cfg, streams())
-        ok = (grid < leg_x.cap_time) & (grid < leg_y.cap_time)
-        diff = (leg_x.sample(grid) - leg_y.sample(grid)).astype(float)
-        d2 = (diff**2).sum(axis=1)
-        okf = ok.astype(float)
-        sq_sum += d2 * okf
-        sq_sq += d2**2 * okf
-        sp_sq += diff**2 * okf[:, None]
-        valid += ok
-    return sq_sum, sq_sq, sp_sq, valid
+def _rms_terms(cfg, grid, net, pert_net, x0, y0):
+    leg_x, leg_y = _coupled_core(net, pert_net, x0, y0, cfg)
+    ok = (grid < leg_x.cap_time) & (grid < leg_y.cap_time)
+    diff = (leg_x.sample(grid) - leg_y.sample(grid)).astype(float)
+    d2 = (diff**2).sum(axis=1)[:, None]
+    return ok, (d2, d2**2, diff**2)
 
 
 def coupled_rms(
@@ -628,27 +622,15 @@ def coupled_rms(
     state_cap: float = 1e9,
 ) -> RmsCurve:
     """(E |X_t - Y_t|^2)^(1/2) over n coupled pairs, with standard errors."""
-    if n < 2:
-        raise ValueError("ensemble needs n >= 2")
-    grid = np.asarray(grid, dtype=float)
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
-    args = [
-        (net, pert_net, x0, y0, grid, seed, start, min(start + _CHUNK, n), max_events, state_cap)
-        for start in range(0, n, _CHUNK)
-    ]
-    parts = _run_chunks(_rms_chunk, args, worker_count(workers))
-    sq_sum = sum(p[0] for p in parts)
-    sq_sq = sum(p[1] for p in parts)
-    sp_sq = sum(p[2] for p in parts)
-    valid = sum(p[3] for p in parts)
-
-    nv = np.maximum(valid, 1).astype(float)
-    mean_sq = sq_sum / nv
-    var_sq = np.maximum(sq_sq / nv - mean_sq**2, 0.0)
-    bessel = np.where(valid > 1, nv / (nv - 1), 1.0)
-    se_mean_sq = np.sqrt(var_sq * bessel) / np.sqrt(nv)
+    grid, (mean_sq, sq_sq, sp_sq), valid, nv, bessel = _reduce(
+        _rms_terms, (net, pert_net, x0, y0), grid, n, seed, workers, max_events, state_cap
+    )
+    var_sq = np.maximum(sq_sq - mean_sq**2, 0.0)
+    se_mean_sq = (np.sqrt(var_sq * bessel) / np.sqrt(nv))[:, 0]
+    mean_sq = mean_sq[:, 0]
     rms = np.sqrt(mean_sq)
     stderr = np.where(rms > 0, se_mean_sq / np.maximum(2 * rms, 1e-300), 0.0)
     return RmsCurve(
@@ -656,7 +638,7 @@ def coupled_rms(
         rms=rms,
         stderr=stderr,
         mean_sq=mean_sq,
-        species_rms=np.sqrt(sp_sq / nv[:, None]),
+        species_rms=np.sqrt(sp_sq),
         n=n,
         n_valid=valid,
     )
@@ -689,9 +671,7 @@ def batch_states(
     uniform per trajectory per step, full width) is fixed by ``seed``
     and ``n``, independent of anything else.
     """
-    grid = np.asarray(grid, dtype=float)
-    if (np.diff(grid) <= 0).any():
-        raise ValueError("grid must be strictly increasing")
+    grid = _check_grid(grid)
     _check_network(net)
     x_init = np.asarray(_check_state(x0, net), dtype=float)
     dim = net.n_species

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from jkl import analyzer as an
 from jkl import bounds as bnd
@@ -161,16 +160,11 @@ def test_06_cubic_blowup():
     _run("06 cubic-blowup", 60.0, body)
 
 
-@pytest.fixture(scope="module")
-def enzyme_summary():
-    return demo_enzyme_sensitivity(samples=10**4, seed=1)
-
-
-def test_07_enzyme_sensitivity(enzyme_summary):
+def test_07_enzyme_sensitivity():
     """Rate-ODE doubles; the stochastic mean response is ~fourfold."""
 
     def body():
-        s = enzyme_summary
+        s = demo_enzyme_sensitivity(samples=10**4, seed=1)
         assert abs(s["ode_response_ratio"] - 2.0) <= 0.02 * 2.0, s
         assert 3.2 <= s["stoch_response_ratio"] <= 4.8, s
         # RMS curve shape: rises from near zero onto a plateau

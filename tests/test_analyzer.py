@@ -354,6 +354,11 @@ class TestAnalyze:
         lv = np.array(report.l)
         assert report.A == pytest.approx(float(lv[:2].sum()), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_explicit_weight_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            analyze(BIMOL, weight=[bad, 1.0])
+
     def test_invalid_network_rejected(self):
         from jkl.model import Propensity, Reaction, ReactionNetwork
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,24 @@ ENTRY_POINTS = {
         net, [0], [0], PerturbationSpec(), [0.0, 1.0], 4, seed=1, workers=1
     ),
     "batch_states": lambda net: batch_states(net, [0], [1.0], 4, seed=1),
+}
+
+# each grid-taking sampler, called on a one-species birth process
+GRID_ENTRY_POINTS = {
+    "ensemble_moments": lambda grid: ensemble_moments(BIRTH, [0], grid, 1, 4, seed=1, workers=1),
+    "coupled_rms": lambda grid: coupled_rms(
+        BIRTH, [0], [0], PerturbationSpec(), grid, 4, seed=1, workers=1
+    ),
+    "batch_states": lambda grid: batch_states(BIRTH, [0], grid, 4, seed=1),
+}
+BAD_GRIDS = {
+    "empty": [],
+    "decreasing": [0.5, 0.2],
+    "repeated": [0.5, 0.5],
+    "nan": [0.0, math.nan],
+    "inf": [0.0, math.inf],
+    "negative": [-1.0, 1.0],
+    "two-dimensional": [[0.0, 1.0]],
 }
 
 
@@ -169,15 +188,25 @@ class TestEntryValidation:
             ENTRY_POINTS[name](net)
 
     def test_invalid_perturbed_network_rejected(self):
-        pert = PerturbationSpec({"k": math.inf})
-        with pytest.raises(ValueError, match="not finite"):
-            simulate_coupled(NAMED_BIRTH, [0], [0], pert, SimConfig(t_end=1.0))
-        with pytest.raises(ValueError, match="not finite"):
-            coupled_rms(NAMED_BIRTH, [0], [0], pert, [0.0, 1.0], 4, seed=1, workers=1)
+        # an infinite delta fails the perturbation check; a finite delta that
+        # overflows the rate fails validation of the perturbed network
+        huge = parse_model("species A\nk = 1e308\nR: 0 -> A @ k")
+        for net, delta in ((NAMED_BIRTH, math.inf), (huge, 1.0)):
+            pert = PerturbationSpec({"k": delta})
+            with pytest.raises(ValueError, match="not finite"):
+                simulate_coupled(net, [0], [0], pert, SimConfig(t_end=1.0))
+            with pytest.raises(ValueError, match="not finite"):
+                coupled_rms(net, [0], [0], pert, [0.0, 1.0], 4, seed=1, workers=1)
 
     def test_batch_negative_initial_state_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             batch_states(BIRTH, [-5], [1.0], 4, seed=1)
+
+    @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+    @pytest.mark.parametrize("name", sorted(GRID_ENTRY_POINTS))
+    def test_bad_grid_rejected(self, name, grid):
+        with pytest.raises(ValueError, match="grid"):
+            GRID_ENTRY_POINTS[name](BAD_GRIDS[grid])
 
 
 class TestPerturbation:
@@ -202,6 +231,11 @@ class TestPerturbation:
 
     def test_empty_is_identity(self):
         assert PerturbationSpec({}).apply(BIMOL) == BIMOL
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="not finite"):
+            PerturbationSpec({"k2": delta}).totals(BIMOL)
 
 
 class TestCoupling:
@@ -290,6 +324,19 @@ class TestEnsembles:
         assert table.explosion
         assert table.n_excluded[-1] > 0
         assert table.n_valid[-1] + table.n_excluded[-1] == 100
+
+    def test_at_most_one_valid_sample_warns_nothing(self):
+        # at most one path reaches t = 50 below the cap: the Bessel factor is 1
+        grid = [0.0, 50.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = ensemble_moments(BIMOL, [5, 5], grid, 1, 4, 1, workers=1, state_cap=10)
+            curve = coupled_rms(
+                BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), grid, 4, 1,
+                workers=1, state_cap=10,
+            )
+        assert table.n_valid[-1] <= 1 and curve.n_valid[-1] <= 1
+        assert np.isfinite(table.stderr).all() and np.isfinite(curve.stderr).all()
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("JKL_THREADS", "3")
