@@ -2,10 +2,11 @@
 
 The truncation is absorbing: any transition that would leave the
 enumerated set routes its probability into an explicit defect channel,
-so ``retained mass + defect == 1`` holds exactly and oracle moments come
-with a rigorous one-sided bracket ``[value, value + defect * max f]``.
-This mirrors the stopping-time localization used by the simulator's
-state cap.
+so ``retained mass + defect == 1`` holds exactly.  Oracle moments are
+lower values; ``value + defect * max f`` is not an upper bound, since
+the escaped mass lies outside the index (``0 -> A @ 10``, caps 5, t=2:
+5.0 against E[A] = 20).  This mirrors the stopping-time localization
+used by the simulator's state cap.
 
 Integration uses uniformization (exact up to a truncated Poisson tail)
 when ``max |diagonal| * horizon <= 1e6``, otherwise an adaptive
@@ -14,7 +15,6 @@ Runge-Kutta fallback on the sparse generator.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +22,8 @@ import numpy as np
 import scipy.integrate
 import scipy.sparse
 
-from .model import ReactionNetwork, propensity_eval
+from .engine import _check_grid, _check_network
+from .model import ReactionNetwork
 
 __all__ = [
     "CmeError",
@@ -68,6 +69,20 @@ class StateIndex:
         return "\n".join(lines) + "\n"
 
 
+def _successors(net: ReactionNetwork, states: np.ndarray, caps: np.ndarray):
+    """Propensities w (n, R), targets nxt = x - nu_r (n, R, D) and the in-caps mask.
+
+    Each scalar closure runs on the species-major ``states.T``, so every
+    entry of w is the float expression of a per-state evaluation.
+    """
+    w = np.empty((len(states), net.n_reactions))
+    for r, rxn in enumerate(net.reactions):
+        w[:, r] = rxn.propensity.evaluate(states.T)
+    nxt = states[:, None, :] - net.stoichiometry.T[None]
+    inside = ((nxt >= 0) & (nxt <= caps)).all(axis=2)
+    return w, nxt, inside
+
+
 def enumerate_states(
     net: ReactionNetwork,
     x0: Sequence[int],
@@ -79,6 +94,7 @@ def enumerate_states(
     Exploring only reachable states keeps closed systems on their
     conservation slice automatically.
     """
+    _check_network(net)
     dim = net.n_species
     caps_arr = np.full(dim, caps, dtype=np.int64) if np.isscalar(caps) else np.asarray(
         caps, dtype=np.int64
@@ -91,28 +107,18 @@ def enumerate_states(
     if any(v < 0 for v in start) or (np.array(start) > caps_arr).any():
         raise ValueError("initial state must lie within the caps")
 
-    nus = [np.array(rxn.nu, dtype=np.int64) for rxn in net.reactions]
     lookup = {start: 0}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        w = propensity_eval(net, state)
-        for r, nu in enumerate(nus):
-            if w[r] <= 0:
-                continue
-            nxt = tuple(int(v) for v in (np.array(state, dtype=np.int64) - nu))
-            if min(nxt) < 0 or (np.array(nxt) > caps_arr).any():
-                continue  # leaves the truncation: becomes defect flow
-            if nxt not in lookup:
-                if len(order) >= max_states:
-                    raise CmeError(
-                        f"state set exceeds {max_states} states; tighten the caps"
-                    )
-                lookup[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-    return StateIndex(np.array(order, dtype=np.int64), lookup, caps_arr)
+    frontier = np.array([start], dtype=np.int64)
+    while len(frontier):
+        w, nxt, inside = _successors(net, frontier, caps_arr)
+        # targets outside the caps are not explored: they become defect flow
+        seen = dict.fromkeys(map(tuple, nxt[(w > 0) & inside].tolist()))
+        fresh = [key for key in seen if key not in lookup]
+        lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
+        if len(lookup) > max_states:
+            raise CmeError(f"state set exceeds {max_states} states; tighten the caps")
+        frontier = np.array(fresh, dtype=np.int64).reshape(-1, dim)
+    return StateIndex(np.array(list(lookup), dtype=np.int64), lookup, caps_arr)
 
 
 @dataclass(frozen=True)
@@ -137,36 +143,23 @@ class GeneratorMatrix:
 
 
 def build_generator(net: ReactionNetwork, idx: StateIndex) -> GeneratorMatrix:
+    _check_network(net)
     n = idx.n_states
-    defect = n
-    rows, cols, vals = [], [], []
-    lam = 0.0
-    caps = idx.caps
-    nus = [np.array(rxn.nu, dtype=np.int64) for rxn in net.reactions]
-    for j in range(n):
-        state = idx.states[j]
-        w = propensity_eval(net, state)
-        total = float(w.sum())
-        if total > 0:
-            rows.append(j)
-            cols.append(j)
-            vals.append(-total)
-            lam = max(lam, total)
-        for r, nu in enumerate(nus):
-            if w[r] <= 0:
-                continue
-            nxt = state - nu
-            if (nxt < 0).any() or (nxt > caps).any():
-                target = defect
-            else:
-                target = idx.lookup.get(tuple(int(v) for v in nxt), defect)
-            rows.append(target)
-            cols.append(j)
-            vals.append(float(w[r]))
+    w, nxt, inside = _successors(net, idx.states, idx.caps)
+    total = w.sum(axis=1)
+    targets = np.full(w.shape, n, dtype=np.int64)  # default: the defect row
+    moves = (w > 0) & inside
+    targets[moves] = [idx.lookup.get(key, n) for key in map(tuple, nxt[moves].tolist())]
+    # (n, 1+R) triplets in C order: each state's diagonal, then its channels
+    # in index order; tocsr sums any duplicates in this order
+    rows = np.column_stack([np.arange(n), targets])
+    cols = np.broadcast_to(np.arange(n)[:, None], rows.shape)
+    vals = np.column_stack([-total, w])
+    keep = np.column_stack([total > 0, w > 0])
     q = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(n + 1, n + 1)
+        (vals[keep], (rows[keep], cols[keep])), shape=(n + 1, n + 1)
     ).tocsr()
-    return GeneratorMatrix(q=q, index=idx, lam=lam)
+    return GeneratorMatrix(q=q, index=idx, lam=float(total.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,7 @@ def _uniformization_step(p, p_op, a, tol):
         result += weight * term
         acc += weight
         if k > 10 * a + 1000:
-            break
+            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
     return result
 
 
@@ -223,9 +216,11 @@ def integrate_cme(
     fallback.  ``retained + defect = 1`` holds to within ``tol``.
 
     Raises:
-        CmeError: if the fallback integrator fails (stiffness).
+        ValueError: if the grid is not a finite, non-negative, increasing axis.
+        CmeError: if the fallback integrator fails (stiffness), or a
+            Poisson series cannot reach its share of ``tol``.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     n = gen.n_states
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n,):
@@ -233,8 +228,6 @@ def integrate_cme(
     if abs(p0.sum() - 1.0) > 1e-9 or (p0 < 0).any():
         raise ValueError("p0 must be a probability vector")
 
-    if (grid < 0).any() or (np.diff(grid) <= 0).any():
-        raise ValueError("grid times must be non-negative and increasing")
     horizon = float(grid[-1])
     out = np.empty((len(grid), n))
     defect = np.empty(len(grid))
@@ -286,10 +279,10 @@ def integrate_cme(
 
 @dataclass(frozen=True)
 class CmeMoments:
-    """Moments of |X|_1 with defect brackets, plus per-species statistics."""
+    """Moments of |X|_1 with defect-weighted ends, plus per-species statistics."""
 
     moments: np.ndarray  # (p_max,) lower values (retained mass only)
-    upper: np.ndarray  # (p_max,) value + defect * max f over the index
+    upper: np.ndarray  # (p_max,) value + defect * max f over the index; not an upper bound
     species_mean: np.ndarray
     species_var: np.ndarray
     defect: float
@@ -298,8 +291,9 @@ class CmeMoments:
 def cme_moments(dist: np.ndarray, idx: StateIndex, p_max: int, defect: float = 0.0) -> CmeMoments:
     """Moments Sum_x p(x) f(x) of one distribution on the index.
 
-    The retained-mass sum is a lower value; adding ``defect * max f``
-    over the truncated set gives the bracket's upper end.
+    The retained-mass sum is a lower value; ``upper`` adds
+    ``defect * max f`` over the truncated set, which is not an upper
+    bound (see :class:`CmeMoments`).
     """
     dist = np.asarray(dist, dtype=float)
     states = idx.states.astype(float)

@@ -238,7 +238,7 @@ def _eval_into(evaluators, x, w) -> float:
 
 
 def _check_network(net: ReactionNetwork) -> None:
-    """Reject a network that fails validation before simulating it."""
+    """Reject a network that fails validation before simulating or enumerating it."""
     issues = validate_network(net)
     if issues:
         msgs = "; ".join(str(d) for d in issues)
@@ -482,7 +482,7 @@ def _chunk(terms, targs, grid, seed, start, stop, max_events, state_cap):
     ``terms(cfg, grid, *targs)`` runs sample i on the stream ``mix64(seed, i)``
     and returns its valid-time mask and term arrays, one row per grid time.
     """
-    t_end = float(grid[-1]) if grid[-1] > 0 else 1.0
+    t_end = max(float(grid[-1]), math.ulp(0.0))  # a [0.0] grid needs no events
     valid = np.zeros(len(grid), dtype=np.int64)
     for i in range(start, stop):
         cfg = SimConfig(

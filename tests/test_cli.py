@@ -176,6 +176,12 @@ class TestCme:
         assert code == 0
         assert len(path.read_text().splitlines()) == 3
 
+    def test_infinite_grid_time_rejected(self, capsys):
+        code, _, err = run(capsys, "cme", "--preset", "bimol", "--caps", "5",
+                           "--grid", "1.0,inf")
+        assert code == 2
+        assert "grid" in err
+
 
 class TestDemo:
     def test_bimol_walk_writes_bundle(self, capsys, tmp_path):

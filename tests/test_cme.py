@@ -1,25 +1,121 @@
 """Truncated master-equation oracle: enumeration, generator, integration."""
 
+import itertools
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from jkl.cme import (
     CmeError,
+    StateIndex,
     build_generator,
     cme_moments,
     enumerate_states,
     integrate_cme,
     point_mass,
 )
-from jkl.model import ReactionNetwork
+from jkl.model import ReactionNetwork, propensity_eval
 from jkl.parser import parse_model
 from jkl.presets import get_preset
+from test_golden import MIXED
 
 REVERSIBLE = get_preset("reversible").network
 BIMOL = get_preset("bimol").network
 BIRTH = parse_model("species A\nR: 0 -> A @ 1.0")
 CUBIC = get_preset("cubic").network
+NEGATIVE = parse_model("species A\nR1: 0 -> A @ -1.0\nR2: A -> 0 @ 1")
+
+# eleven channels of every kind at non-dyadic rates: a row sum over more
+# than eight channels takes numpy's unrolled summation path
+WIDE = parse_model("""\
+species A B C
+R1: 0 -> A @ 0.7
+R2: 0 -> B @ 0.31
+R3: 0 -> C @ 0.23
+R4: A -> 0 @ 0.11
+R5: B -> 0 @ 0.13
+R6: C -> 0 @ 0.17
+R7: A + B -> C @ 0.019
+R8: C -> A + B @ 0.29
+R9: 2 A -> B @ 0.0071
+R10: A + B + C -> 0 @ 0.0013
+R11: 2 B + C -> C @ 0.0009
+""")
+
+BAD_GRIDS = {
+    "empty": [],
+    "nan": [math.nan],
+    "inf": [math.inf],
+    "inf-last": [1.0, math.inf],
+    "two-dimensional": [[0.5, 1.0]],
+    "decreasing": [1.0, 0.5],
+    "negative": [-1.0],
+}
+
+
+def _reference_enumerate(net, x0, caps):
+    """Loop reference for enumerate_states: one state at a time off a deque."""
+    caps_arr = np.full(net.n_species, caps, dtype=np.int64)
+    nus = [np.array(rxn.nu, dtype=np.int64) for rxn in net.reactions]
+    start = tuple(int(v) for v in x0)
+    lookup = {start: 0}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        w = propensity_eval(net, state)
+        for r, nu in enumerate(nus):
+            if w[r] <= 0:
+                continue
+            nxt = tuple(int(v) for v in (np.array(state, dtype=np.int64) - nu))
+            if min(nxt) < 0 or (np.array(nxt) > caps_arr).any():
+                continue
+            if nxt not in lookup:
+                lookup[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+    return np.array(order, dtype=np.int64), lookup
+
+
+def _reference_generator(net, idx):
+    """Loop reference for build_generator, one state at a time: (q, lam)."""
+    n = idx.n_states
+    rows, cols, vals = [], [], []
+    lam = 0.0
+    nus = [np.array(rxn.nu, dtype=np.int64) for rxn in net.reactions]
+    for j in range(n):
+        state = idx.states[j]
+        w = propensity_eval(net, state)
+        total = float(w.sum())
+        if total > 0:
+            rows.append(j)
+            cols.append(j)
+            vals.append(-total)
+            lam = max(lam, total)
+        for r, nu in enumerate(nus):
+            if w[r] <= 0:
+                continue
+            nxt = state - nu
+            if (nxt < 0).any() or (nxt > idx.caps).any():
+                target = n
+            else:
+                target = idx.lookup.get(tuple(int(v) for v in nxt), n)
+            rows.append(target)
+            cols.append(j)
+            vals.append(float(w[r]))
+    q = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
+    return q, lam
+
+
+def _box_index(caps):
+    """Every lattice point of the box [0, caps], reachable or not."""
+    states = np.array(list(itertools.product(*(range(c + 1) for c in caps))), dtype=np.int64)
+    lookup = {tuple(int(v) for v in s): i for i, s in enumerate(states)}
+    return StateIndex(states, lookup, np.array(caps, dtype=np.int64))
 
 
 class TestEnumeration:
@@ -47,6 +143,10 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_states(BIRTH, [9], 5)
 
+    def test_invalid_network_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            enumerate_states(NEGATIVE, [0], 5)
+
     def test_index_round_trip(self):
         idx = enumerate_states(BIMOL, [0, 0], 6)
         for i, s in enumerate(idx.states):
@@ -56,6 +156,31 @@ class TestEnumeration:
 
 
 class TestGenerator:
+    @pytest.mark.parametrize(
+        "net, x0, caps",
+        [(parse_model(MIXED), [20, 20], 30), (WIDE, [2, 2, 2], 7), (BIMOL, [0, 0], 25)],
+        ids=["mixed", "wide", "bimol"],
+    )
+    def test_matches_per_state_reference(self, net, x0, caps):
+        idx = enumerate_states(net, x0, caps)
+        states, lookup = _reference_enumerate(net, x0, caps)
+        assert idx.states.dtype == states.dtype and idx.states.shape == states.shape
+        assert idx.states.tobytes() == states.tobytes()
+        assert list(idx.lookup.items()) == list(lookup.items())
+        box = _box_index([7] * net.n_species)
+        for index in (idx, box):
+            gen = build_generator(net, index)
+            q, lam = _reference_generator(net, index)
+            for field in ("data", "indices", "indptr"):
+                got, want = getattr(gen.q, field), getattr(q, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert gen.lam == lam and type(gen.lam) is float
+
+    def test_invalid_network_rejected(self):
+        idx = enumerate_states(BIRTH, [0], 5)
+        with pytest.raises(ValueError, match="negative"):
+            build_generator(NEGATIVE, idx)
+
     def test_single_state_zero_matrix(self):
         net = ReactionNetwork(("A",), (), {})
         idx = enumerate_states(net, [0], 3)
@@ -171,6 +296,21 @@ class TestIntegration:
         stat = np.abs(stat) / np.abs(stat).sum()
         sol = integrate_cme(gen, point_mass(idx, [2, 2, 0]), np.array([60.0]))
         assert np.allclose(sol.probs[-1], stat, atol=1e-8)
+
+    @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+    def test_bad_grid_rejected(self, grid):
+        idx = enumerate_states(BIRTH, [0], 4)
+        gen = build_generator(BIRTH, idx)
+        with pytest.raises(ValueError, match="grid"):
+            integrate_cme(gen, point_mass(idx, [0]), BAD_GRIDS[grid])
+
+    def test_unreachable_tolerance_raises(self):
+        # below ~1e-16 per Poisson series, 1 - tol rounds to 1: the series
+        # stops on its term limit, short of tol, and must not return silently
+        idx = enumerate_states(BIMOL, [0, 0], 30)
+        gen = build_generator(BIMOL, idx)
+        with pytest.raises(CmeError, match="tolerance"):
+            integrate_cme(gen, point_mass(idx, [0, 0]), np.linspace(0.01, 2.0, 20), tol=1e-15)
 
     def test_bad_p0_rejected(self):
         idx = enumerate_states(BIRTH, [0], 4)

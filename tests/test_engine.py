@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from jkl import engine
 from jkl.engine import (
     PerturbationSpec,
     SimConfig,
@@ -337,6 +338,23 @@ class TestEnsembles:
             )
         assert table.n_valid[-1] <= 1 and curve.n_valid[-1] <= 1
         assert np.isfinite(table.stderr).all() and np.isfinite(curve.stderr).all()
+
+    def test_zero_only_grid_runs_no_events(self, monkeypatch):
+        events = []
+
+        def counting_core(net, x0, cfg):
+            traj = direct_core(net, x0, cfg)
+            events.append(len(traj.channels))
+            return traj
+
+        direct_core = engine._direct_core
+        monkeypatch.setattr(engine, "_direct_core", counting_core)
+        x0 = get_preset("enzyme").x0
+        table = ensemble_moments(ENZYME, x0, [0.0], 1, 64, 1, workers=1)
+        assert len(events) == 64 and sum(events) == 0
+        longer = ensemble_moments(ENZYME, x0, [0.0, 0.01], 1, 64, 1, workers=1)
+        for name in ("moments", "stderr", "species_mean", "species_var", "n_valid"):
+            assert np.array_equal(getattr(table, name)[0], getattr(longer, name)[0])
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("JKL_THREADS", "3")
