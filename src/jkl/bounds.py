@@ -81,11 +81,17 @@ def _phi(z: np.ndarray) -> np.ndarray:
 
 
 def _envelope(x0_pow: float, b_const: float, beta: float, grid: np.ndarray) -> np.ndarray:
-    # exponents can be huge for high moment orders; inf is the honest value
+    # exponents can be huge for high moment orders; inf is the honest value.
+    # A term with coefficient 0 is dropped, so no 0 * inf turns it into NaN.
     beta_plus = max(beta, 0.0)
     t = np.asarray(grid, dtype=float)
+    out = np.zeros_like(t)
     with np.errstate(over="ignore"):
-        return x0_pow * np.exp(beta_plus * t) + b_const * t * _phi(beta_plus * t)
+        if x0_pow:
+            out = out + x0_pow * np.exp(beta_plus * t)
+        if b_const:
+            out = out + b_const * t * _phi(beta_plus * t)
+    return out
 
 
 def first_moment_curve(

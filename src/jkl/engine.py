@@ -14,12 +14,25 @@ and schedule-independent:
 
 * every stream is a ``random.Random`` (CPython Mersenne Twister) seeded
   through the splitmix64 mixing chain :func:`mix64`;
-* trajectory ``i`` of an ensemble uses ``mix64(seed, i)``; channel ``r``
-  of a coupled pair uses ``mix64(seed, pair, r)`` for both legs;
+* trajectory ``i`` of an ensemble uses ``s_i = mix64(seed, i)``; channel
+  ``r`` of coupled pair ``i`` uses ``mix64(s_i, _CHANNEL_TAG, r)`` for
+  both legs;
 * exponentials are inverse-CDF samples ``-log(1 - u)``;
 * both ensemble estimators go through one reducer, :func:`_reduce`,
   which combines fixed-size chunk sums in index order, so serial and
   parallel runs produce identical bytes.
+
+Both samplers run as generated code: for each network, sampler and
+record mode, :func:`_stepper_source` writes one straight-line Python
+function with the propensities, their index-order total, the channel
+selection and the integer state updates unrolled, and :func:`_stepper`
+compiles it once per process.  Only ``repr(float(rate))``, species
+indices and stoichiometric integers are written into the source, never
+labels or names, and every float expression is the one of
+:class:`~jkl.model.Propensity`, so the generated code produces the same
+bytes as a plain loop would.  Path mode returns the whole path (the
+public :class:`Trajectory`); grid mode, which the ensembles use, records
+the state only at the grid times.
 
 The lockstep batch sampler (:func:`batch_states`) trades per-trajectory
 streams for one master-seeded vector stream; it is exact and
@@ -27,11 +40,12 @@ deterministic but its per-trajectory paths depend on the batch size.
 
 Every public sampler runs :func:`~jkl.model.validate_network` once per
 call and raises ``ValueError`` listing the diagnostics; ensemble chunks
-then call the per-trajectory cores, which skip the check.
+then run the compiled steppers, which skip the check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -73,7 +87,11 @@ def mix64(*parts: int) -> int:
     contract: ``z_0 = 0x9E3779B97F4A7C15``; for each part ``p``,
     ``z -> splitmix64_finalizer(z + p)``.
     """
-    z = 0x9E3779B97F4A7C15
+    return _mix(0x9E3779B97F4A7C15, parts)
+
+
+def _mix(z: int, parts) -> int:
+    """Fold ``parts`` into the chain state ``z``: ``mix64(*a, *b) == _mix(mix64(*a), b)``."""
     for p in parts:
         z = (z + (p & _MASK64)) & _MASK64
         z ^= z >> 30
@@ -215,26 +233,171 @@ class PerturbationSpec:
 
 
 # ---------------------------------------------------------------------------
-# compiled propensity kernels
+# generated per-network steppers
 
 
-def _compile(net: ReactionNetwork):
-    """Per-reaction scalar evaluators plus sparse state updates."""
-    evaluators = [rxn.propensity.evaluate for rxn in net.reactions]
-    updates = [
-        tuple((s, d) for s, d in enumerate(rxn.nu) if d) for rxn in net.reactions
-    ]
-    return evaluators, updates
+# Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
+# is the direct method's stream, or the RTC sampler's list of channel clocks.
+_SKELETON = """\
+def step(x, draws, t_end, max_events, state_cap, grid=None):
+    [{xs}] = x
+    norm = {norm}
+    t = 0.0
+    n = 0
+    status = 't_end'
+{start}
+    while True:
+        if n >= max_events:
+            status = 'max_events'
+            break
+{rates}
+        if not total < 1e300:
+            raise SimulationError(f'propensity overflow at state {{[{xs}]}}')
+        if total <= 0.0:
+            break
+{wait}
+        if t_next > t_end:
+            break
+{before}
+{fire}
+        t = t_next
+        n += 1
+{after}
+        if norm > state_cap:
+            status = 'state_cap'
+            break
+{stop}
+"""
 
 
-def _eval_into(evaluators, x, w) -> float:
-    """Evaluate all propensities at x into list w; returns the total."""
-    total = 0.0
-    for idx, evaluate in enumerate(evaluators):
-        v = evaluate(x)
-        w[idx] = v
-        total += v
-    return total
+def _tuple_source(names: list[str]) -> str:
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
+def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
+    """Python source of the straight-line stepper for one network.
+
+    The propensities, their index-order total and the channel selection
+    are unrolled and each channel's ``nu`` becomes fixed integer updates
+    of the locals ``x0, x1, ...``; the 1-norm is kept incrementally.  Only
+    ``repr(float(rate))``, species indices and stoichiometric integers
+    enter the text.  ``path`` mode returns ``(times, states, channels,
+    status)`` plus, for RTC, the integrated intensities and channel
+    counts; ``grid`` mode records the state only at the grid times and
+    returns ``(rows, cap_time, events)``.
+    """
+    n_r = len(reactions)
+    xs = [f"x{s}" for s in range(dim)]
+    row = _tuple_source(xs)
+    rtc, grid = sampler == "rtc", mode == "grid"
+
+    def rate(rxn) -> str:
+        # k * x_s * (x_s - 1) * ..., left to right, as Propensity.evaluate
+        expr = repr(float(rxn.propensity.rate))
+        for s, m in rxn.propensity.reactants:
+            expr += "".join(f" * x{s}" if i == 0 else f" * (x{s} - {i})" for i in range(m))
+        return expr
+
+    def update(j: int, pad: str) -> list[str]:
+        nu = reactions[j].nu
+        out = [f"{pad}{xs[s]} {'-' if d > 0 else '+'}= {abs(d)}" for s, d in enumerate(nu) if d]
+        if sum(nu):
+            out.append(f"{pad}norm {'-' if sum(nu) > 0 else '+'}= {abs(sum(nu))}")
+        if rtc:
+            out[:0] = [f"{pad}s{j} = p{j}", f"{pad}p{j} += -log(1.0 - clock{j}())"]
+            if not grid:
+                out.append(f"{pad}k{j} += 1")
+        if not grid:
+            out.append(f"{pad}channels.append({j})")
+        return out or [f"{pad}pass"]
+
+    if rtc:
+        # p_j is channel j's next clock point, s_j its integrated intensity
+        start = [f"    clock{j} = draws[{j}].random" for j in range(n_r)]
+        start += [f"    p{j} = -log(1.0 - clock{j}())" for j in range(n_r)]
+        start += [f"    s{j} = 0.0" for j in range(n_r)]
+        start += [] if grid else [f"    k{j} = 0" for j in range(n_r)]
+        rates = [f"        w{j} = {rate(rxn)}" for j, rxn in enumerate(reactions)]
+        rates.append(f"        total = {' + '.join(['0.0'] + [f'w{j}' for j in range(n_r)])}")
+        # the smallest time to a clock point wins; strict, so ties go to
+        # the lowest index
+        wait = ["        best = inf", "        fired = -1"]
+        for j in range(n_r):
+            wait += [
+                f"        if w{j} > 0.0:",
+                f"            dt = (p{j} - s{j}) / w{j}",
+                "            if dt < best:",
+                "                best = dt",
+                f"                fired = {j}",
+            ]
+        wait.append("        t_next = t + best")
+        # every running channel advances, clamped at its clock point; the
+        # fired one is then set to its clock point exactly
+        fire = []
+        for j in range(n_r):
+            fire += [
+                f"        if w{j} > 0.0:",
+                f"            adv = s{j} + w{j} * best",
+                f"            s{j} = adv if adv < p{j} else p{j}",
+            ]
+        tests = [f"fired == {j}" for j in range(n_r)]
+    else:
+        start = ["    uniform = draws.random"]
+        # c_j = 0.0 + w0 + ... + w_j, summed in index order: the cumulative
+        # intensities of the inversion, and the total
+        rates = [
+            f"        c{j} = {f'c{j - 1}' if j else '0.0'} + {rate(rxn)}"
+            for j, rxn in enumerate(reactions)
+        ]
+        rates.append(f"        total = {f'c{n_r - 1}' if n_r else '0.0'}")
+        wait = ["        t_next = t + -log(1.0 - uniform()) / total"]
+        fire = ["        target = uniform() * total"]
+        tests = [f"target < c{j}" for j in range(n_r)]
+    for j in range(n_r):  # a single channel needs no test
+        head = "else" if j == n_r - 1 else f"{'elif' if j else 'if'} {tests[j]}"
+        fire += update(j, "        ") if n_r == 1 else [f"        {head}:", *update(j, " " * 12)]
+
+    if grid:
+        start += ["    rows = []", "    grid = [*grid, inf]", "    tg = grid[0]"]
+        # grid times strictly before the event keep the pre-event state
+        before = [
+            "        while tg < t_next:",
+            f"            rows.append({row})",
+            "            tg = grid[len(rows)]",
+        ]
+        after = []
+        stop = [
+            f"    rows += [{row}] * (len(grid) - 1 - len(rows))",
+            "    return rows, (inf if status == 't_end' else t), n",
+        ]
+    else:
+        start += ["    times = [0.0]", f"    states = [{row}]", "    channels = []"]
+        before = []
+        after = ["        times.append(t)", f"        states.append({row})"]
+        clocks = [_tuple_source([f"{v}{j}" for j in range(n_r)]) for v in "sk"] if rtc else []
+        stop = [f"    return {', '.join(['times', 'states', 'channels', 'status', *clocks])}"]
+    slots = dict(
+        start=start, rates=rates, wait=wait, before=before, fire=fire, after=after, stop=stop
+    )
+    source = _SKELETON.format(
+        xs=", ".join(xs),
+        norm=" + ".join(xs) or "0",
+        **{name: "\n".join(lines) for name, lines in slots.items()},
+    )
+    return "".join(line for line in source.splitlines(keepends=True) if line.strip())
+
+
+@functools.lru_cache(maxsize=256)
+def _stepper(reactions, dim: int, sampler: str, mode: str):
+    """The compiled stepper for one network, sampler and mode, built once per process.
+
+    Keyed by ``net.reactions`` (hashable) and ``net.n_species``; the most
+    recently used 256 steppers are kept.
+    """
+    source = _stepper_source(reactions, dim, sampler, mode)
+    namespace = {"SimulationError": SimulationError, "inf": math.inf, "log": math.log}
+    exec(compile(source, f"<jkl {sampler} {mode} stepper>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _check_network(net: ReactionNetwork) -> None:
@@ -254,13 +417,24 @@ def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
     return x
 
 
-def _finish(times, states, channels, status, t_end, internal=None, counts=None):
+def _path(net, sampler: str, x0, cfg: SimConfig) -> Trajectory:
+    """One full sample path from the compiled path-mode stepper."""
+    x = _check_state(x0, net)
+    if sampler == "direct":
+        draws = random.Random(cfg.seed & _MASK64)
+    else:
+        draws = _channel_streams(cfg.seed, net.n_reactions)
+    step = _stepper(net.reactions, net.n_species, sampler, "path")
+    times, states, channels, status, *clocks = step(
+        x, draws, cfg.t_end, cfg.max_events, cfg.state_cap
+    )
+    internal, counts = clocks or (None, None)
     return Trajectory(
         times=np.array(times, dtype=float),
         states=np.array(states, dtype=np.int64),
         channels=np.array(channels, dtype=np.int64),
         status=status,
-        t_end=t_end,
+        t_end=cfg.t_end,
         internal_times=internal,
         channel_counts=counts,
     )
@@ -275,108 +449,7 @@ def simulate_direct(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> 
     the path runs to t_end.
     """
     _check_network(net)
-    return _direct_core(net, x0, cfg)
-
-
-def _direct_core(net, x0, cfg: SimConfig) -> Trajectory:
-    x = _check_state(x0, net)
-    evaluators, updates = _compile(net)
-    n_r = len(evaluators)
-    rng = random.Random(cfg.seed & _MASK64)
-    w = [0.0] * n_r
-    times = [0.0]
-    states = [tuple(x)]
-    channels: list[int] = []
-    t = 0.0
-    status = "t_end"
-    while True:
-        if len(channels) >= cfg.max_events:
-            status = "max_events"
-            break
-        total = _eval_into(evaluators, x, w)
-        if not total < 1e300:
-            raise SimulationError(f"propensity overflow at state {x}")
-        if total <= 0.0:
-            break
-        t_next = t + rng.expovariate(total)
-        if t_next > cfg.t_end:
-            break
-        target = rng.random() * total
-        acc = 0.0
-        fired = n_r - 1
-        for j in range(n_r):
-            acc += w[j]
-            if target < acc:
-                fired = j
-                break
-        for s, d in updates[fired]:
-            x[s] -= d
-        t = t_next
-        times.append(t)
-        states.append(tuple(x))
-        channels.append(fired)
-        if sum(x) > cfg.state_cap:
-            status = "state_cap"
-            break
-    return _finish(times, states, channels, status, cfg.t_end)
-
-
-def _rtc_core(net, x0, cfg: SimConfig, channel_rngs) -> Trajectory:
-    x = _check_state(x0, net)
-    evaluators, updates = _compile(net)
-    n_r = len(evaluators)
-    w = [0.0] * n_r
-    # integrated intensity consumed per channel, and its next clock point
-    t_int = [0.0] * n_r
-    nxt = [rng.expovariate(1.0) for rng in channel_rngs]
-    counts = [0] * n_r
-    times = [0.0]
-    states = [tuple(x)]
-    channels: list[int] = []
-    t = 0.0
-    status = "t_end"
-    while True:
-        if len(channels) >= cfg.max_events:
-            status = "max_events"
-            break
-        total = _eval_into(evaluators, x, w)
-        if not total < 1e300:
-            raise SimulationError(f"propensity overflow at state {x}")
-        if total <= 0.0:
-            break
-        best = math.inf
-        fired = -1
-        for j in range(n_r):
-            wj = w[j]
-            if wj > 0.0:
-                dt = (nxt[j] - t_int[j]) / wj
-                if dt < best:  # strict: ties go to the lowest index
-                    best = dt
-                    fired = j
-        t_next = t + best
-        if t_next > cfg.t_end:
-            break
-        for j in range(n_r):
-            wj = w[j]
-            if wj > 0.0 and j != fired:
-                adv = t_int[j] + wj * best
-                t_int[j] = adv if adv < nxt[j] else nxt[j]
-        t_int[fired] = nxt[fired]
-        nxt[fired] += channel_rngs[fired].expovariate(1.0)
-        counts[fired] += 1
-        for s, d in updates[fired]:
-            x[s] -= d
-        t = t_next
-        times.append(t)
-        states.append(tuple(x))
-        channels.append(fired)
-        if sum(x) > cfg.state_cap:
-            status = "state_cap"
-            break
-    return _finish(
-        times, states, channels, status, cfg.t_end,
-        internal=tuple(t_int), counts=tuple(counts),
-    )
+    return _path(net, "direct", x0, cfg)
 
 
 _CHANNEL_TAG = 0x52544300  # stream-domain separator for per-channel clocks
@@ -388,14 +461,17 @@ def simulate_rtc(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> Tra
     Statistically identical to :func:`simulate_direct`; exposes the
     per-channel integrated intensities, which is the handle the coupling
     uses.  Channel r draws its clock increments from the stream seeded
-    ``mix64(seed, _CHANNEL_TAG, r)``.
+    ``mix64(seed, _CHANNEL_TAG, r)``; the channel that fires is the one
+    with the smallest time to its next clock point, ties to the lowest
+    index.
     """
     _check_network(net)
-    return _rtc_core(net, x0, cfg, _channel_streams(cfg.seed, net.n_reactions))
+    return _path(net, "rtc", x0, cfg)
 
 
 def _channel_streams(seed: int, n_r: int) -> list[random.Random]:
-    return [random.Random(mix64(seed, _CHANNEL_TAG, r)) for r in range(n_r)]
+    z = mix64(seed, _CHANNEL_TAG)
+    return [random.Random(_mix(z, (r,))) for r in range(n_r)]
 
 
 def simulate_coupled(
@@ -415,13 +491,7 @@ def simulate_coupled(
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
-    return _coupled_core(net, pert_net, x0, y0, cfg)
-
-
-def _coupled_core(net, pert_net, x0, y0, cfg: SimConfig) -> tuple[Trajectory, Trajectory]:
-    leg_x = _rtc_core(net, x0, cfg, _channel_streams(cfg.seed, net.n_reactions))
-    leg_y = _rtc_core(pert_net, y0, cfg, _channel_streams(cfg.seed, net.n_reactions))
-    return leg_x, leg_y
+    return _path(net, "rtc", x0, cfg), _path(pert_net, "rtc", y0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -476,19 +546,18 @@ def _check_grid(grid: Sequence[float]) -> np.ndarray:
     return grid
 
 
-def _chunk(terms, targs, grid, seed, start, stop, max_events, state_cap):
+def _chunk(terms, targs, grid, seed, start, stop, cfg):
     """Sums of the per-sample terms of samples start..stop-1 at their valid times.
 
-    ``terms(cfg, grid, *targs)`` runs sample i on the stream ``mix64(seed, i)``
-    and returns its valid-time mask and term arrays, one row per grid time.
+    ``terms(grid, cfg, *targs)`` looks up the compiled steppers once per
+    chunk and returns ``sample(seed)``, which runs one sample on the given
+    stream seed and returns its valid-time mask and term arrays, one row
+    per grid time.  Sample i uses the seed ``mix64(seed, i)``.
     """
-    t_end = max(float(grid[-1]), math.ulp(0.0))  # a [0.0] grid needs no events
+    sample = terms(grid, cfg, *targs)
     valid = np.zeros(len(grid), dtype=np.int64)
     for i in range(start, stop):
-        cfg = SimConfig(
-            t_end=t_end, seed=mix64(seed, i), max_events=max_events, state_cap=state_cap
-        )
-        ok, parts = terms(cfg, grid, *targs)
+        ok, parts = sample(mix64(seed, i))
         if i == start:
             sums = [np.zeros_like(term) for term in parts]
         okf = ok.astype(float)
@@ -517,8 +586,13 @@ def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
     if n < 2:
         raise ValueError("ensemble needs n >= 2")
     grid = _check_grid(grid)
+    # the run controls shared by every sample (each has its own seed); a
+    # [0.0] grid needs no events
+    cfg = SimConfig(
+        t_end=max(float(grid[-1]), math.ulp(0.0)), max_events=max_events, state_cap=state_cap
+    )
     jobs = [
-        (terms, targs, grid, seed, start, min(start + _CHUNK, n), max_events, state_cap)
+        (terms, targs, grid, seed, start, min(start + _CHUNK, n), cfg)
         for start in range(0, n, _CHUNK)
     ]
     parts = _pool_map(_chunk, jobs, worker_count(workers))
@@ -528,12 +602,19 @@ def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
     return grid, means, valid, nv, nv / np.maximum(nv - 1, 1)
 
 
-def _moment_terms(cfg, grid, net, x0, p_max):
-    traj = _direct_core(net, x0, cfg)
-    samples = traj.sample(grid).astype(float)
-    norms = samples.sum(axis=1)
-    powers = norms[:, None] ** np.arange(1, p_max + 1)[None, :]
-    return grid < traj.cap_time, (powers, powers**2, samples, samples**2)
+def _moment_terms(grid, cfg, net, x0, p_max):
+    step = _stepper(net.reactions, net.n_species, "direct", "grid")
+    x = _check_state(x0, net)
+    run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
+    orders = np.arange(1, p_max + 1)[None, :]
+
+    def sample(seed):
+        rows, cap_time, _ = step(x, random.Random(seed), *run)
+        samples = np.array(rows, dtype=float)
+        powers = samples.sum(axis=1)[:, None] ** orders
+        return grid < cap_time, (powers, powers**2, samples, samples**2)
+
+    return sample
 
 
 def ensemble_moments(
@@ -601,12 +682,22 @@ class RmsCurve:
         return "\n".join(lines) + "\n"
 
 
-def _rms_terms(cfg, grid, net, pert_net, x0, y0):
-    leg_x, leg_y = _coupled_core(net, pert_net, x0, y0, cfg)
-    ok = (grid < leg_x.cap_time) & (grid < leg_y.cap_time)
-    diff = (leg_x.sample(grid) - leg_y.sample(grid)).astype(float)
-    d2 = (diff**2).sum(axis=1)[:, None]
-    return ok, (d2, d2**2, diff**2)
+def _rms_terms(grid, cfg, net, pert_net, x0, y0):
+    step_x = _stepper(net.reactions, net.n_species, "rtc", "grid")
+    step_y = _stepper(pert_net.reactions, net.n_species, "rtc", "grid")
+    x, y = _check_state(x0, net), _check_state(y0, pert_net)
+    run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
+    n_r = net.n_reactions
+
+    def sample(seed):
+        # both legs run on the same per-channel clocks, re-created per leg
+        rows_x, cap_x, _ = step_x(x, _channel_streams(seed, n_r), *run)
+        rows_y, cap_y, _ = step_y(y, _channel_streams(seed, n_r), *run)
+        diff = np.array(rows_x, dtype=float) - np.array(rows_y, dtype=float)
+        d2 = (diff**2).sum(axis=1)[:, None]
+        return (grid < cap_x) & (grid < cap_y), (d2, d2**2, diff**2)
+
+    return sample
 
 
 def coupled_rms(
@@ -770,11 +861,18 @@ def integrate_rre(
 ) -> OdeSolution:
     """Adaptive embedded Runge-Kutta 4(5) solution of x' = -N w(x).
 
+    Integrates from ``grid[0]`` (where the state is ``x0``) through the
+    grid, which the samplers' grid check must accept.
+
     Raises:
+        ValueError: for an invalid network, grid or initial state.
         SimulationError: when the step size underflows (stiff failure).
     """
-    grid = np.asarray(grid, dtype=float)
+    _check_network(net)
+    grid = _check_grid(grid)
     x_init = np.asarray(x0, dtype=float)
+    if x_init.shape != (net.n_species,) or not np.isfinite(x_init).all():
+        raise ValueError(f"initial state must be {net.n_species} finite values")
     if (x_init < 0).any():
         raise ValueError("initial state must be non-negative")
     nmat = net.stoichiometry.astype(float)

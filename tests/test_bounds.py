@@ -67,6 +67,22 @@ class TestFirstMoment:
         assert np.allclose(band.values, tiny, atol=1e-10)
 
 
+class TestOverflow:
+    def test_zero_coefficient_overflows_to_inf_not_nan(self):
+        # A = 0 and alpha = 1: at t = 800 the exponent overflows, and the
+        # dropped A-term must not turn the honest inf into 0 * inf = NaN
+        report = analyze(parse_model("species A\nR: A -> 2 A @ 1"))
+        assert report.A == 0.0 and report.alpha == 1.0
+        grid = [0.0, 1.0, 800.0]
+        for curve in (
+            first_moment_curve(report, 1.0, grid),
+            second_moment_curve(report, 1.0, grid),
+            pth_moment_curve(report, 1.0, 3, grid),
+        ):
+            assert np.isfinite(curve.values[:2]).all()
+            assert curve.values[2] == math.inf
+
+
 class TestSecondMoment:
     def test_a_zero_takes_eps_zero_limit(self):
         curve = second_moment_curve(R_REV, 10.0, np.linspace(0, 1, 5))

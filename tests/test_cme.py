@@ -274,10 +274,8 @@ class TestIntegration:
         # conservation-law slice (reachable set) vs a bounding box
         grid = np.array([0.5, 1.5])
         idx_a = enumerate_states(REVERSIBLE, [2, 2, 0], 10)
-        box = ReactionNetwork(
-            REVERSIBLE.species, REVERSIBLE.reactions, REVERSIBLE.parameters
-        )
-        idx_b = enumerate_states(box, [2, 2, 0], (4, 4, 4))
+        idx_b = _box_index((4, 4, 4))
+        assert (idx_a.n_states, idx_b.n_states) == (3, 125)
         for idx in (idx_a, idx_b):
             gen = build_generator(REVERSIBLE, idx)
             sol = integrate_cme(gen, point_mass(idx, [2, 2, 0]), grid)

@@ -2,6 +2,8 @@
 
 import math
 import os
+import random
+import re
 import warnings
 
 import numpy as np
@@ -342,13 +344,18 @@ class TestEnsembles:
     def test_zero_only_grid_runs_no_events(self, monkeypatch):
         events = []
 
-        def counting_core(net, x0, cfg):
-            traj = direct_core(net, x0, cfg)
-            events.append(len(traj.channels))
-            return traj
+        def counting_stepper(*key):
+            step = stepper(*key)
 
-        direct_core = engine._direct_core
-        monkeypatch.setattr(engine, "_direct_core", counting_core)
+            def counted(*args):
+                rows, cap_time, n_events = step(*args)
+                events.append(n_events)
+                return rows, cap_time, n_events
+
+            return counted
+
+        stepper = engine._stepper
+        monkeypatch.setattr(engine, "_stepper", counting_stepper)
         x0 = get_preset("enzyme").x0
         table = ensemble_moments(ENZYME, x0, [0.0], 1, 64, 1, workers=1)
         assert len(events) == 64 and sum(events) == 0
@@ -362,6 +369,147 @@ class TestEnsembles:
         monkeypatch.setenv("JKL_THREADS", "junk")
         assert worker_count() == (os.cpu_count() or 1)
         assert worker_count(5) == 5
+
+
+def _reference_path(net, x0, cfg, sampler):
+    """The per-reaction closure loop the generated steppers replaced."""
+    evaluators = [rxn.propensity.evaluate for rxn in net.reactions]
+    n_r = len(evaluators)
+    rng = random.Random(cfg.seed & (2**64 - 1))
+    clocks = engine._channel_streams(cfg.seed, n_r)
+    t_int = [0.0] * n_r
+    nxt = [c.expovariate(1.0) for c in clocks]
+    counts = [0] * n_r
+    x, t, status = list(x0), 0.0, "t_end"
+    times, states, channels = [0.0], [tuple(x)], []
+    while True:
+        if len(channels) >= cfg.max_events:
+            status = "max_events"
+            break
+        w = [evaluate(x) for evaluate in evaluators]
+        total = 0.0
+        for v in w:
+            total += v
+        if not total < 1e300:
+            raise SimulationError(f"propensity overflow at state {x}")
+        if total <= 0.0:
+            break
+        if sampler == "direct":
+            t_next = t + rng.expovariate(total)
+            if t_next > cfg.t_end:
+                break
+            target, acc, fired = rng.random() * total, 0.0, n_r - 1
+            for j in range(n_r):
+                acc += w[j]
+                if target < acc:
+                    fired = j
+                    break
+        else:
+            best, fired = math.inf, -1
+            for j in range(n_r):
+                if w[j] > 0.0 and (nxt[j] - t_int[j]) / w[j] < best:
+                    best, fired = (nxt[j] - t_int[j]) / w[j], j
+            t_next = t + best
+            if t_next > cfg.t_end:
+                break
+            for j in range(n_r):
+                if w[j] > 0.0 and j != fired:
+                    t_int[j] = min(t_int[j] + w[j] * best, nxt[j])
+            t_int[fired] = nxt[fired]
+            nxt[fired] += clocks[fired].expovariate(1.0)
+            counts[fired] += 1
+        x = [v - d for v, d in zip(x, net.reactions[fired].nu)]
+        t = t_next
+        times.append(t)
+        states.append(tuple(x))
+        channels.append(fired)
+        if sum(x) > cfg.state_cap:
+            status = "state_cap"
+            break
+    clocks_out = (tuple(t_int), tuple(counts)) if sampler == "rtc" else (None, None)
+    return times, states, channels, status, clocks_out
+
+
+class TestSteppers:
+    # every kind, a zero-net-change channel and a species the propensities skip
+    NET = parse_model(
+        "species Alpha Beta Gamma\nkfast = 0.013\nbirth: 0 -> Alpha @ 2.7\n"
+        "bind: Alpha + Beta -> Gamma @ kfast\nR3: 2 Alpha -> Beta @ 0.011\n"
+        "R4: Gamma -> Alpha + Beta @ 0.3\nR5: Alpha + 2 Beta -> 3 Beta @ 0.0007\n"
+        "R6: Beta -> Beta @ 0.5"
+    )
+
+    @pytest.mark.parametrize("sampler", ["direct", "rtc"])
+    @pytest.mark.parametrize(
+        "caps",
+        [{}, {"state_cap": 38}, {"max_events": 30}],
+        ids=["t_end", "state_cap", "max_events"],
+    )
+    def test_grid_mode_records_the_path_at_the_grid(self, sampler, caps):
+        grid = np.linspace(0.0, 4.0, 9)
+        run = simulate_direct if sampler == "direct" else simulate_rtc
+        for seed in range(20):
+            cfg = SimConfig(t_end=4.0, seed=seed, **caps)
+            traj = run(self.NET, [10, 10, 10], cfg)
+            draws = (
+                random.Random(seed)
+                if sampler == "direct"
+                else engine._channel_streams(seed, self.NET.n_reactions)
+            )
+            step = engine._stepper(self.NET.reactions, 3, sampler, "grid")
+            rows, cap_time, n_events = step(
+                [10, 10, 10], draws, cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist()
+            )
+            assert np.array_equal(np.array(rows), traj.sample(grid))
+            assert cap_time == traj.cap_time and n_events == traj.n_events
+
+    @pytest.mark.parametrize("sampler", ["direct", "rtc"])
+    def test_paths_match_the_reference_loop(self, sampler):
+        run = simulate_direct if sampler == "direct" else simulate_rtc
+        nets = [(self.NET, [10, 10, 10]), (ENZYME, [0, 0]), (BIMOL, [3, 1]), (CUBIC, [10])]
+        for net, x0 in nets:
+            for caps in ({}, {"state_cap": 38}, {"max_events": 30}):
+                for seed in range(5):
+                    cfg = SimConfig(t_end=0.01 if net is ENZYME else 2.0, seed=seed, **caps)
+                    traj = run(net, x0, cfg)
+                    times, states, channels, status, clocks = _reference_path(
+                        net, x0, cfg, sampler
+                    )
+                    assert traj.times.tobytes() == np.array(times).tobytes()
+                    assert np.array_equal(traj.states, states) and traj.status == status
+                    assert traj.channels.tolist() == channels
+                    assert (traj.internal_times, traj.channel_counts) == clocks
+
+    def test_overflow_message_matches_the_reference_loop(self):
+        net = parse_model("species A\nR: 0 -> A @ 1e305\nR2: 3 A -> 4 A @ 1e305")
+        for sampler, run in (("direct", simulate_direct), ("rtc", simulate_rtc)):
+            cfg = SimConfig(t_end=1.0, seed=1)
+            with pytest.raises(SimulationError) as want:
+                _reference_path(net, [10], cfg, sampler)
+            with pytest.raises(SimulationError, match=re.escape(str(want.value))):
+                run(net, [10], cfg)
+
+    def test_source_holds_only_literals(self):
+        for sampler in ("direct", "rtc"):
+            for mode in ("path", "grid"):
+                src = engine._stepper_source(self.NET.reactions, 3, sampler, mode)
+                for name in ("Alpha", "Beta", "birth", "bind", "kfast"):
+                    assert name not in src
+                assert "0.013 * x0 * x1" in src and "0.0007 * x0 * x1 * (x1 - 1)" in src
+
+    def test_compiled_once_per_network_sampler_and_mode(self):
+        engine._stepper.cache_clear()
+        pert = PerturbationSpec({"kfast": 0.1})
+        grid = [0.0, 0.5, 1.0]
+        x0 = [10, 10, 10]
+        for _ in range(2):
+            ensemble_moments(self.NET, x0, grid, 2, 300, seed=1, workers=1)
+            coupled_rms(self.NET, x0, x0, pert, grid, 300, seed=1, workers=1)
+            for seed in range(3):
+                simulate_direct(self.NET, x0, SimConfig(t_end=1.0, seed=seed))
+                simulate_coupled(self.NET, x0, x0, pert, SimConfig(t_end=1.0, seed=seed))
+        # direct/grid, rtc/grid for both legs, direct/path, rtc/path for both legs
+        assert engine._stepper.cache_info().misses == 6
 
 
 class TestBatchSampler:
@@ -421,3 +569,25 @@ class TestRateEquations:
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
             integrate_rre(BIMOL, [-1.0, 0.0], np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (BIRTH, [0.0], [1.0, 0.5], "grid"),
+            (parse_model("species A\nR: 0 -> A @ -1"), [0.0], [0.0, 1.0], "negative"),
+            (BIRTH, [0.0], [0.0, math.inf], "grid"),
+            (BIRTH, [0.0], [math.nan, 1.0], "grid"),
+            (BIRTH, [0.0], [], "grid"),
+            (BIRTH, [0.0], [[0.0, 1.0]], "grid"),
+            (BIRTH, [0.0, 1.0], [0.0, 1.0], "initial state"),
+            (BIRTH, [math.nan], [0.0, 1.0], "initial state"),
+        ],
+        ids=[
+            "backward-grid", "negative-rate", "infinite-grid", "nan-grid",
+            "empty-grid", "two-dimensional-grid", "wrong-dimension", "nan-state",
+        ],
+    )
+    def test_invalid_input_rejected(self, case):
+        net, x0, grid, match = case
+        with pytest.raises(ValueError, match=match):
+            integrate_rre(net, x0, grid)

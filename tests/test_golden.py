@@ -116,6 +116,47 @@ def _cme_outputs(name: str) -> str:
     return _digest(*parts)
 
 
+# autocatalytic dimer birth: most paths cross the 1-norm cap of 30 mid-grid
+CAPPED = """\
+species A
+k2 = 0.017
+R1: 0 -> A @ 3.3
+R2: 2 A -> 3 A @ k2
+"""
+
+# name -> (model, x0, y0, perturbation, grid, caps); every ensemble case
+# stops some of its samples at a cap before the last grid time
+CAPPED_CASES = {
+    "state_cap": (CAPPED, [0], [0], {"k2": 0.1}, np.linspace(0.0, 8.0, 9),
+                  {"state_cap": 30}),
+    "max_events": (MIXED, [20, 20], [22, 19], {"k3": 0.1}, np.linspace(0.0, 15.0, 6),
+                   {"max_events": 40}),
+}
+
+
+def _capped_outputs(name: str) -> dict[str, str]:
+    text, x0, y0, deltas, grid, caps = CAPPED_CASES[name]
+    net = parse_model(text)
+    pert = PerturbationSpec(deltas)
+    cfg = SimConfig(t_end=50.0, seed=20120217, **caps)
+    paths = {
+        "direct": simulate_direct(net, x0, cfg),
+        "rtc": simulate_rtc(net, x0, cfg),
+        "coupled": simulate_coupled(net, x0, y0, pert, cfg),
+    }
+    assert paths["direct"].status == paths["rtc"].status == name
+    table = ensemble_moments(net, x0, grid, 2, 300, seed=3, workers=1, **caps)
+    curve = coupled_rms(net, x0, y0, pert, grid, 260, seed=5, workers=1, **caps)
+    assert 0 < table.n_valid[-1] < 300 and 0 < curve.n_valid[-1] < 260
+    return {
+        "direct": _traj_digest(paths["direct"]),
+        "rtc": _traj_digest(paths["rtc"]),
+        "coupled": _digest(*(_traj_digest(leg) for leg in paths["coupled"])),
+        "ensemble": _digest(table.to_csv()),
+        "rms": _digest(curve.to_csv(net.species)),
+    }
+
+
 SAMPLER_GOLDEN = {'bimol': {'batch': 'f57443843377b9ce5d96e4efa0c4db125f4c7c7009d8b6868bc3933d277b7498',
            'coupled': '8826672daa776b8deec1b8f36152c799d5655b4553d0075a011118afac130e2a',
            'direct': 'e7764c92c23df61b0821b5ab956370d55e792bcfcdbfe8169940b2737b3a187b',
@@ -138,6 +179,18 @@ SAMPLER_GOLDEN = {'bimol': {'batch': 'f57443843377b9ce5d96e4efa0c4db125f4c7c7009
 CME_GOLDEN = {'bimol': '86986a62a0303cae64ce4a39d693f97d1bbb5a049955e00177276f422321c642',
  'enzyme': '811d5a8403b949c2cfd981b106e32bf9fe0449b11e19f51b7796c337ead31b87',
  'mixed': 'c21ad0c98e99e21f1ceb32d2f598a2d84e02dbe96025bd5ddea147b7aff10c0e'}
+
+# recorded by running the samplers as they were before the generated steppers
+CAPPED_GOLDEN = {'max_events': {'coupled': 'a3b9f398d50a3ecd01caec6859a34f43938cbf9d777a587e24b84ea607f2c73a',
+                'direct': 'b153408371bca8086df68411c8bff2f889f4b8eb60ef6059108985652da63f88',
+                'ensemble': 'c8527df68e119bb713bc1c5c02d3f1996631522b56d564ecf6b70e445df0fe37',
+                'rms': '9e5c13872326978698fb83e927a2a9bbb78281b9d06ca4bd49798e5c43ad6202',
+                'rtc': '123cfb3ee3ecb820c84f99666ac716115eb892e5e7bff1687cf4bbea81daef28'},
+ 'state_cap': {'coupled': '3613afe6f7b8067aea2f4df286e15d63dfd21e5670623e4547560fe2b0d8a152',
+               'direct': '13288c74af09d6b8b050101eb3e0a1965d4223f4f0aa3be23395fe606aca3ce9',
+               'ensemble': '79e54f0cde2b0057d6e17955debf768b72e0be34ae8bd08a6e90cbdbe5b66b70',
+               'rms': 'cb74ff6fc3e87692fbab891a8a2d47149f7e66b6dbf69e047777eb46cd42b4da',
+               'rtc': '3955dfc117005d4f4dda8be18350846769ec357a803cc4677db7bdae678b88a5'}}
 
 # models beyond the presets that take the weight-vector search: the first
 # has a strictly positive annihilator of its quadratic column, the second
@@ -503,6 +556,11 @@ def _network(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sampler_digests(name):
     assert _sampler_outputs(name) == SAMPLER_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_CASES))
+def test_capped_digests(name):
+    assert _capped_outputs(name) == CAPPED_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(CME_CASES))
