@@ -23,7 +23,7 @@ import scipy.integrate
 import scipy.sparse
 
 from .engine import _check_grid, _check_network
-from .model import ReactionNetwork
+from .model import ReactionNetwork, _rates
 
 __all__ = [
     "CmeError",
@@ -72,12 +72,12 @@ class StateIndex:
 def _successors(net: ReactionNetwork, states: np.ndarray, caps: np.ndarray):
     """Propensities w (n, R), targets nxt = x - nu_r (n, R, D) and the in-caps mask.
 
-    Each scalar closure runs on the species-major ``states.T``, so every
-    entry of w is the float expression of a per-state evaluation.
+    The network's rate evaluator runs on the species-major int64 rows
+    ``states.T``, so every entry of w is the float expression that
+    :func:`~jkl.model.propensity_eval` computes at that state.
     """
     w = np.empty((len(states), net.n_reactions))
-    for r, rxn in enumerate(net.reactions):
-        w[:, r] = rxn.propensity.evaluate(states.T)
+    _rates(net.reactions, net.n_species, False)(w.T, *states.T)
     nxt = states[:, None, :] - net.stoichiometry.T[None]
     inside = ((nxt >= 0) & (nxt <= caps)).all(axis=2)
     return w, nxt, inside

@@ -28,11 +28,11 @@ function with the propensities, their index-order total, the channel
 selection and the integer state updates unrolled, and :func:`_stepper`
 compiles it once per process.  Only ``repr(float(rate))``, species
 indices and stoichiometric integers are written into the source, never
-labels or names, and every float expression is the one of
-:class:`~jkl.model.Propensity`, so the generated code produces the same
-bytes as a plain loop would.  Path mode returns the whole path (the
-public :class:`Trajectory`); grid mode, which the ensembles use, records
-the state only at the grid times.
+labels or names, and every propensity is the text that
+:func:`~jkl.model._expression` writes, so the generated code produces
+the same bytes as a plain loop would.  Path mode returns the whole path
+(the public :class:`Trajectory`); grid mode, which the ensembles use,
+records the state only at the grid times.
 
 The lockstep batch sampler (:func:`batch_states`) trades per-trajectory
 streams for one master-seeded vector stream; it is exact and
@@ -56,7 +56,7 @@ from typing import Sequence
 import numpy as np
 import scipy.integrate
 
-from .model import ReactionNetwork, propensity_eval, validate_network
+from .model import ReactionNetwork, _compile, _expression, _rates, validate_network
 
 __all__ = [
     "SimulationError",
@@ -290,13 +290,7 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
     xs = [f"x{s}" for s in range(dim)]
     row = _tuple_source(xs)
     rtc, grid = sampler == "rtc", mode == "grid"
-
-    def rate(rxn) -> str:
-        # k * x_s * (x_s - 1) * ..., left to right, as Propensity.evaluate
-        expr = repr(float(rxn.propensity.rate))
-        for s, m in rxn.propensity.reactants:
-            expr += "".join(f" * x{s}" if i == 0 else f" * (x{s} - {i})" for i in range(m))
-        return expr
+    exprs = [_expression(rxn.propensity, False) for rxn in reactions]
 
     def update(j: int, pad: str) -> list[str]:
         nu = reactions[j].nu
@@ -317,7 +311,7 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
         start += [f"    p{j} = -log(1.0 - clock{j}())" for j in range(n_r)]
         start += [f"    s{j} = 0.0" for j in range(n_r)]
         start += [] if grid else [f"    k{j} = 0" for j in range(n_r)]
-        rates = [f"        w{j} = {rate(rxn)}" for j, rxn in enumerate(reactions)]
+        rates = [f"        w{j} = {expr}" for j, expr in enumerate(exprs)]
         rates.append(f"        total = {' + '.join(['0.0'] + [f'w{j}' for j in range(n_r)])}")
         # the smallest time to a clock point wins; strict, so ties go to
         # the lowest index
@@ -346,8 +340,8 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
         # c_j = 0.0 + w0 + ... + w_j, summed in index order: the cumulative
         # intensities of the inversion, and the total
         rates = [
-            f"        c{j} = {f'c{j - 1}' if j else '0.0'} + {rate(rxn)}"
-            for j, rxn in enumerate(reactions)
+            f"        c{j} = {f'c{j - 1}' if j else '0.0'} + {expr}"
+            for j, expr in enumerate(exprs)
         ]
         rates.append(f"        total = {f'c{n_r - 1}' if n_r else '0.0'}")
         wait = ["        t_next = t + -log(1.0 - uniform()) / total"]
@@ -395,9 +389,7 @@ def _stepper(reactions, dim: int, sampler: str, mode: str):
     recently used 256 steppers are kept.
     """
     source = _stepper_source(reactions, dim, sampler, mode)
-    namespace = {"SimulationError": SimulationError, "inf": math.inf, "log": math.log}
-    exec(compile(source, f"<jkl {sampler} {mode} stepper>", "exec"), namespace)
-    return namespace["step"]
+    return _compile(source, "step", SimulationError=SimulationError, log=math.log)
 
 
 def _check_network(net: ReactionNetwork) -> None:
@@ -770,7 +762,7 @@ def batch_states(
     n_r = net.n_reactions
     t_end = float(grid[-1])
     rng = np.random.Generator(np.random.PCG64(mix64(seed, _BATCH_TAG)))
-    props = [rxn.propensity for rxn in net.reactions]
+    rates = _rates(net.reactions, dim, True)
 
     x = np.tile(x_init, (n, 1))
     t = np.zeros(n)
@@ -785,8 +777,7 @@ def batch_states(
     cum = np.empty((n_r, n))
 
     while active.any():
-        for r, prop in enumerate(props):
-            prop.evaluate_batch(x, w[r])
+        rates(w, *x.T)
         total = w.sum(axis=0)
         if not np.isfinite(total[active]).all():
             raise SimulationError("propensity overflow in batch run")
@@ -875,10 +866,15 @@ def integrate_rre(
         raise ValueError(f"initial state must be {net.n_species} finite values")
     if (x_init < 0).any():
         raise ValueError("initial state must be non-negative")
+    if len(grid) == 1:  # solve_ivp returns no usable result on an empty span
+        return OdeSolution(times=grid, states=x_init[None, :])
     nmat = net.stoichiometry.astype(float)
+    rates = _rates(net.reactions, net.n_species, False)
+    w = np.empty(net.n_reactions)
 
     def rhs(_t, x):
-        return -(nmat @ propensity_eval(net, x))
+        rates(w, *x)
+        return -(nmat @ w)
 
     res = scipy.integrate.solve_ivp(
         rhs,

@@ -12,6 +12,10 @@ species), ``"dimer"`` (two copies of one species) and ``"mass-action"``
 for total order 3, which is representable for simulation but rejected
 by the stability analysis.
 
+A propensity's float expression is written once, as text, by
+:func:`_expression`; every evaluator, the samplers' steppers included,
+is compiled per network from that text.
+
 All objects in this module are immutable and safe to share between
 threads; every operation is a pure function of its inputs.
 """
@@ -19,6 +23,7 @@ threads; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -49,17 +54,11 @@ class Propensity:
     ``reactants`` holds the reactant multiset as ``(species, multiplicity)``
     pairs with distinct species, stored sorted by species; total order is
     capped at 3.  ``order`` and ``kind`` are derived from it.
-    ``evaluate(x)`` computes ``w(x)`` at one state and
-    :meth:`evaluate_batch` at every row of a state matrix; both branch
-    once per kind, so the elementary kinds keep their direct products.
     """
 
     rate: float
     reactants: tuple[tuple[int, int], ...] = ()
     kind: str = field(init=False, compare=False)
-    evaluate: Callable[[Sequence[float]], float] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         reactants = tuple(sorted(self.reactants))
@@ -73,68 +72,63 @@ class Propensity:
             raise ValueError(f"mass-action order {self.order} exceeds {MAX_ORDER}")
         kind = _KINDS.get(tuple(m for _, m in reactants), "mass-action")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "evaluate", _scalar_evaluator(self))
-
-    def __reduce__(self):
-        # the evaluator is a closure; rebuild it instead of pickling it
-        return Propensity, (self.rate, self.reactants)
 
     @property
     def order(self) -> int:
         return sum(m for _, m in self.reactants)
 
-    def evaluate_batch(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write ``w`` at each row of the (n, D) state matrix x into out (n,)."""
-        kind, k = self.kind, self.rate
-        if kind == "constant":
-            out.fill(k)
-        elif kind == "linear":
-            np.multiply(x[:, self.reactants[0][0]], k, out=out)
-        elif kind == "bilinear":
-            (i, _), (j, _) = self.reactants
-            np.multiply(x[:, i], x[:, j], out=out)
-            out *= k
-        elif kind == "dimer":
-            i = self.reactants[0][0]
-            np.subtract(x[:, i], 1.0, out=out)
-            out *= x[:, i]
-            out *= k
-        else:
-            out.fill(k)
-            for s, m in self.reactants:
-                for step in range(m):
-                    out *= x[:, s] - step
+
+def _expression(prop: Propensity, rate_last: bool) -> str:
+    """``w(x)`` as Python text over the locals ``x0, x1, ...``.
+
+    The rate and the falling factors multiply left to right: ``k * x0 *
+    (x0 - 1)``.  With ``rate_last`` an order-2 product is formed first and
+    then scaled, ``(x0 * (x0 - 1)) * k``: the lockstep batch sampler's
+    association, kept because its output bytes are frozen.  Every other
+    order reads the same either way.  Only ``repr(float(rate))`` and
+    species indices enter the text.
+    """
+    rate = repr(float(prop.rate))
+    factors = [
+        f"x{s}" if i == 0 else f"(x{s} - {i})" for s, m in prop.reactants for i in range(m)
+    ]
+    if rate_last and prop.order == 2:
+        return f"({' * '.join(factors)}) * {rate}"
+    return " * ".join([rate, *factors])
 
 
-def _scalar_evaluator(prop: Propensity) -> Callable[[Sequence[float]], float]:
-    """A closure computing ``w(x)`` at one state, specialised to the kind."""
-    kind, k, reactants = prop.kind, prop.rate, prop.reactants
-    if kind == "constant":
-        return lambda x: k
-    if kind == "linear":
-        i = reactants[0][0]
-        return lambda x: k * x[i]
-    if kind == "bilinear":
-        (i, _), (j, _) = reactants
-        return lambda x: k * x[i] * x[j]
-    if kind == "dimer":
-        i = reactants[0][0]
+def _compile(source: str, name: str, **namespace) -> Callable:
+    """Run generated ``source`` and return its function ``name``.
 
-        def dimer(x):
-            xi = x[i]
-            return k * xi * (xi - 1)
+    ``inf`` and ``nan`` are defined for the literals of non-finite rates.
+    """
+    namespace.update(inf=math.inf, nan=math.nan)
+    exec(compile(source, f"<jkl {name}>", "exec"), namespace)
+    return namespace[name]
 
-        return dimer
 
-    def mass_action(x):
-        w = k
-        for s, m in reactants:
-            xs = x[s]
-            for step in range(m):
-                w *= xs - step
-        return w
+def _rates_source(reactions: tuple, dim: int, rate_last: bool) -> str:
+    """Python source of ``rates(out, x0, ..., x{D-1})``.
 
-    return mass_action
+    It writes ``out[j] = w_j(x)`` for each reaction in index order; the
+    ``x_s`` may be numbers or equal-length arrays.
+    """
+    head = f"def rates({', '.join(['out', *(f'x{s}' for s in range(dim))])}):"
+    body = [
+        f"    out[{j}] = {_expression(rxn.propensity, rate_last)}"
+        for j, rxn in enumerate(reactions)
+    ]
+    return "\n".join([head, *(body or ["    pass"])]) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _rates(reactions: tuple, dim: int, rate_last: bool) -> Callable:
+    """The compiled :func:`_rates_source`, built once per process.
+
+    Keyed like the samplers' steppers by ``net.reactions`` and
+    ``net.n_species``; the most recently used 256 evaluators are kept.
+    """
+    return _compile(_rates_source(reactions, dim, rate_last), "rates")
 
 
 @dataclass(frozen=True)
@@ -299,7 +293,9 @@ def propensity_eval(net: ReactionNetwork, x: Sequence[float]) -> np.ndarray:
     """
     if len(x) != net.n_species:
         raise ValueError(f"state has dimension {len(x)}, expected {net.n_species}")
-    return np.array([rxn.propensity.evaluate(x) for rxn in net.reactions], dtype=float)
+    w = np.empty(net.n_reactions)
+    _rates(net.reactions, net.n_species, False)(w, *x)
+    return w
 
 
 def drift_eval(net: ReactionNetwork, x: Sequence[float]) -> np.ndarray:

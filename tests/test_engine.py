@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from jkl import engine
+from jkl import cme, engine, model
 from jkl.engine import (
     PerturbationSpec,
     SimConfig,
@@ -25,8 +25,10 @@ from jkl.engine import (
     simulate_rtc,
     worker_count,
 )
+from jkl.model import propensity_eval
 from jkl.parser import parse_model
 from jkl.presets import get_preset
+from test_golden import MIXED
 
 BIMOL = get_preset("bimol").network
 REVERSIBLE = get_preset("reversible").network
@@ -371,10 +373,43 @@ class TestEnsembles:
         assert worker_count(5) == 5
 
 
+def _reference_rate(prop, x):
+    """``w(x)`` as the falling-factorial loop ``w = k; w *= x_s - i``, left to right."""
+    w = prop.rate
+    for s, m in prop.reactants:
+        for i in range(m):
+            w *= x[s] - i
+    return w
+
+
+def _reference_batch_rate(prop, x, out):
+    """``w`` at each row of the (n, D) float matrix x, in the batch sampler's
+    in-place arithmetic: order-2 products are scaled by the rate last."""
+    kind, k = prop.kind, prop.rate
+    if kind == "constant":
+        out.fill(k)
+    elif kind == "linear":
+        np.multiply(x[:, prop.reactants[0][0]], k, out=out)
+    elif kind == "bilinear":
+        (i, _), (j, _) = prop.reactants
+        np.multiply(x[:, i], x[:, j], out=out)
+        out *= k
+    elif kind == "dimer":
+        i = prop.reactants[0][0]
+        np.subtract(x[:, i], 1.0, out=out)
+        out *= x[:, i]
+        out *= k
+    else:
+        out.fill(k)
+        for s, m in prop.reactants:
+            for step in range(m):
+                out *= x[:, s] - step
+
+
 def _reference_path(net, x0, cfg, sampler):
-    """The per-reaction closure loop the generated steppers replaced."""
-    evaluators = [rxn.propensity.evaluate for rxn in net.reactions]
-    n_r = len(evaluators)
+    """The per-reaction loop the generated steppers replaced."""
+    props = [rxn.propensity for rxn in net.reactions]
+    n_r = len(props)
     rng = random.Random(cfg.seed & (2**64 - 1))
     clocks = engine._channel_streams(cfg.seed, n_r)
     t_int = [0.0] * n_r
@@ -386,7 +421,7 @@ def _reference_path(net, x0, cfg, sampler):
         if len(channels) >= cfg.max_events:
             status = "max_events"
             break
-        w = [evaluate(x) for evaluate in evaluators]
+        w = [_reference_rate(prop, x) for prop in props]
         total = 0.0
         for v in w:
             total += v
@@ -428,6 +463,59 @@ def _reference_path(net, x0, cfg, sampler):
             break
     clocks_out = (tuple(t_int), tuple(counts)) if sampler == "rtc" else (None, None)
     return times, states, channels, status, clocks_out
+
+
+def _reference_batch(net, x0, grid, n, seed, state_cap=1e9, max_events_per_traj=10**8):
+    """The lockstep batch loop, on the per-kind in-place rate arithmetic it ran on."""
+    grid = np.asarray(grid, dtype=float)
+    dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
+    t_end = float(grid[-1])
+    rng = np.random.Generator(np.random.PCG64(mix64(seed, engine._BATCH_TAG)))
+    x = np.tile(np.asarray(x0, dtype=float), (n, 1))
+    t = np.zeros(n)
+    gidx = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    events = np.zeros(n, dtype=np.int64)
+    cap_time = np.full(n, np.inf)
+    out = np.empty((n_g, n, dim))
+    nu_rows = net.stoichiometry.T.astype(float)
+    traj_idx = np.arange(n)
+    w = np.empty((n_r, n))
+    cum = np.empty((n_r, n))
+
+    def flush(rec_mask):
+        while True:
+            rec = rec_mask()
+            if not rec.any():
+                break
+            out[gidx[rec], traj_idx[rec]] = x[rec]
+            gidx[rec] += 1
+
+    while active.any():
+        for r, rxn in enumerate(net.reactions):
+            _reference_batch_rate(rxn.propensity, x, w[r])
+        total = w.sum(axis=0)
+        e = rng.exponential(size=n)
+        u = rng.random(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dt = np.where(total > 0, e / total, np.inf)
+        t_new = np.where(active, t + dt, -np.inf)
+        flush(lambda: active & (gidx < n_g) & (grid[np.minimum(gidx, n_g - 1)] < t_new))
+        active &= gidx < n_g
+        fire = active & (t_new <= t_end)
+        if not fire.any():
+            continue
+        np.cumsum(w, axis=0, out=cum)
+        sel = np.minimum((cum <= (u * total)[None, :]).sum(axis=0), n_r - 1)
+        x[fire] -= nu_rows[sel[fire]]
+        t[fire] = t_new[fire]
+        events[fire] += 1
+        capped = fire & ((x.sum(axis=1) > state_cap) | (events >= max_events_per_traj))
+        if capped.any():
+            cap_time[capped] = t[capped]
+            flush(lambda: capped & (gidx < n_g))
+            active[capped] = False
+    return out, cap_time
 
 
 class TestSteppers:
@@ -496,6 +584,16 @@ class TestSteppers:
                 for name in ("Alpha", "Beta", "birth", "bind", "kfast"):
                     assert name not in src
                 assert "0.013 * x0 * x1" in src and "0.0007 * x0 * x1 * (x1 - 1)" in src
+        rates = {repr(float(rxn.rate)) for rxn in self.NET.reactions}
+        for rate_last, bilinear, dimer in (
+            (False, "0.013 * x0 * x1", "0.011 * x0 * (x0 - 1)"),
+            (True, "(x0 * x1) * 0.013", "(x0 * (x0 - 1)) * 0.011"),
+        ):
+            src = model._rates_source(self.NET.reactions, 3, rate_last)
+            names = {"def", "rates", "out", "x0", "x1", "x2"}
+            assert set(re.findall(r"[A-Za-z_]\w*", src)) == names
+            assert set(re.findall(r"\d+\.\d+", src)) == rates
+            assert bilinear in src and dimer in src and "0.0007 * x0 * x1 * (x1 - 1)" in src
 
     def test_compiled_once_per_network_sampler_and_mode(self):
         engine._stepper.cache_clear()
@@ -512,7 +610,61 @@ class TestSteppers:
         assert engine._stepper.cache_info().misses == 6
 
 
+class TestPropensityEmitter:
+    """Each compiled evaluator equals an in-test reference expression bit for bit."""
+
+    NET = TestSteppers.NET  # every kind, order 3 included
+
+    def test_propensity_eval_matches_the_reference_loop(self):
+        rng = np.random.default_rng(11)
+        props = [rxn.propensity for rxn in self.NET.reactions]
+        for _ in range(50):
+            ints = rng.integers(0, 200, size=3).tolist()
+            floats = rng.uniform(0.0, 200.0, size=3).tolist()
+            for x in (ints, floats):
+                expect = np.array([_reference_rate(p, x) for p in props], dtype=float)
+                assert propensity_eval(self.NET, x).tobytes() == expect.tobytes()
+
+    def test_successor_rates_match_the_reference_loop(self):
+        states = np.random.default_rng(12).integers(0, 200, size=(500, 3))
+        w, _, _ = cme._successors(self.NET, states, np.full(3, 200))
+        assert w.shape == (500, self.NET.n_reactions) and w.flags.c_contiguous
+        for j, rxn in enumerate(self.NET.reactions):
+            expect = np.empty(len(states))
+            expect[:] = _reference_rate(rxn.propensity, states.T)
+            assert w[:, j].tobytes() == expect.tobytes()
+
+    def test_batch_rates_match_the_reference_arithmetic(self):
+        x = np.random.default_rng(13).integers(0, 200, size=(500, 3)).astype(float)
+        w = np.empty((self.NET.n_reactions, len(x)))
+        model._rates(self.NET.reactions, 3, True)(w, *x.T)
+        for j, rxn in enumerate(self.NET.reactions):
+            expect = np.empty(len(x))
+            _reference_batch_rate(rxn.propensity, x, expect)
+            assert w[j].tobytes() == expect.tobytes()
+
+
 class TestBatchSampler:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (parse_model(MIXED), [20, 20], {}, "none"),
+            (parse_model(MIXED), [20, 20], {"max_events_per_traj": 15}, "all"),
+            (CUBIC, [3], {"state_cap": 30}, "some"),
+        ],
+        ids=["mixed", "mixed-max-events", "cubic-state-cap"],
+    )
+    def test_bytes_match_the_reference_loop(self, case):
+        # uncapped digests cannot see a reassociated rate; cap times can
+        net, x0, caps, capped = case
+        grid = np.linspace(0.0, 5.0, 5)
+        states, cap_time = batch_states(net, x0, grid, 2000, seed=7, **caps)
+        want_states, want_cap = _reference_batch(net, x0, grid, 2000, 7, **caps)
+        assert states.tobytes() == want_states.tobytes()
+        assert cap_time.tobytes() == want_cap.tobytes()
+        hit = np.isfinite(cap_time)
+        assert {"none": not hit.any(), "all": hit.all(), "some": 0 < hit.sum() < 2000}[capped]
+
     def test_matches_per_trajectory_law(self):
         grid = np.array([2.0, 5.0])
         states, cap = batch_states(BIMOL, [0, 0], grid, 3000, seed=21)
@@ -569,6 +721,12 @@ class TestRateEquations:
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
             integrate_rre(BIMOL, [-1.0, 0.0], np.linspace(0, 1, 5))
+
+    @pytest.mark.parametrize("grid", [[0.0], [1.0]])
+    def test_one_point_grid_returns_the_initial_state(self, grid):
+        sol = integrate_rre(BIRTH, [2.0], grid)
+        assert np.array_equal(sol.times, grid)
+        assert np.array_equal(sol.states, [[2.0]])
 
     @pytest.mark.parametrize(
         "case",

@@ -24,6 +24,12 @@ OPEN = get_preset("reversible-open").network
 CUBIC = get_preset("cubic").network
 
 
+def _one_reaction(prop, dim):
+    """A network of ``dim`` species whose only reaction has propensity ``prop``."""
+    species = tuple(f"S{s}" for s in range(dim))
+    return ReactionNetwork(species, (Reaction("R1", (0,) * dim, prop),), {})
+
+
 class TestPropensityEval:
     def test_bimol_state(self):
         # w = [k1, k1, k2*a*b] at (a, b) = (2, 3)
@@ -40,6 +46,12 @@ class TestPropensityEval:
         net = parse_model("species A\nR: 2 A -> 0 @ 1.0")
         assert propensity_eval(net, [1])[0] == 0.0
         assert propensity_eval(net, [0])[0] == 0.0
+
+    def test_nonfinite_rate_evaluates(self):
+        # an unvalidated network still evaluates; its literal is ``inf`` or ``nan``
+        for rate in (float("inf"), float("-inf"), float("nan")):
+            w = propensity_eval(_one_reaction(Propensity(rate, ((0, 1),)), 1), [2])
+            assert np.array_equal(w, [rate * 2], equal_nan=True)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -166,12 +178,14 @@ class TestDomainTypes:
         prop = Propensity(1.5, ((2, 1), (0, 1)))
         assert prop.reactants == ((0, 1), (2, 1))
         assert (prop.kind, prop.order) == ("bilinear", 2)
-        assert prop.evaluate([3, 9, 5]) == 1.5 * 3 * 5
+        assert propensity_eval(_one_reaction(prop, 3), [3, 9, 5])[0] == 1.5 * 3 * 5
         assert Propensity(1.0, ((0, 2), (1, 1))).kind == "mass-action"
 
-    def test_pickle_round_trip_rebuilds_evaluator(self):
+    def test_pickle_round_trip_keeps_network(self):
+        # the fork pool pickles networks; a propensity is plain data
         net = pickle.loads(pickle.dumps(CUBIC))
         assert net == CUBIC
+        assert [r.propensity.kind for r in net.reactions] == ["mass-action"] * 2
         assert np.array_equal(propensity_eval(net, [4]), propensity_eval(CUBIC, [4]))
 
     def test_stoichiometry_matrix(self):
@@ -182,4 +196,4 @@ class TestDomainTypes:
     def test_dimer_eval(self):
         d = Propensity(2.0, ((0, 2),))
         assert d.kind == "dimer"
-        assert d.evaluate([5]) == 2.0 * 5 * 4
+        assert propensity_eval(_one_reaction(d, 1), [5])[0] == 2.0 * 5 * 4
