@@ -34,9 +34,10 @@ the same bytes as a plain loop would.  Path mode returns the whole path
 (the public :class:`Trajectory`); grid mode, which the ensembles use,
 records the state only at the grid times.
 
-The lockstep batch sampler (:func:`batch_states`) trades per-trajectory
-streams for one master-seeded vector stream; it is exact and
-deterministic but its per-trajectory paths depend on the batch size.
+The lockstep batch sampler (:func:`batch_states`) runs species-major in
+numpy on one master-seeded vector stream: exact and deterministic, but
+its per-trajectory paths depend on the batch size.  Running sums of the
+rates give the total and the channel; one gather per species moves it.
 
 Every public sampler runs :func:`~jkl.model.validate_network` once per
 call and raises ``ValueError`` listing the diagnostics; ensemble chunks
@@ -137,8 +138,13 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
-        if self.max_events <= 0 or not self.state_cap > 0:
-            raise ValueError("caps must be positive")
+        _check_caps(self.max_events, self.state_cap)
+
+
+def _check_caps(max_events, state_cap) -> None:
+    """Reject an event cap below 1 and a state cap that is not positive (NaN included)."""
+    if not max_events > 0 or not state_cap > 0:
+        raise ValueError("caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -544,19 +550,15 @@ def _chunk(terms, targs, grid, seed, start, stop, cfg):
     ``terms(grid, cfg, *targs)`` looks up the compiled steppers once per
     chunk and returns ``sample(seed)``, which runs one sample on the given
     stream seed and returns its valid-time mask and term arrays, one row
-    per grid time.  Sample i uses the seed ``mix64(seed, i)``.
+    per grid time.  Sample i uses the seed ``mix64(seed, i)``.  The sums
+    run in sample order: numpy's cumsum, unlike its sum, is never pairwise.
     """
     sample = terms(grid, cfg, *targs)
-    valid = np.zeros(len(grid), dtype=np.int64)
-    for i in range(start, stop):
-        ok, parts = sample(mix64(seed, i))
-        if i == start:
-            sums = [np.zeros_like(term) for term in parts]
-        okf = ok.astype(float)
-        for acc, term in zip(sums, parts):
-            acc += term * okf[:, None]
-        valid += ok
-    return sums, valid
+    oks, parts = zip(*(sample(mix64(seed, i)) for i in range(start, stop)))
+    ok = np.array(oks)
+    okf = ok[:, :, None].astype(float)
+    sums = [np.cumsum(np.array(term) * okf, axis=0)[-1] for term in zip(*parts)]
+    return sums, ok.sum(axis=0)
 
 
 def _pool_map(fn, jobs, workers):
@@ -748,84 +750,77 @@ def batch_states(
     Returns ``(states, cap_time)`` with ``states[g, i]`` the state of
     trajectory i at ``grid[g]`` and ``cap_time[i]`` the time trajectory i
     hit a cap (inf if it never did; states past the cap are frozen and
-    should be masked by the caller).  Memory is O(len(grid) * n * D).
+    should be masked by the caller).  Memory: a (D, G, n) record, its
+    C-ordered (G, n, D) copy (none when D = 1) and O((R + D) n) work rows.
 
     Exact per trajectory; the draw order (one exponential and one
     uniform per trajectory per step, full width) is fixed by ``seed``
-    and ``n``, independent of anything else.
+    and ``n``, independent of anything else.  Raises ``ValueError`` for
+    ``n < 1`` and for caps that :class:`SimConfig` rejects.
     """
     grid = _check_grid(grid)
     _check_network(net)
-    x_init = np.asarray(_check_state(x0, net), dtype=float)
-    dim = net.n_species
-    n_g = len(grid)
-    n_r = net.n_reactions
-    t_end = float(grid[-1])
+    x_init = _check_state(x0, net)
+    _check_caps(max_events_per_traj, state_cap)
+    if n < 1:
+        raise ValueError("batch needs n >= 1")
+    dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
     rng = np.random.Generator(np.random.PCG64(mix64(seed, _BATCH_TAG)))
     rates = _rates(net.reactions, dim, True)
 
-    x = np.tile(x_init, (n, 1))
-    t = np.zeros(n)
-    gidx = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    events = np.zeros(n, dtype=np.int64)
+    # species-major rows; column R of the decrement table is the zero step
+    # of the trajectories that do not fire
+    x = np.repeat(np.array(x_init, dtype=float)[:, None], n, axis=1)
+    nu = np.zeros((dim, n_r + 1))
+    nu[:, :n_r] = net.stoichiometry
+    t = np.zeros(n)  # inf once capped: the next pass records the rest of the grid
+    tg = np.full(n, grid[0])  # the next grid time to record, inf once all are
+    gnext = np.append(grid, np.inf)
     cap_time = np.full(n, np.inf)
-    out = np.empty((n_g, n, dim))
-    nu_rows = net.stoichiometry.T.astype(float)  # (R, D)
-    traj_idx = np.arange(n)
-    w = np.empty((n_r, n))
-    cum = np.empty((n_r, n))
+    out = np.empty((dim, n_g, n))
+    w = np.zeros((max(n_r, 1), n))  # a network with no channel has total 0
+    e, u = np.empty(n), np.empty(n)
+    # a trajectory fires on every pass until its grid is recorded, so the
+    # pass count is the event count of every trajectory that fires
+    events = 0
 
-    while active.any():
-        rates(w, *x.T)
-        total = w.sum(axis=0)
-        if not np.isfinite(total[active]).all():
-            raise SimulationError("propensity overflow in batch run")
-        e = rng.exponential(size=n)
-        u = rng.random(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dt = np.where(total > 0, e / total, np.inf)
-        t_new = np.where(active, t + dt, -np.inf)
-
-        # flush grid points strictly before the pending event time (an event
-        # landing exactly on a grid point is recorded post-event next pass,
-        # matching the right-continuous path convention)
+    with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            rec = active & (gidx < n_g)
-            rec &= grid[np.minimum(gidx, n_g - 1)] < t_new
-            if not rec.any():
+            rates(w, *x)
+            for j in range(1, n_r):  # c_j = c_{j-1} + w_j, in place
+                np.add(w[j - 1], w[j], out=w[j])
+            total = w[-1]
+            if not np.isfinite(total).all():
+                if not np.isfinite(total[(tg < np.inf) & (t < np.inf)]).all():
+                    raise SimulationError("propensity overflow in batch run")
+            rng.standard_exponential(out=e)  # the bits of rng.exponential(size=n)
+            rng.random(out=u)
+            t_new = t + np.where(total > 0, e / total, np.inf)
+
+            # record the grid points strictly before the pending event (an
+            # event on a grid point is recorded post-event, right-continuous)
+            rec = np.flatnonzero(t_new > tg)
+            if rec.size:
+                lo, hi = np.searchsorted(grid, [tg[rec], t_new[rec]])
+                for g in range(lo.min(), hi.max()):
+                    k = rec[(lo <= g) & (g < hi)]
+                    out[:, g, k] = x[:, k]
+                tg[rec] = gnext[hi]
+
+            # the rest fire: a pending event past t_end flushed the whole grid
+            fire = tg < np.inf
+            if not fire.any():
                 break
-            out[gidx[rec], traj_idx[rec]] = x[rec]
-            gidx[rec] += 1
-
-        # fully recorded trajectories are done; that covers both idle runs
-        # (t_new = inf flushes every remaining point) and runs past t_end
-        active &= gidx < n_g
-        fire = active & (t_new <= t_end)
-        if not fire.any():
-            continue
-
-        np.cumsum(w, axis=0, out=cum)
-        target = u * total
-        sel = np.minimum((cum <= target[None, :]).sum(axis=0), n_r - 1)
-        x[fire] -= nu_rows[sel[fire]]
-        t[fire] = t_new[fire]
-        events[fire] += 1
-
-        capped = fire & (
-            (x.sum(axis=1) > state_cap) | (events >= max_events_per_traj)
-        )
-        if capped.any():
-            cap_time[capped] = t[capped]
-            # freeze and flush the remaining grid with the last state
-            while True:
-                rec = capped & (gidx < n_g)
-                if not rec.any():
-                    break
-                out[gidx[rec], traj_idx[rec]] = x[rec]
-                gidx[rec] += 1
-            active[capped] = False
-    return out, cap_time
+            sel = np.where(fire, (w[:-1] <= u * total).sum(axis=0), n_r)
+            for s in range(dim):
+                x[s] -= nu[s].take(sel)
+            t = t_new
+            events += 1
+            capped = fire if events >= max_events_per_traj else fire & (x.sum(axis=0) > state_cap)
+            if capped.any():
+                cap_time[capped] = t[capped]
+                t[capped] = np.inf
+    return np.ascontiguousarray(out.transpose(1, 2, 0)), cap_time
 
 
 # ---------------------------------------------------------------------------

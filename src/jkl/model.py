@@ -53,12 +53,15 @@ class Propensity:
 
     ``reactants`` holds the reactant multiset as ``(species, multiplicity)``
     pairs with distinct species, stored sorted by species; total order is
-    capped at 3.  ``order`` and ``kind`` are derived from it.
+    capped at 3.  ``order``, ``kind`` and ``rate_text`` are derived;
+    ``rate_text`` is the rate as compiled code writes it, and equality and
+    hashing compare it, so rates ``0.0`` and ``-0.0`` compile apart.
     """
 
-    rate: float
+    rate: float = field(compare=False)
     reactants: tuple[tuple[int, int], ...] = ()
     kind: str = field(init=False, compare=False)
+    rate_text: str = field(init=False, repr=False)
 
     def __post_init__(self):
         reactants = tuple(sorted(self.reactants))
@@ -72,6 +75,7 @@ class Propensity:
             raise ValueError(f"mass-action order {self.order} exceeds {MAX_ORDER}")
         kind = _KINDS.get(tuple(m for _, m in reactants), "mass-action")
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rate_text", repr(float(self.rate)))
 
     @property
     def order(self) -> int:
@@ -88,7 +92,7 @@ def _expression(prop: Propensity, rate_last: bool) -> str:
     order reads the same either way.  Only ``repr(float(rate))`` and
     species indices enter the text.
     """
-    rate = repr(float(prop.rate))
+    rate = prop.rate_text
     factors = [
         f"x{s}" if i == 0 else f"(x{s} - {i})" for s, m in prop.reactants for i in range(m)
     ]

@@ -207,6 +207,25 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="non-negative"):
             batch_states(BIRTH, [-5], [1.0], 4, seed=1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"state_cap": math.nan},
+            {"state_cap": 0.0},
+            {"state_cap": -1.0},
+            {"max_events_per_traj": 0},
+            {"max_events_per_traj": -3},
+            {"n": 0},
+            {"n": -2},
+        ],
+        ids=["cap-nan", "cap-zero", "cap-negative", "events-zero", "events-negative",
+             "n-zero", "n-negative"],
+    )
+    def test_batch_bad_caps_and_sizes_rejected(self, bad):
+        # the same cap checks as SimConfig; nothing is sampled
+        with pytest.raises(ValueError, match="caps must be positive|n >= 1"):
+            batch_states(BIRTH, [0], [1.0], **{"n": 4, "seed": 1, **bad})
+
     @pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
     @pytest.mark.parametrize("name", sorted(GRID_ENTRY_POINTS))
     def test_bad_grid_rejected(self, name, grid):
@@ -364,6 +383,25 @@ class TestEnsembles:
         longer = ensemble_moments(ENZYME, x0, [0.0, 0.01], 1, 64, 1, workers=1)
         for name in ("moments", "stderr", "species_mean", "species_var", "n_valid"):
             assert np.array_equal(getattr(table, name)[0], getattr(longer, name)[0])
+
+    @pytest.mark.parametrize("grid", [[1.0], [0.5, 1.0]], ids=["one-point", "two-point"])
+    def test_chunk_sums_in_sample_order(self, grid):
+        # squares of counts near 1.2e8 round, so the order of the sums shows in
+        # their bits; the state cap leaves some samples invalid
+        grid = np.array(grid)
+        cfg = SimConfig(t_end=1.0, state_cap=123456790)
+        targs = (BIRTH, [123456789], 2)
+        sums, valid = engine._chunk(engine._moment_terms, targs, grid, 5, 0, 200, cfg)
+        sample = engine._moment_terms(grid, cfg, *targs)
+        want, want_valid = None, np.zeros(len(grid), dtype=np.int64)
+        for i in range(200):
+            ok, parts = sample(mix64(5, i))
+            want = want or [np.zeros_like(term) for term in parts]
+            for acc, term in zip(want, parts):
+                acc += term * ok.astype(float)[:, None]
+            want_valid += ok
+        assert [a.tobytes() for a in sums] == [a.tobytes() for a in want]
+        assert np.array_equal(valid, want_valid) and 0 < valid.min() < 200
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("JKL_THREADS", "3")
@@ -644,26 +682,40 @@ class TestPropensityEmitter:
             assert w[j].tobytes() == expect.tobytes()
 
 
+GRID5 = np.linspace(0.0, 5.0, 5)
+# trajectory 0 of a rate-1 birth batch at seed 7 has its first event at its
+# first exponential draw, so this grid time falls exactly on an event
+ON_EVENT = np.random.Generator(np.random.PCG64(mix64(7, engine._BATCH_TAG))).standard_exponential()
+
+
 class TestBatchSampler:
     @pytest.mark.parametrize(
         "case",
         [
-            (parse_model(MIXED), [20, 20], {}, "none"),
-            (parse_model(MIXED), [20, 20], {"max_events_per_traj": 15}, "all"),
-            (CUBIC, [3], {"state_cap": 30}, "some"),
+            (parse_model(MIXED), [20, 20], GRID5, 2000, {}, "none"),
+            (parse_model(MIXED), [20, 20], GRID5, 2000, {"max_events_per_traj": 15}, "all"),
+            (CUBIC, [3], GRID5, 2000, {"state_cap": 30}, "some"),
+            (ENZYME, get_preset("enzyme").x0, np.linspace(0.0, 0.02, 5), 500, {}, "none"),
+            # a point at 0 and three more inside one gap between events
+            (parse_model(MIXED), [20, 20], [0.0, 0.01, 0.01 + 1e-7, 0.01 + 2e-7, 0.02, 1.0],
+             2000, {}, "none"),
+            # the total falls to 0, so the pending event is at inf
+            (parse_model("species A\nR: A -> 0 @ 1.0"), [5], GRID5, 2000, {}, "none"),
+            (parse_model(MIXED), [20, 20], GRID5, 1, {}, "none"),
+            (BIRTH, [0], [ON_EVENT, ON_EVENT + 1.0], 4, {}, "none"),
         ],
-        ids=["mixed", "mixed-max-events", "cubic-state-cap"],
+        ids=["mixed", "mixed-max-events", "cubic-state-cap", "enzyme", "zero-and-gap",
+             "absorbing", "n-one", "event-on-grid"],
     )
     def test_bytes_match_the_reference_loop(self, case):
         # uncapped digests cannot see a reassociated rate; cap times can
-        net, x0, caps, capped = case
-        grid = np.linspace(0.0, 5.0, 5)
-        states, cap_time = batch_states(net, x0, grid, 2000, seed=7, **caps)
-        want_states, want_cap = _reference_batch(net, x0, grid, 2000, 7, **caps)
+        net, x0, grid, n, caps, capped = case
+        states, cap_time = batch_states(net, x0, grid, n, seed=7, **caps)
+        want_states, want_cap = _reference_batch(net, x0, grid, n, 7, **caps)
         assert states.tobytes() == want_states.tobytes()
         assert cap_time.tobytes() == want_cap.tobytes()
         hit = np.isfinite(cap_time)
-        assert {"none": not hit.any(), "all": hit.all(), "some": 0 < hit.sum() < 2000}[capped]
+        assert {"none": not hit.any(), "all": hit.all(), "some": 0 < hit.sum() < n}[capped]
 
     def test_matches_per_trajectory_law(self):
         grid = np.array([2.0, 5.0])

@@ -1,11 +1,13 @@
 """Core model: propensity evaluation, drift, reaction application, validation."""
 
+import math
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from jkl import engine, model
 from jkl.model import (
     Propensity,
     Reaction,
@@ -52,6 +54,20 @@ class TestPropensityEval:
         for rate in (float("inf"), float("-inf"), float("nan")):
             w = propensity_eval(_one_reaction(Propensity(rate, ((0, 1),)), 1), [2])
             assert np.array_equal(w, [rate * 2], equal_nan=True)
+
+    @pytest.mark.parametrize("rates", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus-first", "minus-first"])
+    def test_signed_zero_rates_compile_apart(self, rates):
+        # 0.0 == -0.0 as floats, but the propensities they give differ in sign,
+        # so neither network may be served the other's compiled code
+        model._rates.cache_clear()
+        engine._stepper.cache_clear()
+        for rate in rates:
+            net = parse_model(f"species A\nR: A -> 0 @ {rate!r}")
+            w = propensity_eval(net, [3])
+            assert math.copysign(1.0, w[0]) == math.copysign(1.0, rate)
+            engine._stepper(net.reactions, 1, "direct", "path")
+        assert model._rates.cache_info().misses == 2
+        assert engine._stepper.cache_info().misses == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
