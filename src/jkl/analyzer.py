@@ -196,29 +196,23 @@ def _contributions(net: ReactionNetwork) -> tuple[ReactionContribution, ...]:
 # weight vector
 
 
-def _min_norm_positive(n2t: np.ndarray, equality: bool) -> np.ndarray | None:
-    """Smallest-norm l with l >= 1 and N2^T l = 0 (or >= 0); None if infeasible."""
+def _min_norm_positive(n2t: np.ndarray) -> np.ndarray | None:
+    """Smallest-norm l with l >= 1 and N2^T l = 0; None if infeasible."""
     dim = n2t.shape[1]
-    if equality:
-        cons = [{"type": "eq", "fun": lambda l: n2t @ l, "jac": lambda l: n2t}]
-    else:
-        cons = [{"type": "ineq", "fun": lambda l: n2t @ l, "jac": lambda l: n2t}]
     res = scipy.optimize.minimize(
         lambda l: l @ l,
         x0=np.ones(dim),
         jac=lambda l: 2 * l,
         bounds=[(1.0, None)] * dim,
-        constraints=cons,
+        constraints=[{"type": "eq", "fun": lambda l: n2t @ l, "jac": lambda l: n2t}],
         method="SLSQP",
         options={"maxiter": 200, "ftol": 1e-14},
     )
     if not res.success:
         return None
     l = np.asarray(res.x, dtype=float)
-    viol = n2t @ l
     tol = 1e-8 * max(1.0, float(np.abs(n2t).max()) * float(l.max()))
-    ok = np.abs(viol).max() <= tol if equality else viol.min() >= -tol
-    if not ok or l.min() < 1.0 - 1e-9:
+    if not np.abs(n2t @ l).max() <= tol or l.min() < 1.0 - 1e-9:
         return None
     return l
 
@@ -258,7 +252,7 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
 
     # exact annihilation first: strictly positive element of the null space
     if np.linalg.matrix_rank(n2t) < dim:
-        l = _min_norm_positive(n2t, equality=True)
+        l = _min_norm_positive(n2t)
         if l is not None:
             exact = _snap_rational(l, cols, equality=True)
             if exact is not None:
@@ -280,11 +274,7 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
             return exact
         return l / l.min()
 
-    obstructions = [
-        rxn.label
-        for rxn in sup
-        if min(rxn.nu) < 0 and max(rxn.nu) <= 0 or any(v < 0 for v in rxn.nu)
-    ]
+    obstructions = [rxn.label for rxn in sup if any(v < 0 for v in rxn.nu)]
     raise WeightVectorNotFound(obstructions)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analyzer import StabilityReport, one_sided_constants
-from .engine import integrate_rre
+from .engine import _check_grid, _csv, integrate_rre
 from .model import ReactionNetwork
 
 __all__ = [
@@ -56,10 +56,8 @@ class BoundCurve:
     note: str = ""
 
     def to_csv(self) -> str:
-        lines = ["time,value,formula"]
-        for t, v in zip(self.times, self.values):
-            lines.append(f"{float(t)!r},{float(v)!r},{self.formula}")
-        return "\n".join(lines) + "\n"
+        rows = ((t, v, self.formula) for t, v in zip(self.times.tolist(), self.values.tolist()))
+        return _csv(["time", "value", "formula"], rows)
 
 
 def exp_plus(z: np.ndarray | float) -> np.ndarray | float:
@@ -98,7 +96,7 @@ def first_moment_curve(
     report: StabilityReport, x0_norm: float, grid: Sequence[float]
 ) -> BoundCurve:
     """Envelope for E|X_t|_1: |X_0|_1 e^(a+ t) + A (e^(a+ t) - 1)/a+."""
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     values = _envelope(x0_norm, report.A, report.alpha, grid)
     return BoundCurve(
         grid,
@@ -128,7 +126,7 @@ def second_moment_curve(
     given, eps minimizes the envelope at the grid midpoint by
     golden-section search (with A = 0 the limit eps -> 0 is exact).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     if eps is None:
         if report.A == 0.0:
             eps = 0.0
@@ -190,7 +188,7 @@ def pth_moment_curve(
     """
     if not isinstance(p, int) or p <= 2:
         raise ValueError("p must be an integer > 2; use the first/second moment curves")
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     npow = report.norm_1tN**p
     beta = (p - 1 + p * report.alpha) + (report.Gamma + report.gamma) * (
         2**p - 2 - p
@@ -261,7 +259,7 @@ def initial_perturbation_curve(
     S0 = |X0 + Y0|_1; the O(s^1/2) remainder inside R carries no
     constant and is dropped, so domination holds on small windows only.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     sigma0 = float(x0.sum() + y0.sum())
@@ -312,7 +310,7 @@ def coefficient_perturbation_curve(
 
     O(t^3/2) remainders are dropped.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     x0 = np.asarray(x0, dtype=float)
     x_norm = float(x0.sum())
     w0 = report.Gamma + report.gamma * x_norm**2
@@ -365,7 +363,7 @@ def cubic_blowup_lowerbound(x0: int, grid: Sequence[float]) -> BoundCurve:
     or past the asymptote are reported infinite.  For X0 < 3 the bound
     is the zero curve (m0 = 0).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     if x0 < 3:
         return BoundCurve(
             grid, np.zeros_like(grid), "cubic-third-moment-lower", inputs={"x0": x0, "m0": 0}

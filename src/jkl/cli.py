@@ -194,18 +194,12 @@ def cmd_couple(args) -> int:
     grid = _grid(args)
     if args.samples == 1:
         lx, ly = eng.simulate_coupled(net, x0, y0, pert, _sim_config(args, float(grid[-1])))
-        text = "time," + ",".join(net.species) + "," + ",".join(f"{s}_pert" for s in net.species)
-        lines = [text]
-        sx, sy = lx.sample(grid), ly.sample(grid)
-        for g, t in enumerate(grid):
-            lines.append(
-                repr(float(t))
-                + ","
-                + ",".join(str(int(v)) for v in sx[g])
-                + ","
-                + ",".join(str(int(v)) for v in sy[g])
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        header = ["time", *net.species, *(f"{s}_pert" for s in net.species)]
+        rows = (
+            [t, *x, *y]
+            for t, x, y in zip(grid.tolist(), lx.sample(grid).tolist(), ly.sample(grid).tolist())
+        )
+        _emit(args, eng._csv(header, rows))
         return EXIT_OK
     curve = eng.coupled_rms(
         net, x0, y0, pert, grid, args.samples, args.seed,
@@ -272,15 +266,14 @@ def cmd_cme(args) -> int:
     gen = cme.build_generator(net, idx)
     sol = cme.integrate_cme(gen, cme.point_mass(idx, x0), grid)
     p_max = args.p or 2
-    lines = ["time,p,estimate,upper,defect"]
-    for g, t in enumerate(grid):
-        mom = cme.cme_moments(sol.probs[g], idx, p_max, defect=float(sol.defect[g]))
-        for p in range(1, p_max + 1):
-            lines.append(
-                f"{float(t)!r},{p},{float(mom.moments[p-1])!r},"
-                f"{float(mom.upper[p-1])!r},{float(sol.defect[g])!r}"
-            )
-    _emit(args, "\n".join(lines) + "\n")
+    rows = []
+    for probs, t, defect in zip(sol.probs, grid.tolist(), sol.defect.tolist()):
+        mom = cme.cme_moments(probs, idx, p_max, defect=defect)
+        rows += [
+            (t, p, m, up, defect)
+            for p, m, up in zip(range(1, p_max + 1), mom.moments.tolist(), mom.upper.tolist())
+        ]
+    _emit(args, eng._csv(["time", "p", "estimate", "upper", "defect"], rows))
     if args.dump_index:
         with open(args.dump_index, "w", encoding="utf-8") as fh:
             fh.write(idx.to_text())
@@ -304,14 +297,18 @@ def _add_model_args(p):
     p.add_argument("--model", help="path to a .rxn model file")
 
 
-def _add_sim_args(p, seed_default=0):
+def _add_grid_args(p):
     p.add_argument("--t-end", type=float, default=None, help="time horizon")
     p.add_argument("--grid", default=None, help="output grid: point count or comma-separated times")
-    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--x0", default=None, help="initial state, comma-separated counts")
+    p.add_argument("--out", default=None, help="output file (default: stdout)")
+
+
+def _add_sim_args(p, seed_default=0):
+    _add_grid_args(p)
+    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--max-events", type=int, default=10**8)
     p.add_argument("--state-cap", type=float, default=1e9)
-    p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="theoretical bound curves (CSV)")
     _add_model_args(p)
-    _add_sim_args(p)
+    _add_grid_args(p)
     p.add_argument(
         "--kind",
         required=True,
@@ -372,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cme", help="truncated master-equation moments (CSV)")
     _add_model_args(p)
-    _add_sim_args(p)
+    _add_grid_args(p)
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--caps", default=None, help="per-species caps (scalar or comma list)")
     p.add_argument("--max-states", type=int, default=cme.DEFAULT_MAX_STATES)

@@ -84,10 +84,8 @@ def demo_enzyme_sensitivity(
     sol_lin = eng.integrate_rre(lin_pert, lin.x0, ode_grid)
     c_base = float(x0[0])
     ode_ratio = float(sol_nl.states[-1, 0] / c_base)
-    lines = ["time,C_nonlinear,C_linear"]
-    for g, t in enumerate(ode_grid):
-        lines.append(f"{float(t)!r},{float(sol_nl.states[g,0])!r},{float(sol_lin.states[g,0])!r}")
-    _write(out_dir, "ode_response.csv", "\n".join(lines) + "\n")
+    rows = zip(ode_grid.tolist(), sol_nl.states[:, 0].tolist(), sol_lin.states[:, 0].tolist())
+    _write(out_dir, "ode_response.csv", eng._csv(["time", "C_nonlinear", "C_linear"], rows))
 
     # stochastic mean response (lockstep batch sampler, one stream each)
     sgrid = np.linspace(0.0, t_stoch, 21)[1:]
@@ -104,13 +102,10 @@ def demo_enzyme_sensitivity(
     mean_u, mean_p = cu.mean(axis=1), cp.mean(axis=1)
     se_u = cu.std(axis=1, ddof=1) / np.sqrt(samples)
     se_p = cp.std(axis=1, ddof=1) / np.sqrt(samples)
-    lines = ["time,mean_C,stderr,mean_C_perturbed,stderr_perturbed,ratio_vs_nominal"]
-    for g, t in enumerate(sgrid):
-        lines.append(
-            f"{float(t)!r},{float(mean_u[g])!r},{float(se_u[g])!r},"
-            f"{float(mean_p[g])!r},{float(se_p[g])!r},{float(mean_p[g] / c_base)!r}"
-        )
-    _write(out_dir, "stochastic_response.csv", "\n".join(lines) + "\n")
+    header = ["time", "mean_C", "stderr", "mean_C_perturbed", "stderr_perturbed",
+              "ratio_vs_nominal"]
+    cols = (sgrid, mean_u, se_u, mean_p, se_p, mean_p / c_base)
+    _write(out_dir, "stochastic_response.csv", eng._csv(header, zip(*(c.tolist() for c in cols))))
 
     # read the plateau as a window average (the perturbed mean has a heavy
     # tail from low-enzyme excursions, so single points are noisy); the
@@ -201,12 +196,9 @@ def demo_cubic_blowup(
     emp = c3.mean(axis=1)
     emp_se = c3.std(axis=1, ddof=1) / np.sqrt(moment_samples)
     curve = bnd.cubic_blowup_lowerbound(moment_x0, mgrid)
-    lines = ["time,empirical_third_moment,stderr,lower_bound"]
-    for g, t in enumerate(mgrid):
-        lines.append(
-            f"{float(t)!r},{float(emp[g])!r},{float(emp_se[g])!r},{float(curve.values[g])!r}"
-        )
-    _write(out_dir, "third_moment.csv", "\n".join(lines) + "\n")
+    header = ["time", "empirical_third_moment", "stderr", "lower_bound"]
+    rows = zip(mgrid.tolist(), emp.tolist(), emp_se.tolist(), curve.values.tolist())
+    _write(out_dir, "third_moment.csv", eng._csv(header, rows))
 
     summary = {
         "n": samples,
@@ -251,9 +243,8 @@ def demo_bimol_walk(
     se_mean = float(diffs.std(ddof=1) / np.sqrt(samples))
 
     vals, counts = np.unique(diffs.astype(int), return_counts=True)
-    lines = ["difference,count"]
-    lines += [f"{int(v)},{int(c)}" for v, c in zip(vals, counts)]
-    _write(out_dir, "difference_histogram.csv", "\n".join(lines) + "\n")
+    rows = zip(vals.tolist(), counts.tolist())
+    _write(out_dir, "difference_histogram.csv", eng._csv(["difference", "count"], rows))
     traj = eng.simulate_direct(net, preset.x0, eng.SimConfig(t_end=t_end, seed=eng.mix64(seed, 0)))
     _write(out_dir, "sample_path.csv", traj.to_csv(net.species))
 
@@ -321,15 +312,10 @@ def demo_reversible_oracle(
     bim = get_preset("bimol")
     rows_bim, z_bim, n_bim = _oracle_case(bim.network, bim.x0, 60, times, samples, eng.mix64(seed, 2))
 
-    header = (
-        "time,species,ssa_mean,ssa_mean_se,cme_mean,ssa_var,ssa_var_se,cme_var,"
-        "z_mean,z_var,defect"
-    )
+    header = ["time", "species", "ssa_mean", "ssa_mean_se", "cme_mean", "ssa_var",
+              "ssa_var_se", "cme_var", "z_mean", "z_var", "defect"]
     for name, rows in (("reversible", rows_rev), ("bimol", rows_bim)):
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        _write(out_dir, f"oracle_{name}.csv", "\n".join(lines) + "\n")
+        _write(out_dir, f"oracle_{name}.csv", eng._csv(header, rows))
 
     summary = {
         "n": samples,

@@ -103,6 +103,18 @@ def _mix(z: int, parts) -> int:
     return z
 
 
+def _csv(header: Sequence[str], rows) -> str:
+    """CSV text: the header names, then one line per row, each ending in ``\n``.
+
+    Cells are Python scalars (callers pass ``.tolist()`` rows) and are
+    written with ``str``, which for a float is its ``repr``: the shortest
+    text that reads back to the same bits (``inf`` and ``nan`` included).
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class SimulationError(RuntimeError):
     """Hard numerical failure (non-finite propensity, integrator failure)."""
 
@@ -186,15 +198,12 @@ class Trajectory:
         return self.states[idx]
 
     def to_csv(self, species: Sequence[str], grid: Sequence[float] | None = None) -> str:
-        header = "time," + ",".join(species)
         if grid is None:
             times, states = self.times, self.states
         else:
             times, states = np.asarray(grid, dtype=float), self.sample(grid)
-        lines = [header]
-        for t, row in zip(times, states):
-            lines.append(repr(float(t)) + "," + ",".join(str(int(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = ([t, *x] for t, x in zip(times.tolist(), states.tolist()))
+        return _csv(["time", *species], rows)
 
 
 @dataclass(frozen=True)
@@ -521,14 +530,15 @@ class MomentTable:
         return bool(self.n_excluded.any())
 
     def to_csv(self) -> str:
-        lines = ["time,p,estimate,stderr,n"]
-        for g, t in enumerate(self.times):
-            for p in range(1, self.p_max + 1):
-                lines.append(
-                    f"{float(t)!r},{p},{float(self.moments[g, p - 1])!r},"
-                    f"{float(self.stderr[g, p - 1])!r},{int(self.n_valid[g])}"
-                )
-        return "\n".join(lines) + "\n"
+        rows = (
+            (t, p, m, se, n)
+            for t, ms, ses, n in zip(
+                self.times.tolist(), self.moments.tolist(), self.stderr.tolist(),
+                self.n_valid.tolist(),
+            )
+            for p, m, se in zip(range(1, self.p_max + 1), ms, ses)
+        )
+        return _csv(["time", "p", "estimate", "stderr", "n"], rows)
 
 
 _CHUNK = 256  # fixed reduction granularity: results never depend on workers
@@ -548,16 +558,18 @@ def _chunk(terms, targs, grid, seed, start, stop, cfg):
     """Sums of the per-sample terms of samples start..stop-1 at their valid times.
 
     ``terms(grid, cfg, *targs)`` looks up the compiled steppers once per
-    chunk and returns ``sample(seed)``, which runs one sample on the given
-    stream seed and returns its valid-time mask and term arrays, one row
-    per grid time.  Sample i uses the seed ``mix64(seed, i)``.  The sums
+    chunk and returns ``(sample, batch)``: ``sample(seed)`` runs one sample
+    on the given stream seed and returns its grid rows and the time it hit
+    a cap, and ``batch(rows)`` takes the chunk's rows stacked as floats,
+    one sample per leading index, and returns its term arrays, shaped
+    ``(S, G, k)``.  Sample i uses the seed ``mix64(seed, i)``.  The sums
     run in sample order: numpy's cumsum, unlike its sum, is never pairwise.
     """
-    sample = terms(grid, cfg, *targs)
-    oks, parts = zip(*(sample(mix64(seed, i)) for i in range(start, stop)))
-    ok = np.array(oks)
+    sample, batch = terms(grid, cfg, *targs)
+    rows, caps = zip(*(sample(mix64(seed, i)) for i in range(start, stop)))
+    ok = grid < np.array(caps)[:, None]
     okf = ok[:, :, None].astype(float)
-    sums = [np.cumsum(np.array(term) * okf, axis=0)[-1] for term in zip(*parts)]
+    sums = [np.cumsum(term * okf, axis=0)[-1] for term in batch(np.array(rows, dtype=float))]
     return sums, ok.sum(axis=0)
 
 
@@ -600,15 +612,16 @@ def _moment_terms(grid, cfg, net, x0, p_max):
     step = _stepper(net.reactions, net.n_species, "direct", "grid")
     x = _check_state(x0, net)
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
-    orders = np.arange(1, p_max + 1)[None, :]
+    orders = np.arange(1, p_max + 1)
 
     def sample(seed):
-        rows, cap_time, _ = step(x, random.Random(seed), *run)
-        samples = np.array(rows, dtype=float)
-        powers = samples.sum(axis=1)[:, None] ** orders
-        return grid < cap_time, (powers, powers**2, samples, samples**2)
+        return step(x, random.Random(seed), *run)[:2]
 
-    return sample
+    def batch(samples):
+        powers = samples.sum(axis=2)[:, :, None] ** orders
+        return powers, powers**2, samples, samples**2
+
+    return sample, batch
 
 
 def ensemble_moments(
@@ -661,19 +674,14 @@ class RmsCurve:
     n_valid: np.ndarray
 
     def to_csv(self, species: Sequence[str] | None = None) -> str:
-        cols = "time,rms,stderr,n"
-        if species is not None:
-            cols += "," + ",".join(f"rms_{s}" for s in species)
-        lines = [cols]
-        for g, t in enumerate(self.times):
-            row = (
-                f"{float(t)!r},{float(self.rms[g])!r},"
-                f"{float(self.stderr[g])!r},{int(self.n_valid[g])}"
-            )
-            if species is not None:
-                row += "," + ",".join(repr(float(v)) for v in self.species_rms[g])
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        header = ["time", "rms", "stderr", "n"]
+        rows = zip(
+            self.times.tolist(), self.rms.tolist(), self.stderr.tolist(), self.n_valid.tolist()
+        )
+        if species is None:
+            return _csv(header, rows)
+        header += [f"rms_{s}" for s in species]
+        return _csv(header, ((*row, *sp) for row, sp in zip(rows, self.species_rms.tolist())))
 
 
 def _rms_terms(grid, cfg, net, pert_net, x0, y0):
@@ -687,11 +695,14 @@ def _rms_terms(grid, cfg, net, pert_net, x0, y0):
         # both legs run on the same per-channel clocks, re-created per leg
         rows_x, cap_x, _ = step_x(x, _channel_streams(seed, n_r), *run)
         rows_y, cap_y, _ = step_y(y, _channel_streams(seed, n_r), *run)
-        diff = np.array(rows_x, dtype=float) - np.array(rows_y, dtype=float)
-        d2 = (diff**2).sum(axis=1)[:, None]
-        return (grid < cap_x) & (grid < cap_y), (d2, d2**2, diff**2)
+        return (rows_x, rows_y), min(cap_x, cap_y)
 
-    return sample
+    def batch(pairs):
+        diff = pairs[:, 0] - pairs[:, 1]
+        d2 = (diff**2).sum(axis=2)[:, :, None]
+        return d2, d2**2, diff**2
+
+    return sample, batch
 
 
 def coupled_rms(
@@ -833,10 +844,8 @@ class OdeSolution:
     states: np.ndarray  # (G, D)
 
     def to_csv(self, species: Sequence[str]) -> str:
-        lines = ["time," + ",".join(species)]
-        for t, row in zip(self.times, self.states):
-            lines.append(repr(float(t)) + "," + ",".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = ([t, *x] for t, x in zip(self.times.tolist(), self.states.tolist()))
+        return _csv(["time", *species], rows)
 
 
 def integrate_rre(

@@ -309,3 +309,32 @@ class TestCubicLowerBound:
         lines = curve.to_csv().splitlines()
         assert lines[0] == "time,value,formula"
         assert lines[1].endswith("cubic-third-moment-lower")
+
+
+# every curve that takes a time grid, called with a valid report and state
+GRID_CURVES = {
+    "first": lambda grid: first_moment_curve(R_BIMOL, 3.0, grid),
+    "second": lambda grid: second_moment_curve(R_BIMOL, 3.0, grid),
+    "pth": lambda grid: pth_moment_curve(R_BIMOL, 3.0, 3, grid),
+    "initial": lambda grid: initial_perturbation_curve(R_BIMOL, [10, 10], [11, 9], grid),
+    "coeff": lambda grid: coefficient_perturbation_curve(R_BIMOL, [10, 10], 0.1, 0.1, grid),
+    "cubic": lambda grid: cubic_blowup_lowerbound(5, grid),
+    "cubic-below-three": lambda grid: cubic_blowup_lowerbound(2, grid),
+}
+
+BAD_GRIDS = {
+    "negative": [-1.0, 0.0],
+    "decreasing": [1.0, 0.5],
+    "repeated": [0.5, 0.5],
+    "empty": [],
+    "two-d": [[0.0, 1.0], [2.0, 3.0]],
+    "inf": [0.0, math.inf],
+    "nan": [0.0, math.nan],
+}
+
+
+@pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
+@pytest.mark.parametrize("curve", list(GRID_CURVES.values()), ids=list(GRID_CURVES))
+def test_bad_grid_rejected(curve, grid):
+    with pytest.raises(ValueError, match="grid"):
+        curve(grid)

@@ -183,6 +183,24 @@ class TestCme:
         assert "grid" in err
 
 
+class TestSamplerFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cme", "--preset", "reversible", "--x0", "2,2,0", "--caps", "10",
+             "--t-end", "1", "--seed", "3"),
+            ("bounds", "--preset", "bimol", "--kind", "first", "--t-end", "1",
+             "--state-cap", "5"),
+        ],
+        ids=["cme-seed", "bounds-state-cap"],
+    )
+    def test_rejected_where_nothing_samples(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDemo:
     def test_bimol_walk_writes_bundle(self, capsys, tmp_path):
         code, out, _ = run(capsys, "demo", "bimol-walk", "--samples", "300",

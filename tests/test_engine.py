@@ -84,6 +84,31 @@ class TestMix64:
         assert len(set(vals)) == 1000
 
 
+class TestCsv:
+    def test_cell_rule(self):
+        # floats by repr (shortest round trip, so 2.0 keeps its point),
+        # everything else by str
+        rows = [
+            (0.1 + 0.2, 3, "R1"),
+            (2.0, 10**20, "x"),
+            (1e-300, -2, "y"),
+            (math.inf, 0, "a"),
+            (-math.inf, 1, "b"),
+            (math.nan, 2, "c"),
+        ]
+        assert engine._csv(["time", "n", "label"], rows) == (
+            "time,n,label\n0.30000000000000004,3,R1\n2.0,100000000000000000000,x\n"
+            "1e-300,-2,y\ninf,0,a\n-inf,1,b\nnan,2,c\n"
+        )
+
+    def test_tolist_rows(self):
+        rows = np.array([[0.5, 1e16], [0.25, -0.0]]).tolist()
+        assert engine._csv(["a", "b"], rows) == "a,b\n0.5,1e+16\n0.25,-0.0\n"
+
+    def test_header_only(self):
+        assert engine._csv(["time", "A"], []) == "time,A\n"
+
+
 class TestSingleTrajectory:
     def test_poisson_event_count(self):
         counts = [
@@ -392,10 +417,16 @@ class TestEnsembles:
         cfg = SimConfig(t_end=1.0, state_cap=123456790)
         targs = (BIRTH, [123456789], 2)
         sums, valid = engine._chunk(engine._moment_terms, targs, grid, 5, 0, 200, cfg)
-        sample = engine._moment_terms(grid, cfg, *targs)
+        sample, _ = engine._moment_terms(grid, cfg, *targs)
+        orders = np.arange(1, 3)[None, :]
         want, want_valid = None, np.zeros(len(grid), dtype=np.int64)
         for i in range(200):
-            ok, parts = sample(mix64(5, i))
+            # one sample's terms, as they were computed before the chunk batching
+            rows, cap_time = sample(mix64(5, i))
+            ok = grid < cap_time
+            samples = np.array(rows, dtype=float)
+            powers = samples.sum(axis=1)[:, None] ** orders
+            parts = (powers, powers**2, samples, samples**2)
             want = want or [np.zeros_like(term) for term in parts]
             for acc, term in zip(want, parts):
                 acc += term * ok.astype(float)[:, None]

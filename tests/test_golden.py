@@ -8,17 +8,21 @@ small: the whole module runs in a few seconds.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
 from jkl import analyzer, cme
+from jkl.cli import main
+from jkl.demos import run_demo
 from jkl.engine import (
     PerturbationSpec,
     SimConfig,
     batch_states,
     coupled_rms,
     ensemble_moments,
+    integrate_rre,
     simulate_coupled,
     simulate_direct,
     simulate_rtc,
@@ -191,6 +195,75 @@ CAPPED_GOLDEN = {'max_events': {'coupled': 'a3b9f398d50a3ecd01caec6859a34f43938c
                'ensemble': '79e54f0cde2b0057d6e17955debf768b72e0be34ae8bd08a6e90cbdbe5b66b70',
                'rms': 'cb74ff6fc3e87692fbab891a8a2d47149f7e66b6dbf69e047777eb46cd42b4da',
                'rtc': '3955dfc117005d4f4dda8be18350846769ec357a803cc4677db7bdae678b88a5'}}
+
+# CSV texts of the producers the sampler and capped digests do not cover
+CLI_CSV_CASES = {
+    "simulate-grid": ("simulate", "--preset", "bimol", "--t-end", "5", "--grid", "10",
+                      "--seed", "3"),
+    "couple-pair": ("couple", "--preset", "enzyme", "--t-end", "0.02", "--grid", "5",
+                    "--samples", "1", "--seed", "2", "--perturb", "alphaE=-0.5"),
+    "cme": ("cme", "--preset", "bimol", "--caps", "12", "--t-end", "1", "--grid", "4",
+            "--p", "3"),
+    # the bound is inf past its blow-up time, about 0.2
+    "bounds-cubic": ("bounds", "--preset", "cubic", "--kind", "cubic", "--x0", "3",
+                     "--t-end", "0.4", "--grid", "4"),
+}
+
+DEMO_CSV_CASES = {
+    "enzyme-sensitivity": {"samples": 200, "seed": 3, "t_ode": 1.0, "t_stoch": 0.5,
+                           "t_rms": 0.02},
+    "cubic-blowup": {"samples": 100, "seed": 2, "moment_samples": 2000},
+    "bimol-walk": {"samples": 200, "seed": 4},
+    "reversible-oracle": {"samples": 300, "seed": 5},
+}
+
+
+def _engine_csv_outputs() -> dict[str, str]:
+    net, x0 = _model("mixed")
+    grid = np.linspace(0.0, 2.0, 5)
+    pert = PerturbationSpec({"k3": 0.1})
+    return {
+        "ode": _digest(integrate_rre(net, x0, grid).to_csv(net.species)),
+        "rms-no-species": _digest(
+            coupled_rms(net, x0, [22, 19], pert, grid, 40, seed=5, workers=1).to_csv()
+        ),
+    }
+
+
+def _cli_csv_output(name: str, out_dir) -> str:
+    path = os.path.join(out_dir, "out.csv")
+    assert main([*CLI_CSV_CASES[name], "--out", path]) == 0
+    with open(path, encoding="utf-8") as fh:
+        return _digest(fh.read())
+
+
+def _demo_csv_outputs(name: str, out_dir) -> dict[str, str]:
+    run_demo(name, out_dir=out_dir, **DEMO_CSV_CASES[name])
+    out = {}
+    for file in sorted(os.listdir(out_dir)):
+        if file.endswith(".csv"):
+            with open(os.path.join(out_dir, file), encoding="utf-8") as fh:
+                out[file] = _digest(fh.read())
+    return out
+
+
+# recorded by running the CSV writers as they were before the one CSV writer
+ENGINE_CSV_GOLDEN = {'ode': '5b3860416ceefa328b981635f45e9b382962ed0c94f6e4ad02db442216174a0d',
+ 'rms-no-species': 'e9cf5fa26870117ab96210f6a92096a195baa56d05bc638b15438d68de3cd41d'}
+
+CLI_CSV_GOLDEN = {'bounds-cubic': '8163777000c1bc640ed2ee953044c1c05bddc33fe34fade9692ff217906ce4ca',
+ 'cme': '6c9b7486635503ec5d05955c65c4f77b9b79420b52fc6abf0b2b4b0eec1f16ef',
+ 'couple-pair': 'dc71f340c419e71ff70b00bf531b5ad195b46497b5498af944801cccea9c2bee',
+ 'simulate-grid': 'e0b60dbbf33ab7b51f6670ef9431b120717d9ddc4b44ef6d6a40eb0732393b62'}
+
+DEMO_CSV_GOLDEN = {'bimol-walk': {'difference_histogram.csv': '31f945831222d3ed4357a15f816714c269dec68e85e042b3b52cc44d1c4ff10d',
+                'sample_path.csv': '66b61cf3461b8f38a47514677ad361c34ecf78ca82a9cc82f159222688a5c970'},
+ 'cubic-blowup': {'third_moment.csv': 'a37294d9723c255e15a3015c72bb75dfd3b62c3436fffc62e7b6f4470256a224'},
+ 'enzyme-sensitivity': {'ode_response.csv': '9a6bddd90580804f81e8c79387bc886383246775037f3a05df8dfa5fd36a2075',
+                        'rms_difference.csv': '0b27036a20b6ae8a8d08ed0ad0e8bbd3832e1d32e7d14074ed1072cabc2f444d',
+                        'stochastic_response.csv': '0d2e44832f630fe3200ee0dce6847e69c52d9b8c719d81e6396ce01c4fa53ce4'},
+ 'reversible-oracle': {'oracle_bimol.csv': 'c3cf271e00cd2cb5f183b94eb19fb091fa6d4f63ad3b89a2f52e5c0d12a2a6f6',
+                       'oracle_reversible.csv': 'bf226847a6afd18579ee7a409ce171734f91493b6c9e84fd21b7c032ac35e657'}}
 
 # models beyond the presets that take the weight-vector search: the first
 # has a strictly positive annihilator of its quadratic column, the second
@@ -587,3 +660,17 @@ def _assert_close(got, want):
 def test_analyze_constants(name):
     report = analyzer.analyze(_network(name))
     _assert_close(report.to_dict(), ANALYZE_GOLDEN[name])
+
+
+def test_engine_csv_digests():
+    assert _engine_csv_outputs() == ENGINE_CSV_GOLDEN
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CSV_CASES))
+def test_cli_csv_digests(name, tmp_path):
+    assert _cli_csv_output(name, str(tmp_path)) == CLI_CSV_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CSV_CASES))
+def test_demo_csv_digests(name, tmp_path):
+    assert _demo_csv_outputs(name, str(tmp_path)) == DEMO_CSV_GOLDEN[name]
