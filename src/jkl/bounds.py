@@ -92,6 +92,11 @@ def _envelope(x0_pow: float, b_const: float, beta: float, grid: np.ndarray) -> n
     return out
 
 
+def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """int_0^t values ds at every grid time, by the trapezoid rule on the grid."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
+
+
 def first_moment_curve(
     report: StabilityReport, x0_norm: float, grid: Sequence[float]
 ) -> BoundCurve:
@@ -157,25 +162,23 @@ def second_moment_curve(
 
 def _golden_min(f, lo: float, hi: float, iters: int = 200) -> float:
     # golden-section on log-scale; deterministic for reproducible curves
-    import math as _m
-
-    a, b = _m.log(lo), _m.log(hi)
-    inv = (_m.sqrt(5.0) - 1.0) / 2.0
+    a, b = math.log(lo), math.log(hi)
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv * (b - a)
     d = a + inv * (b - a)
-    fc, fd = f(_m.exp(c)), f(_m.exp(d))
+    fc, fd = f(math.exp(c)), f(math.exp(d))
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
-            fc = f(_m.exp(c))
+            fc = f(math.exp(c))
         else:
             a, c, fc = c, d, fd
             d = a + inv * (b - a)
-            fd = f(_m.exp(d))
+            fd = f(math.exp(d))
         if b - a < 1e-12:
             break
-    return _m.exp((a + b) / 2.0)
+    return math.exp((a + b) / 2.0)
 
 
 def pth_moment_curve(
@@ -234,9 +237,7 @@ def ode_divergence_bound(
     sol_y = integrate_rre(net, y0, grid, tol)
     sigma = sol_x.states.sum(axis=1) + sol_y.states.sum(axis=1)
     c_vals = m + mu * sigma
-    integral = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (c_vals[1:] + c_vals[:-1]) * np.diff(grid))]
-    )
+    integral = _cumulative_trapezoid(c_vals, grid)
     d0 = float(np.linalg.norm(np.asarray(x0, dtype=float) - np.asarray(y0, dtype=float)))
     return BoundCurve(
         grid,
@@ -267,9 +268,7 @@ def initial_perturbation_curve(
     d0 = float(np.linalg.norm(x0 - y0))
     same = bool(np.array_equal(x0, y0))
     integrand = (report.L_prime + report.lam_prime * sigma0) * np.exp(-rate * grid)
-    r_vals = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(grid))]
-    )
+    r_vals = _cumulative_trapezoid(integrand, grid)
     indicator = 0.0 if same else 1.0
     values = np.exp(rate * grid) * (d0 + indicator * r_vals / 2.0)
     return BoundCurve(

@@ -73,9 +73,7 @@ def _grid(args) -> np.ndarray:
             times = np.array([float(v) for v in spec.split(",")], dtype=float)
         except ValueError:
             raise CliError(f"--grid must be a count or comma-separated times, got {spec!r}") from None
-        if (np.diff(times) <= 0).any() or times[0] < 0:
-            raise CliError("--grid times must be increasing and non-negative")
-        return times
+        return eng._check_grid(times)
     if args.t_end is None:
         raise CliError("--t-end is required")
     count = int(spec) if spec else 50
@@ -162,6 +160,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     net, default_x0 = _load_network(args)
     x0 = _initial_state(args, net, default_x0)
+    if args.t_end is None:
+        raise CliError("--t-end is required")
     cfg = _sim_config(args, args.t_end)
     sim = eng.simulate_rtc if args.method == "rtc" else eng.simulate_direct
     traj = sim(net, x0, cfg)
@@ -200,6 +200,9 @@ def cmd_couple(args) -> int:
             for t, x, y in zip(grid.tolist(), lx.sample(grid).tolist(), ly.sample(grid).tolist())
         )
         _emit(args, eng._csv(header, rows))
+        for leg, traj in (("nominal", lx), ("perturbed", ly)):
+            if traj.status != "t_end":
+                print(f"note: {leg} run stopped early ({traj.status})", file=sys.stderr)
         return EXIT_OK
     curve = eng.coupled_rms(
         net, x0, y0, pert, grid, args.samples, args.seed,

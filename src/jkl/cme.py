@@ -8,9 +8,9 @@ the escaped mass lies outside the index (``0 -> A @ 10``, caps 5, t=2:
 5.0 against E[A] = 20).  This mirrors the stopping-time localization
 used by the simulator's state cap.
 
-Integration uses uniformization (exact up to a truncated Poisson tail)
-when ``max |diagonal| * horizon <= 1e6``, otherwise an adaptive
-Runge-Kutta fallback on the sparse generator.
+Integration uses uniformization on every horizon: exact up to a
+truncated Poisson tail, at a cost of about ``max |diagonal| * horizon``
+sparse matrix-vector products.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse
 
 from .engine import _check_grid, _check_network
@@ -37,8 +36,8 @@ __all__ = [
     "point_mass",
 ]
 
-UNIFORMIZATION_LIMIT = 1e6
 DEFAULT_MAX_STATES = 2 * 10**6
+DEFECT_THRESHOLD = 0.05  # CmeSolution.unreliable once the defect exceeds this
 
 
 class CmeError(RuntimeError):
@@ -169,7 +168,7 @@ class CmeSolution:
     times: np.ndarray
     probs: np.ndarray  # (G, n) retained probabilities
     defect: np.ndarray  # (G,)
-    unreliable: bool  # defect exceeded the configured threshold
+    unreliable: bool  # defect exceeded DEFECT_THRESHOLD
 
     def total_mass(self) -> np.ndarray:
         return self.probs.sum(axis=1) + self.defect
@@ -205,20 +204,18 @@ def integrate_cme(
     p0: np.ndarray,
     grid: Sequence[float],
     tol: float = 1e-10,
-    defect_threshold: float = 0.05,
 ) -> CmeSolution:
-    """Integrate p' = Q p on the grid.
+    """Integrate p' = Q p on the grid by uniformization.
 
     ``p0`` is the probability vector on the state index at time zero;
-    grid times are absolute (non-negative, increasing).  Uniformization
-    is used when ``lam * horizon <= 1e6`` (splitting long intervals so
-    the Poisson series stays in range), otherwise the adaptive RK
-    fallback.  ``retained + defect = 1`` holds to within ``tol``.
+    grid times are absolute (non-negative, increasing).  Each interval
+    is split into Poisson series of mean at most 500, so the cost is
+    about ``lam * horizon`` matrix-vector products on any horizon.
+    ``retained + defect = 1`` holds to within ``tol``.
 
     Raises:
         ValueError: if the grid is not a finite, non-negative, increasing axis.
-        CmeError: if the fallback integrator fails (stiffness), or a
-            Poisson series cannot reach its share of ``tol``.
+        CmeError: if a Poisson series cannot reach its share of ``tol``.
     """
     grid = _check_grid(grid)
     n = gen.n_states
@@ -228,52 +225,31 @@ def integrate_cme(
     if abs(p0.sum() - 1.0) > 1e-9 or (p0 < 0).any():
         raise ValueError("p0 must be a probability vector")
 
-    horizon = float(grid[-1])
     out = np.empty((len(grid), n))
     defect = np.empty(len(grid))
     p = np.concatenate([p0, [0.0]])
 
-    if gen.lam * horizon <= UNIFORMIZATION_LIMIT:
-        ident = scipy.sparse.identity(n + 1, format="csr")
-        p_op = (ident + gen.q / gen.lam).tocsr() if gen.lam > 0 else ident
-        t_prev = 0.0
-        for g, t in enumerate(grid):
-            dt = float(t) - t_prev
-            if dt > 0 and gen.lam > 0:
-                # keep each Poisson series within floating-point range
-                n_sub = max(1, int(np.ceil(gen.lam * dt / 500.0)))
-                a = gen.lam * dt / n_sub
-                step_tol = tol / max(1, len(grid)) / n_sub
-                for _ in range(n_sub):
-                    p = _uniformization_step(p, p_op, a, step_tol)
-            t_prev = float(t)
-            out[g] = p[:n]
-            defect[g] = p[n]
-    else:
-        q = gen.q
-
-        def rhs(_t, v):
-            return q @ v
-
-        res = scipy.integrate.solve_ivp(
-            rhs,
-            (0.0, float(grid[-1])),
-            p,
-            method="RK45",
-            t_eval=grid,
-            rtol=max(tol, 1e-12),
-            atol=max(tol, 1e-12),
-        )
-        if not res.success:
-            raise CmeError(f"master-equation integration failed: {res.message}")
-        out[:] = res.y[:n].T
-        defect[:] = res.y[n]
+    ident = scipy.sparse.identity(n + 1, format="csr")
+    p_op = (ident + gen.q / gen.lam).tocsr() if gen.lam > 0 else ident
+    t_prev = 0.0
+    for g, t in enumerate(grid):
+        dt = float(t) - t_prev
+        if dt > 0 and gen.lam > 0:
+            # keep each Poisson series within floating-point range
+            n_sub = max(1, int(np.ceil(gen.lam * dt / 500.0)))
+            a = gen.lam * dt / n_sub
+            step_tol = tol / max(1, len(grid)) / n_sub
+            for _ in range(n_sub):
+                p = _uniformization_step(p, p_op, a, step_tol)
+        t_prev = float(t)
+        out[g] = p[:n]
+        defect[g] = p[n]
 
     return CmeSolution(
         times=grid,
         probs=out,
         defect=defect,
-        unreliable=bool(defect.max() > defect_threshold),
+        unreliable=bool(defect.max() > DEFECT_THRESHOLD),
     )
 
 

@@ -190,11 +190,13 @@ class Trajectory:
         return math.inf if self.status == "t_end" else float(self.times[-1])
 
     def sample(self, grid: Sequence[float]) -> np.ndarray:
-        """States at the given times (right-continuous piecewise constant)."""
+        """States at the given times in [0, t_end] (right-continuous piecewise constant)."""
         grid = np.asarray(grid, dtype=float)
         idx = np.searchsorted(self.times, grid, side="right") - 1
         if (idx < 0).any():
             raise ValueError("grid extends before the initial time")
+        if (grid > self.t_end).any():
+            raise ValueError(f"grid extends past the simulated horizon t_end = {self.t_end!r}")
         return self.states[idx]
 
     def to_csv(self, species: Sequence[str], grid: Sequence[float] | None = None) -> str:

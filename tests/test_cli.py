@@ -90,6 +90,20 @@ class TestSimulate:
         assert code == 0 and out == ""
         assert path.read_text().startswith("time,A,B")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--t-end", "1", "--seed", "3", "--grid", "0.0,0.5,50.0"), "past"),
+            (("--t-end", "1", "--grid", "0,nan"), "grid"),
+            ((), "--t-end"),
+        ],
+        ids=["grid-past-t-end", "nan-grid", "no-t-end"],
+    )
+    def test_bad_horizon_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, "simulate", "--preset", "bimol", *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
 
 class TestEnsembleCouple:
     def test_ensemble_csv(self, capsys):
@@ -113,6 +127,17 @@ class TestEnsembleCouple:
                            "--x0", "5,5", "--perturb", "k2=-0.5")
         assert code == 0
         assert out.splitlines()[0] == "time,A,B,A_pert,B_pert"
+
+    def test_couple_single_pair_notes_a_capped_leg(self, capsys):
+        code, out, err = run(capsys, "couple", "--preset", "bimol", "--t-end", "1",
+                             "--seed", "3", "--samples", "1", "--grid", "0.0,0.5,50.0",
+                             "--state-cap", "3")
+        assert code == 0
+        assert out == "time,A,B,A_pert,B_pert\n0.0,0,0,0,0\n0.5,0,0,0,0\n50.0,4,0,4,0\n"
+        assert err.splitlines() == [
+            "note: nominal run stopped early (state_cap)",
+            "note: perturbed run stopped early (state_cap)",
+        ]
 
     def test_bad_perturb_flag(self, capsys):
         code, _, err = run(capsys, "couple", "--preset", "bimol", "--t-end", "1",

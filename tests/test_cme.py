@@ -247,6 +247,19 @@ class TestIntegration:
             expect = scipy.linalg.expm(dense * t) @ full0
             assert np.allclose(sol.probs[g], expect[:-1], atol=1e-9)
 
+    def test_isomerization_closed_form(self):
+        # A <-> B at rate k from (1, 0): p_A(t) = (1 + exp(-2 k t)) / 2, lam * t_end = 1e4
+        k = 100.0
+        net = parse_model(f"species A B\nR1: A -> B @ {k}\nR2: B -> A @ {k}")
+        idx = enumerate_states(net, [1, 0], 1)
+        gen = build_generator(net, idx)
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 100.0, 25)])
+        sol = integrate_cme(gen, point_mass(idx, [1, 0]), grid, tol=1e-10)
+        assert gen.lam * grid[-1] == pytest.approx(1e4)
+        p_a = sol.probs[:, idx.index_of([1, 0])]
+        assert np.abs(p_a - (1.0 + np.exp(-2.0 * k * grid)) / 2.0).max() <= 1e-10
+        assert np.abs(sol.total_mass() - 1.0).max() <= 1e-10
+
     def test_mass_conservation(self):
         idx = enumerate_states(BIMOL, [0, 0], 25)
         gen = build_generator(BIMOL, idx)

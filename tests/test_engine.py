@@ -173,6 +173,13 @@ class TestSingleTrajectory:
         t1 = traj.times[1]
         assert traj.sample([t1])[0, 0] == 1  # state at the jump includes it
 
+    def test_sample_rejects_times_outside_the_run(self):
+        traj = simulate_direct(BIRTH, [0], SimConfig(t_end=5.0, seed=2))
+        assert np.array_equal(traj.sample([5.0]), [traj.final_state])
+        for t in (-1.0, 5.5):
+            with pytest.raises(ValueError, match="grid extends"):
+                traj.sample([0.0, t])
+
     def test_rtc_exposes_internal_clocks(self):
         traj = simulate_rtc(BIMOL, [0, 0], SimConfig(t_end=5.0, seed=4))
         assert traj.internal_times is not None
