@@ -9,11 +9,12 @@ small: the whole module runs in a few seconds.
 
 import hashlib
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from jkl import analyzer, cme
+from jkl import analyzer, bounds, cme
 from jkl.cli import main
 from jkl.demos import run_demo
 from jkl.engine import (
@@ -207,6 +208,10 @@ CLI_CSV_CASES = {
     # the bound is inf past its blow-up time, about 0.2
     "bounds-cubic": ("bounds", "--preset", "cubic", "--kind", "cubic", "--x0", "3",
                      "--t-end", "0.4", "--grid", "4"),
+    # the second-moment envelope at its golden-section eps
+    **{f"bounds-second-{name}": ("bounds", "--preset", name, "--kind", "second",
+                                 "--t-end", "1", "--grid", "4")
+       for name in ("bimol", "enzyme", "reversible")},
 }
 
 DEMO_CSV_CASES = {
@@ -247,11 +252,16 @@ def _demo_csv_outputs(name: str, out_dir) -> dict[str, str]:
     return out
 
 
-# recorded by running the CSV writers as they were before the one CSV writer
+# recorded by running the CSV writers as they were before the one CSV writer;
+# the bounds-second digests by running second_moment_curve before the scalar
+# envelope of its eps search
 ENGINE_CSV_GOLDEN = {'ode': '5b3860416ceefa328b981635f45e9b382962ed0c94f6e4ad02db442216174a0d',
  'rms-no-species': 'e9cf5fa26870117ab96210f6a92096a195baa56d05bc638b15438d68de3cd41d'}
 
 CLI_CSV_GOLDEN = {'bounds-cubic': '8163777000c1bc640ed2ee953044c1c05bddc33fe34fade9692ff217906ce4ca',
+ 'bounds-second-bimol': 'b2cdb9808cba336957163509201b1bf4fdc042d11c6e5849d449cb319f2c1ac1',
+ 'bounds-second-enzyme': '6e5e23b4d81a9c4937a747fce0d02850eb7891b7fd65a4ecb9499eb360490809',
+ 'bounds-second-reversible': '2e0063d445e0112ad52e4079b27def948eaa8f39a25faab4bbf933cc3128e313',
  'cme': '6c9b7486635503ec5d05955c65c4f77b9b79420b52fc6abf0b2b4b0eec1f16ef',
  'couple-pair': 'dc71f340c419e71ff70b00bf531b5ad195b46497b5498af944801cccea9c2bee',
  'simulate-grid': 'e0b60dbbf33ab7b51f6670ef9431b120717d9ddc4b44ef6d6a40eb0732393b62'}
@@ -622,6 +632,59 @@ ANALYZE_GOLDEN = {'bimol': {'A': 2.0,
                                    'gamma': 0.5}]}}
 
 
+# seeded order <= 2 networks for the bound digest: every propensity kind,
+# rates that are not dyadic fractions, and a share of networks that take
+# each branch of the weight-vector search or are rejected
+BOUND_NETWORKS = 300
+BOUND_GRIDS = (np.array([0.0, 1.0, 800.0]), np.linspace(0.0, 1.0, 5))
+
+
+def _random_order2(rng: np.random.Generator) -> tuple[str, list[int]]:
+    dim = int(rng.integers(2, 6))
+    names = [f"S{i}" for i in range(dim)]
+
+    def side(n: int) -> str:
+        counts = Counter(rng.choice(names, size=n).tolist())
+        return " + ".join(f"{c} {s}" if c > 1 else s for s, c in sorted(counts.items())) or "0"
+
+    lines = ["species " + " ".join(names)]
+    for r in range(int(rng.integers(1, 7))):
+        lhs = side(int(rng.choice(3, p=[0.2, 0.3, 0.5])))
+        rhs = side(int(rng.integers(0, 4)))
+        rate = round(float(10 ** rng.uniform(-1.0, 1.0)), 4)
+        lines.append(f"R{r + 1}: {lhs} -> {rhs} @ {rate}")
+    return "\n".join(lines) + "\n", rng.integers(0, 11, size=dim).tolist()
+
+
+def _bound_outputs() -> str:
+    """sha256 of (l, A, alpha, eps, values) of the second-moment curve.
+
+    Over the seeded networks, at x0 norm 0, the l-weighted norm of the
+    network's x0 and 1e3, on both grids; a rejected network contributes
+    the name of its rejection.
+    """
+    rng = np.random.default_rng(20120217)
+    parts = []
+    for _ in range(BOUND_NETWORKS):
+        text, x0 = _random_order2(rng)
+        try:
+            report = analyzer.analyze(parse_model(text))
+        except analyzer.AnalyzerError as exc:
+            parts.append(type(exc).__name__)
+            continue
+        parts.append(np.array([*report.l, report.A, report.alpha]))
+        for x0_norm in (0.0, float(np.dot(report.l, x0)), 1e3):
+            for grid in BOUND_GRIDS:
+                curve = bounds.second_moment_curve(report, x0_norm, grid)
+                parts += [np.array([curve.inputs["eps"]]), curve.values]
+    return _digest(*parts)
+
+
+# recorded by running second_moment_curve as it was before the scalar envelope
+# of the eps search and the sign test of the weight-vector search
+BOUNDS_GOLDEN = '7c4ca33f4df3c3982711f2bec14931369abc10d00f96ee6cd5aa564f10ebf796'
+
+
 def _network(name):
     return parse_model(WEIGHTED[name]) if name in WEIGHTED else get_preset(name).network
 
@@ -654,6 +717,10 @@ def _assert_close(got, want):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_bound_digest():
+    assert _bound_outputs() == BOUNDS_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
