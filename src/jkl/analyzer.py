@@ -237,7 +237,9 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     Prefers an exact annihilator (``l . nu_r = 0`` for every superlinear
     reaction r, searched for when the superlinear stoichiometry has a
     non-trivial null space); otherwise falls back to the inequality form
-    ``l . nu_r >= 0``.  The result is normalized to ``min(l) = 1``.
+    ``l . nu_r >= 0``.  The exact search is skipped when a superlinear
+    column is nonzero and one-signed: no strictly positive l annihilates
+    it.  The result is normalized to ``min(l) = 1``.
 
     Raises:
         WeightVectorNotFound: if no strictly positive l exists; the
@@ -250,8 +252,10 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     cols = [rxn.nu for rxn in sup]
     n2t = np.array(cols, dtype=float)  # rows are the superlinear columns of N
 
-    # exact annihilation first: strictly positive element of the null space
-    if np.linalg.matrix_rank(n2t) < dim:
+    # exact annihilation first: strictly positive element of the null space;
+    # a nonzero one-signed column has l . nu_r != 0 for every l > 0
+    one_signed = any(any(c) and (min(c) >= 0 or max(c) <= 0) for c in cols)
+    if not one_signed and np.linalg.matrix_rank(n2t) < dim:
         l = _min_norm_positive(n2t)
         if l is not None:
             exact = _snap_rational(l, cols, equality=True)

@@ -92,6 +92,20 @@ def _envelope(x0_pow: float, b_const: float, beta: float, grid: np.ndarray) -> n
     return out
 
 
+def _envelope_at(x0_pow: float, b_const: float, beta: float, t: float) -> float:
+    """``_envelope`` at one time, bit for bit: the same float operations in
+    the same order, with numpy's exp and expm1 on a float64 scalar."""
+    z = np.float64(max(beta, 0.0) * t)
+    out = 0.0
+    with np.errstate(over="ignore"):
+        if x0_pow:
+            out = out + x0_pow * np.exp(z)
+        if b_const:
+            phi = np.expm1(z) / z if abs(z) > 1e-12 else 1.0 + z / 2.0 + z * z / 6.0
+            out = out + b_const * t * phi
+    return float(out)
+
+
 def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """int_0^t values ds at every grid time, by the trapezoid rule on the grid."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
@@ -129,9 +143,19 @@ def second_moment_curve(
     beta = |(1^T N)^2|_inf gamma + eps + 2 alpha and
     B = |(1^T N)^2|_inf Gamma + A^2 / eps hold for every eps > 0; unless
     given, eps minimizes the envelope at the grid midpoint by
-    golden-section search (with A = 0 the limit eps -> 0 is exact).
+    golden-section search (with A = 0 the limit eps -> 0 is exact).  An
+    explicit eps must be finite and > 0; eps = 0 is accepted only when
+    A = 0, since the A^2 / eps term is infinite there otherwise.
+
+    Raises:
+        ValueError: for any other explicit eps (0 with A > 0, negative,
+            infinite or NaN).
     """
     grid = _check_grid(grid)
+    if eps is not None and not (
+        (eps > 0 and math.isfinite(eps)) or (eps == 0 and report.A == 0)
+    ):
+        raise ValueError(f"eps must be finite and > 0 (or 0 when A = 0), got {eps!r}")
     if eps is None:
         if report.A == 0.0:
             eps = 0.0
@@ -141,7 +165,7 @@ def second_moment_curve(
 
             def val(e: float) -> float:
                 beta, b_const = _second_moment_consts(report, e)
-                return float(_envelope(x0_norm**2, b_const, beta, np.array([t_mid]))[0])
+                return _envelope_at(x0_norm**2, b_const, beta, t_mid)
 
             eps = _golden_min(val, 1e-9, 1e3)
     beta, b_const = _second_moment_consts(report, eps)

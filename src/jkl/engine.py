@@ -192,6 +192,8 @@ class Trajectory:
     def sample(self, grid: Sequence[float]) -> np.ndarray:
         """States at the given times in [0, t_end] (right-continuous piecewise constant)."""
         grid = np.asarray(grid, dtype=float)
+        if np.isnan(grid).any():
+            raise ValueError("grid times must not be NaN")
         idx = np.searchsorted(self.times, grid, side="right") - 1
         if (idx < 0).any():
             raise ValueError("grid extends before the initial time")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jkl import analyzer
 from jkl.analyzer import (
     CubicUnsupported,
     InvalidNetworkError,
@@ -133,6 +134,65 @@ class TestWeightVector:
         for net in (REVERSIBLE, ENZYME):
             l = find_weight_vector(net)
             assert l.min() == pytest.approx(1.0, abs=1e-9)
+
+
+# networks with a nonzero one-signed superlinear column and fewer independent
+# superlinear columns than species, so the exact search used to run on them,
+# and the weight vector each got then
+ONE_SIGNED = {
+    "enzyme": (ENZYME, [1.0, 1.0]),
+    "two-columns": (
+        parse_model("species A B C\nR1: A + B -> 0 @ 1\nR2: 2 B -> 3 C @ 1\nR3: C -> A @ 0.5"),
+        [1.0, 1.5, 1.0],
+    ),
+    "three-columns": (
+        parse_model("species A B C D\nR1: A + B -> 0 @ 1\nR2: 2 C -> 3 D @ 1\n"
+                    "R3: C + D -> 2 A + B @ 0.3\nR4: 0 -> A @ 2"),
+        [1.0, 1.0, 2.0, 1.0],
+    ),
+}
+
+
+class TestSignTest:
+    """A superlinear column nu_r != 0 whose entries share one sign has
+    l . nu_r != 0 for every l > 0, so the exact annihilator search is
+    skipped and the inequality LP decides."""
+
+    @pytest.fixture
+    def no_exact_search(self, monkeypatch):
+        def fail(n2t):
+            raise AssertionError("exact annihilator search ran on a one-signed column")
+
+        monkeypatch.setattr(analyzer, "_min_norm_positive", fail)
+
+    @pytest.mark.parametrize("name", sorted(ONE_SIGNED))
+    def test_one_signed_column_skips_exact_search(self, no_exact_search, name):
+        net, l_want = ONE_SIGNED[name]
+        assert find_weight_vector(net).tolist() == l_want
+
+    def test_one_signed_explosive_still_not_found(self, no_exact_search):
+        with pytest.raises(WeightVectorNotFound):
+            find_weight_vector(parse_model("species A\nR: 2 A -> 3 A @ 1.0"))
+
+    def test_mixed_columns_still_search(self):
+        # every column has both signs: the exact search runs and finds l
+        assert np.allclose(find_weight_vector(REVERSIBLE), [1.0, 1.0, 2.0])
+
+    def test_exact_search_fails_on_every_one_signed_column(self):
+        # the skip changes no result: on seeded random superlinear columns
+        # with one nonzero one-signed column, the search the skip replaces
+        # returns None, as it did before the skip
+        rng = np.random.default_rng(11)
+        runs = 0
+        while runs < 120:
+            dim, rows = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+            n2t = rng.integers(-3, 4, size=(rows, dim)).astype(float)
+            row = n2t[rng.integers(rows)]
+            row[:] = np.abs(row) * (1 if rng.random() < 0.5 else -1)
+            if not row.any():
+                continue
+            runs += 1
+            assert analyzer._min_norm_positive(n2t) is None, n2t.tolist()
 
 
 class TestDriftConstants:

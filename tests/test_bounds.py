@@ -7,6 +7,8 @@ import pytest
 
 from jkl.analyzer import analyze
 from jkl.bounds import (
+    _envelope,
+    _envelope_at,
     asymptotic_check,
     coefficient_perturbation_curve,
     cubic_blowup_lowerbound,
@@ -104,6 +106,49 @@ class TestSecondMoment:
         for eps in (0.05, 0.2, 1.0, 5.0, 25.0):
             manual = second_moment_curve(R_BIMOL, 0.0, grid, eps=eps)
             assert mid(auto) <= mid(manual) * (1 + 1e-9)
+
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_eps_rejected(self, eps):
+        # at eps = 0 the A^2 / eps term is infinite while A > 0
+        assert R_BIMOL.A > 0
+        with pytest.raises(ValueError, match="eps"):
+            second_moment_curve(R_BIMOL, 0.0, np.linspace(0, 1, 5), eps=eps)
+
+    def test_eps_zero_allowed_when_a_is_zero(self):
+        grid = np.linspace(0, 1, 5)
+        explicit = second_moment_curve(R_REV, 10.0, grid, eps=0.0)
+        assert np.array_equal(explicit.values, second_moment_curve(R_REV, 10.0, grid).values)
+        with pytest.raises(ValueError, match="eps"):
+            second_moment_curve(R_REV, 10.0, grid, eps=-1.0)
+
+
+class TestEnvelopeAt:
+    """The scalar envelope of the eps search equals the array one bit for bit."""
+
+    def _cases(self):
+        rng = np.random.default_rng(5)
+        coeffs = [0.0, 1.0, *(10 ** rng.uniform(-3, 6, 6))]
+        betas = [-2.0, 0.0, 1e-15, 3e-13, *(10 ** rng.uniform(-14, 3, 8)), 1e300, np.inf]
+        times = [0.0, 1e-12, 0.5, *rng.uniform(0, 1000, 4), 1e10]
+        for x0_pow in coeffs:
+            for b_const in coeffs:
+                for beta in betas:
+                    for t in times:
+                        yield x0_pow, b_const, float(beta), float(t)
+
+    def test_bits_match_the_array_envelope(self):
+        seen = set()
+        with np.errstate(invalid="ignore"):
+            for x0_pow, b_const, beta, t in self._cases():
+                want = float(_envelope(x0_pow, b_const, beta, np.array([t]))[0])
+                got = _envelope_at(x0_pow, b_const, beta, t)
+                assert type(got) is float
+                assert got.hex() == want.hex(), (x0_pow, b_const, beta, t)
+                z = max(beta, 0.0) * t
+                seen.add("series" if abs(z) <= 1e-12 else "expm1")
+                seen.add("inf" if got == math.inf else "nan" if math.isnan(got) else "finite")
+        assert seen == {"series", "expm1", "inf", "nan", "finite"}
 
 
 class TestPthMoment:

@@ -180,6 +180,12 @@ class TestSingleTrajectory:
             with pytest.raises(ValueError, match="grid extends"):
                 traj.sample([0.0, t])
 
+    def test_sample_rejects_nan_times(self):
+        # searchsorted puts NaN after every time, which would read the final state
+        traj = simulate_direct(BIMOL, [0, 0], SimConfig(t_end=1.0, seed=3))
+        with pytest.raises(ValueError, match="NaN"):
+            traj.sample([0.0, math.nan])
+
     def test_rtc_exposes_internal_clocks(self):
         traj = simulate_rtc(BIMOL, [0, 0], SimConfig(t_end=5.0, seed=4))
         assert traj.internal_times is not None
