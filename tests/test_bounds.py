@@ -107,7 +107,6 @@ class TestSecondMoment:
             manual = second_moment_curve(R_BIMOL, 0.0, grid, eps=eps)
             assert mid(auto) <= mid(manual) * (1 + 1e-9)
 
-
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_eps_rejected(self, eps):
         # at eps = 0 the A^2 / eps term is infinite while A > 0
