@@ -239,7 +239,9 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     non-trivial null space); otherwise falls back to the inequality form
     ``l . nu_r >= 0``.  The exact search is skipped when a superlinear
     column is nonzero and one-signed: no strictly positive l annihilates
-    it.  The result is normalized to ``min(l) = 1``.
+    it.  The inequality search is skipped when such a column has no
+    positive entry: no strictly positive l gives ``l . nu_r >= 0``.  The
+    result is normalized to ``min(l) = 1``.
 
     Raises:
         WeightVectorNotFound: if no strictly positive l exists; the
@@ -263,20 +265,22 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
                 return exact
             return l / l.min()
 
-    # inequality fallback: minimize sum(l) with l >= 1, N2^T l >= 0
-    res = scipy.optimize.linprog(
-        c=np.ones(dim),
-        A_ub=-n2t,
-        b_ub=np.zeros(len(cols)),
-        bounds=[(1.0, None)] * dim,
-        method="highs",
-    )
-    if res.status == 0:
-        l = np.asarray(res.x, dtype=float)
-        exact = _snap_rational(l, cols, equality=False)
-        if exact is not None:
-            return exact
-        return l / l.min()
+    # inequality fallback: minimize sum(l) with l >= 1, N2^T l >= 0; a
+    # nonzero column with no positive entry has l . nu_r < 0 for every l > 0
+    if not any(any(c) and max(c) <= 0 for c in cols):
+        res = scipy.optimize.linprog(
+            c=np.ones(dim),
+            A_ub=-n2t,
+            b_ub=np.zeros(len(cols)),
+            bounds=[(1.0, None)] * dim,
+            method="highs",
+        )
+        if res.status == 0:
+            l = np.asarray(res.x, dtype=float)
+            exact = _snap_rational(l, cols, equality=False)
+            if exact is not None:
+                return exact
+            return l / l.min()
 
     obstructions = [rxn.label for rxn in sup if any(v < 0 for v in rxn.nu)]
     raise WeightVectorNotFound(obstructions)

@@ -220,7 +220,7 @@ def cmd_bounds(args) -> int:
         curve = bnd.cubic_blowup_lowerbound(x0, _grid(args))
         _emit(args, curve.to_csv())
         return EXIT_OK
-    report = analyze(net, weight="ones")
+    report = analyze(net, weight="auto")
     if kind == "asymptotic":
         kappa = bnd.asymptotic_check(report, args.p or 1)
         if kappa is None:
@@ -230,7 +230,7 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
     x0 = _initial_state(args, net, default_x0)
     grid = _grid(args)
-    x0_norm = float(x0.sum())
+    x0_norm = float(np.dot(report.l, x0))  # the moment bounds are in l . x
     if kind == "first":
         curve = bnd.first_moment_curve(report, x0_norm, grid)
     elif kind == "second":

@@ -16,7 +16,8 @@ and schedule-independent:
   through the splitmix64 mixing chain :func:`mix64`;
 * trajectory ``i`` of an ensemble uses ``s_i = mix64(seed, i)``; channel
   ``r`` of coupled pair ``i`` uses ``mix64(s_i, _CHANNEL_TAG, r)`` for
-  both legs;
+  both legs: each stream is seeded once per pair, and the perturbed leg
+  replays the draws the nominal leg took from it, then continues it;
 * exponentials are inverse-CDF samples ``-log(1 - u)``;
 * both ensemble estimators go through one reducer, :func:`_reduce`,
   which combines fixed-size chunk sums in index order, so serial and
@@ -47,6 +48,7 @@ then run the compiled steppers, which skip the check.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import random
@@ -256,7 +258,8 @@ class PerturbationSpec:
 
 
 # Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
-# is the direct method's stream, or the RTC sampler's list of channel clocks.
+# is the direct method's stream, or the RTC sampler's list of channel clocks,
+# each a zero-argument callable returning the channel's next uniform.
 _SKELETON = """\
 def step(x, draws, t_end, max_events, state_cap, grid=None):
     [{xs}] = x
@@ -326,7 +329,7 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
 
     if rtc:
         # p_j is channel j's next clock point, s_j its integrated intensity
-        start = [f"    clock{j} = draws[{j}].random" for j in range(n_r)]
+        start = [f"    clock{j} = draws[{j}]" for j in range(n_r)]
         start += [f"    p{j} = -log(1.0 - clock{j}())" for j in range(n_r)]
         start += [f"    s{j} = 0.0" for j in range(n_r)]
         start += [] if grid else [f"    k{j} = 0" for j in range(n_r)]
@@ -428,13 +431,9 @@ def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
     return x
 
 
-def _path(net, sampler: str, x0, cfg: SimConfig) -> Trajectory:
-    """One full sample path from the compiled path-mode stepper."""
+def _path(net, sampler: str, x0, cfg: SimConfig, draws) -> Trajectory:
+    """One full sample path from the compiled path-mode stepper on ``draws``."""
     x = _check_state(x0, net)
-    if sampler == "direct":
-        draws = random.Random(cfg.seed & _MASK64)
-    else:
-        draws = _channel_streams(cfg.seed, net.n_reactions)
     step = _stepper(net.reactions, net.n_species, sampler, "path")
     times, states, channels, status, *clocks = step(
         x, draws, cfg.t_end, cfg.max_events, cfg.state_cap
@@ -460,7 +459,7 @@ def simulate_direct(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> 
     the path runs to t_end.
     """
     _check_network(net)
-    return _path(net, "direct", x0, cfg)
+    return _path(net, "direct", x0, cfg, random.Random(cfg.seed & _MASK64))
 
 
 _CHANNEL_TAG = 0x52544300  # stream-domain separator for per-channel clocks
@@ -477,12 +476,25 @@ def simulate_rtc(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> Tra
     index.
     """
     _check_network(net)
-    return _path(net, "rtc", x0, cfg)
+    clocks = [r.random for r in _channel_streams(cfg.seed, net.n_reactions)]
+    return _path(net, "rtc", x0, cfg, clocks)
 
 
 def _channel_streams(seed: int, n_r: int) -> list[random.Random]:
     z = mix64(seed, _CHANNEL_TAG)
     return [random.Random(_mix(z, (r,))) for r in range(n_r)]
+
+
+def _coupled_clocks(seed: int, n_r: int) -> tuple[list, list]:
+    """The channel clocks of a coupled pair's two legs, on one set of streams.
+
+    The first leg draws channel r from its stream through a ``tee``; the
+    second leg reads the draws the first one buffered, then continues the
+    same stream.  So each leg sees the stream's draws in stream order,
+    exactly as a leg with freshly seeded streams would.
+    """
+    legs = [itertools.tee(iter(r.random, None)) for r in _channel_streams(seed, n_r)]
+    return [x.__next__ for x, _ in legs], [y.__next__ for _, y in legs]
 
 
 def simulate_coupled(
@@ -494,15 +506,18 @@ def simulate_coupled(
 ) -> tuple[Trajectory, Trajectory]:
     """Coupled pair: nominal and perturbed legs on shared channel clocks.
 
-    Both legs consume the *same* per-channel unit-rate Poisson streams
-    (re-created from identical seeds), each advancing its own integrated
-    intensity.  With equal initial data and zero perturbation the two
-    legs coincide event for event.
+    Both legs consume the *same* per-channel unit-rate Poisson streams,
+    each advancing its own integrated intensity: the streams are seeded
+    once, and the perturbed leg replays the nominal leg's draws before it
+    continues them, so each leg equals :func:`simulate_rtc` on its network.
+    With equal initial data and zero perturbation the two legs coincide
+    event for event.
     """
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
-    return _path(net, "rtc", x0, cfg), _path(pert_net, "rtc", y0, cfg)
+    clocks_x, clocks_y = _coupled_clocks(cfg.seed, net.n_reactions)
+    return _path(net, "rtc", x0, cfg, clocks_x), _path(pert_net, "rtc", y0, cfg, clocks_y)
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +711,10 @@ def _rms_terms(grid, cfg, net, pert_net, x0, y0):
     n_r = net.n_reactions
 
     def sample(seed):
-        # both legs run on the same per-channel clocks, re-created per leg
-        rows_x, cap_x, _ = step_x(x, _channel_streams(seed, n_r), *run)
-        rows_y, cap_y, _ = step_y(y, _channel_streams(seed, n_r), *run)
+        # both legs run on the same per-channel clocks, seeded once per pair
+        clocks_x, clocks_y = _coupled_clocks(seed, n_r)
+        rows_x, cap_x, _ = step_x(x, clocks_x, *run)
+        rows_y, cap_y, _ = step_y(y, clocks_y, *run)
         return (rows_x, rows_y), min(cap_x, cap_y)
 
     def batch(pairs):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from jkl import analyzer
 from jkl.analyzer import (
@@ -189,6 +190,36 @@ class TestSignTest:
                 continue
             runs += 1
             assert analyzer._min_norm_positive(n2t) is None, n2t.tolist()
+
+
+# superlinear networks with a nonzero column that has no positive entry, and
+# the obstructions the inequality LP's failure reported for them
+NO_POSITIVE_ENTRY = {
+    "explosive-dimer": ("species A\nR: 2 A -> 3 A @ 1.0", ["R"]),
+    "pair-growth": ("species A B\nR1: A + B -> 2 A + 2 B @ 1\nR2: 2 A -> B @ 1", ["R1", "R2"]),
+    "catalysed-birth": (
+        "species A B C\nR1: A + B -> A + B + C @ 1\nR2: 2 C -> 0 @ 1\nR3: 0 -> A @ 1",
+        ["R1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_POSITIVE_ENTRY))
+def test_lp_skipped_without_a_positive_entry(monkeypatch, name):
+    # l . nu_r < 0 for every l > 0 on such a column, so no LP runs and the
+    # search fails with the same obstructions as when the LP failed
+    def fail(*args, **kwargs):
+        raise AssertionError("the inequality LP ran on a column with no positive entry")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", fail)
+    text, obstructions = NO_POSITIVE_ENTRY[name]
+    with pytest.raises(WeightVectorNotFound) as exc:
+        find_weight_vector(parse_model(text))
+    assert exc.value.obstructions == obstructions
+    assert str(exc.value) == (
+        "no strictly positive weight vector l satisfies l . nu_r >= 0 on every "
+        f"superlinear column; obstructing reactions: {', '.join(obstructions)}"
+    )
 
 
 class TestDriftConstants:

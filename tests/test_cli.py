@@ -177,6 +177,22 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["kappa"] == pytest.approx(2.0)
 
+    def test_weight_vector_network(self, capsys, tmp_path):
+        # R2 raises |x|_1, so only a searched weight l tames it; the moment
+        # bounds then start from l . x0
+        path = tmp_path / "w.rxn"
+        path.write_text("species A B\nR1: 0 -> A @ 1\nR2: 2 A -> 3 B @ 1\nR3: B -> 0 @ 1\n")
+        code, out, _ = run(capsys, "analyze", "--model", str(path), "--json")
+        assert code == 0
+        l = json.loads(out)["l"]
+        assert l != [1.0, 1.0]
+        x0_norm = 2 * l[0] + 5 * l[1]
+        for kind, p in (("first", 1), ("second", 2), ("pth", 3)):
+            code, out, _ = run(capsys, "bounds", "--model", str(path), "--x0", "2,5",
+                               "--kind", kind, "--p", "3", "--t-end", "1", "--grid", "3")
+            assert code == 0
+            assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(x0_norm**p)
+
     def test_analyzer_rejection_propagates(self, capsys):
         code, _, err = run(capsys, "bounds", "--preset", "cubic", "--kind", "first",
                            "--t-end", "1")

@@ -347,6 +347,53 @@ class TestCoupling:
         assert small.rms[-1] < 0.5  # would be O(3) for independent runs
 
 
+class TestSharedStreams:
+    """A coupled pair seeds each channel stream once: the perturbed leg
+    replays the draws the nominal leg took, then continues the stream."""
+
+    def test_legs_equal_plain_rtc_runs(self):
+        # the perturbed leg fires more, fewer and as many events as the
+        # nominal one, and either leg may stop at a cap
+        signs, statuses = set(), set()
+        for caps in ({}, {"max_events": 10}, {"state_cap": 6}):
+            for delta in (-0.5, 0.0, 0.5):
+                pert = PerturbationSpec({"k1": delta})
+                for seed in range(8):
+                    cfg = SimConfig(t_end=4.0, seed=seed, **caps)
+                    legs = simulate_coupled(BIMOL, [3, 1], [3, 1], pert, cfg)
+                    plain = (
+                        simulate_rtc(BIMOL, [3, 1], cfg),
+                        simulate_rtc(pert.apply(BIMOL), [3, 1], cfg),
+                    )
+                    for leg, want in zip(legs, plain):
+                        assert leg.times.tobytes() == want.times.tobytes()
+                        assert np.array_equal(leg.states, want.states)
+                        assert np.array_equal(leg.channels, want.channels)
+                        assert leg.status == want.status
+                        assert leg.internal_times == want.internal_times
+                        assert leg.channel_counts == want.channel_counts
+                        statuses.add(leg.status)
+                    signs.add(int(np.sign(legs[1].n_events - legs[0].n_events)))
+        assert signs == {-1, 0, 1}
+        assert statuses == {"t_end", "max_events", "state_cap"}
+
+    def test_streams_seeded_once_per_pair(self, monkeypatch):
+        seeds = []
+        streams = engine._channel_streams
+
+        def counting(seed, n_r):
+            seeds.append(seed)
+            return streams(seed, n_r)
+
+        monkeypatch.setattr(engine, "_channel_streams", counting)
+        pert = PerturbationSpec({"k2": 0.1})
+        coupled_rms(BIMOL, [5, 5], [5, 5], pert, [0.0, 0.5], 300, seed=2, workers=1)
+        assert seeds == [mix64(2, i) for i in range(300)]
+        seeds.clear()
+        simulate_coupled(BIMOL, [5, 5], [5, 5], pert, SimConfig(t_end=0.5, seed=2))
+        assert seeds == [2]
+
+
 class TestEnsembles:
     def test_poisson_mean_within_stderr(self):
         grid = np.array([0.0, 2.0, 5.0])
@@ -376,6 +423,15 @@ class TestEnsembles:
         a = coupled_rms(BIMOL, [5, 5], [5, 5], pert, grid, 600, seed=4, workers=1)
         b = coupled_rms(BIMOL, [5, 5], [5, 5], pert, grid, 600, seed=4, workers=2)
         assert np.array_equal(a.rms, b.rms)
+        assert a.to_csv(BIMOL.species) == b.to_csv(BIMOL.species)
+        # legs that fire unequally and stop at the state cap
+        grid = np.linspace(0.0, 2.0, 5)
+        pert = PerturbationSpec({"k1": 0.5})
+        a, b = (
+            coupled_rms(BIMOL, [3, 1], [3, 1], pert, grid, 600, seed=9, workers=w, state_cap=6)
+            for w in (1, 2)
+        )
+        assert (a.n_valid < 600).any()
         assert a.to_csv(BIMOL.species) == b.to_csv(BIMOL.species)
 
     def test_explosion_flagged_and_excluded(self):
@@ -624,7 +680,7 @@ class TestSteppers:
             draws = (
                 random.Random(seed)
                 if sampler == "direct"
-                else engine._channel_streams(seed, self.NET.n_reactions)
+                else [r.random for r in engine._channel_streams(seed, self.NET.n_reactions)]
             )
             step = engine._stepper(self.NET.reactions, 3, sampler, "grid")
             rows, cap_time, n_events = step(
