@@ -4,6 +4,9 @@ Exact simulation of mass-action jump processes (single paths, coupled
 pairs under common randomness, ensembles), closed-form stability
 constants from the network stoichiometry, moment and perturbation bound
 curves, and a truncated master-equation oracle for cross-validation.
+
+Importing the package loads numpy only; each scipy subpackage and
+``multiprocessing`` are imported inside the functions that call them.
 """
 
 from .analyzer import (

@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .model import Reaction, ReactionNetwork, drift_eval, validate_network
 
@@ -198,6 +197,8 @@ def _contributions(net: ReactionNetwork) -> tuple[ReactionContribution, ...]:
 
 def _min_norm_positive(n2t: np.ndarray) -> np.ndarray | None:
     """Smallest-norm l with l >= 1 and N2^T l = 0; None if infeasible."""
+    import scipy.optimize
+
     dim = n2t.shape[1]
     res = scipy.optimize.minimize(
         lambda l: l @ l,
@@ -268,6 +269,8 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     # inequality fallback: minimize sum(l) with l >= 1, N2^T l >= 0; a
     # nonzero column with no positive entry has l . nu_r < 0 for every l > 0
     if not any(any(c) and max(c) <= 0 for c in cols):
+        import scipy.optimize
+
         res = scipy.optimize.linprog(
             c=np.ones(dim),
             A_ub=-n2t,

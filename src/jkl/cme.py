@@ -16,13 +16,15 @@ sparse matrix-vector products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .engine import _check_grid, _check_network
 from .model import ReactionNetwork, _rates
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "CmeError",
@@ -142,6 +144,8 @@ class GeneratorMatrix:
 
 
 def build_generator(net: ReactionNetwork, idx: StateIndex) -> GeneratorMatrix:
+    import scipy.sparse
+
     _check_network(net)
     n = idx.n_states
     w, nxt, inside = _successors(net, idx.states, idx.caps)
@@ -217,6 +221,8 @@ def integrate_cme(
         ValueError: if the grid is not a finite, non-negative, increasing axis.
         CmeError: if a Poisson series cannot reach its share of ``tol``.
     """
+    import scipy.sparse
+
     grid = _check_grid(grid)
     n = gen.n_states
     p0 = np.asarray(p0, dtype=float)

@@ -53,11 +53,9 @@ import math
 import os
 import random
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Sequence
 
 import numpy as np
-import scipy.integrate
 
 from .model import ReactionNetwork, _compile, _expression, _rates, validate_network
 
@@ -122,7 +120,11 @@ class SimulationError(RuntimeError):
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Resolve the worker count: argument, else JKL_THREADS, else all cores."""
+    """Resolve the worker count: argument, else JKL_THREADS, else usable cores.
+
+    Usable cores are those of the process's CPU affinity mask where the
+    platform reports one, else every core.
+    """
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("JKL_THREADS")
@@ -131,6 +133,8 @@ def worker_count(requested: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -596,6 +600,8 @@ def _pool_map(fn, jobs, workers):
     """``[fn(*job) for job in jobs]``, on a fork pool when workers > 1."""
     if workers <= 1 or len(jobs) <= 1:
         return [fn(*job) for job in jobs]
+    from multiprocessing import get_context
+
     ctx = get_context("fork")
     with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         return pool.starmap(fn, jobs)
@@ -892,6 +898,8 @@ def integrate_rre(
         raise ValueError("initial state must be non-negative")
     if len(grid) == 1:  # solve_ivp returns no usable result on an empty span
         return OdeSolution(times=grid, states=x_init[None, :])
+    import scipy.integrate
+
     nmat = net.stoichiometry.astype(float)
     rates = _rates(net.reactions, net.n_species, False)
     w = np.empty(net.n_reactions)

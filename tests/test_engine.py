@@ -507,8 +507,15 @@ class TestEnsembles:
         monkeypatch.setenv("JKL_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("JKL_THREADS", "junk")
-        assert worker_count() == (os.cpu_count() or 1)
+        assert worker_count() == len(os.sched_getaffinity(0))
         assert worker_count(5) == 5
+
+    def test_worker_count_affinity(self, monkeypatch):
+        monkeypatch.delenv("JKL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert worker_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert worker_count() == (os.cpu_count() or 1)
 
 
 def _reference_rate(prop, x):
