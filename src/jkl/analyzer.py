@@ -24,7 +24,7 @@ plain 1-norm, so constants stated against ``|.|_1`` stay valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -218,18 +218,15 @@ def _min_norm_positive(n2t: np.ndarray) -> np.ndarray | None:
     return l
 
 
-def _snap_rational(l: np.ndarray, n2_cols: list[tuple[int, ...]], equality: bool):
-    """Try to replace a float weight vector by nearby exact rationals."""
+def _snap_rational(l: np.ndarray, n2_cols: list[tuple[int, ...]], equality: bool) -> np.ndarray:
+    """``l`` scaled to ``min(l) = 1``: as nearby exact rationals if they keep
+    every ``l . nu_r`` zero (``equality``) or non-negative, else as floats."""
     snapped = [Fraction(v).limit_denominator(10**6) for v in l]
     lo = min(snapped)
-    if lo <= 0:
-        return None
-    snapped = [v / lo for v in snapped]
-    for col in n2_cols:
-        s = sum(c * v for c, v in zip(col, snapped))
-        if (equality and s != 0) or (not equality and s < 0):
-            return None
-    return np.array([float(v) for v in snapped])
+    dots = (sum(c * v for c, v in zip(col, snapped)) for col in n2_cols)
+    if lo > 0 and all(d == 0 if equality else d >= 0 for d in dots):
+        return np.array([float(v / lo) for v in snapped])
+    return l / l.min()
 
 
 def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
@@ -261,10 +258,7 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     if not one_signed and np.linalg.matrix_rank(n2t) < dim:
         l = _min_norm_positive(n2t)
         if l is not None:
-            exact = _snap_rational(l, cols, equality=True)
-            if exact is not None:
-                return exact
-            return l / l.min()
+            return _snap_rational(l, cols, equality=True)
 
     # inequality fallback: minimize sum(l) with l >= 1, N2^T l >= 0; a
     # nonzero column with no positive entry has l . nu_r < 0 for every l > 0
@@ -279,11 +273,7 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
             method="highs",
         )
         if res.status == 0:
-            l = np.asarray(res.x, dtype=float)
-            exact = _snap_rational(l, cols, equality=False)
-            if exact is not None:
-                return exact
-            return l / l.min()
+            return _snap_rational(np.asarray(res.x, dtype=float), cols, equality=False)
 
     obstructions = [rxn.label for rxn in sup if any(v < 0 for v in rxn.nu)]
     raise WeightVectorNotFound(obstructions)
@@ -465,35 +455,15 @@ class StabilityReport:
         return self.norm_1tN2 * self.lam
 
     def to_dict(self) -> dict:
-        return {
-            "A": self.A,
-            "alpha": self.alpha,
-            "L": self.L,
-            "lambda": self.lam,
-            "Gamma": self.Gamma,
-            "gamma": self.gamma,
-            "M": self.M,
-            "mu": self.mu,
-            "l": list(self.l),
-            "norm_1tN": self.norm_1tN,
-            "norm_1tN_sq": self.norm_1tN_sq,
-            "norm_1tN2": self.norm_1tN2,
-            "M_special_sum": self.M_special_sum,
-            "M_combined": self.M_combined,
-            "per_reaction": [
-                {
-                    "label": c.label,
-                    "kind": c.kind,
-                    "M": c.M,
-                    "mu": c.mu,
-                    "L": c.L,
-                    "lambda": c.lam,
-                    "Gamma": c.Gamma,
-                    "gamma": c.gamma,
-                }
-                for c in self.per_reaction
-            ],
-        }
+        """The fields by name, ``lam`` spelled ``lambda``, sequences as lists."""
+        out = _named(asdict(self))
+        out["l"] = list(self.l)
+        out["per_reaction"] = [_named(row) for row in out["per_reaction"]]
+        return out
+
+
+def _named(fields: dict) -> dict:
+    return {"lambda" if key == "lam" else key: value for key, value in fields.items()}
 
 
 def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
@@ -514,22 +484,18 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
         raise InvalidNetworkError(issues)
 
     rows = _contributions(net)
-    dim = net.n_species
     if isinstance(weight, str):
-        if weight == "ones":
-            lv = np.ones(dim)
-            a, alpha = drift_constants(net, lv)
-        elif weight == "auto":
-            try:
-                lv = np.ones(dim)
-                a, alpha = drift_constants(net, lv)
-            except QuadraticObstruction:
-                lv = find_weight_vector(net)
-                a, alpha = drift_constants(net, lv)
-        else:
+        if weight not in ("ones", "auto"):
             raise ValueError(f"unknown weight policy {weight!r}")
+        lv, search = np.ones(net.n_species), weight == "auto"
     else:
-        lv = np.asarray(weight, dtype=float)
+        lv, search = np.asarray(weight, dtype=float), False
+    try:
+        a, alpha = drift_constants(net, lv)
+    except QuadraticObstruction:
+        if not search:
+            raise
+        lv = find_weight_vector(net)
         a, alpha = drift_constants(net, lv)
 
     m_special = _column_sum(rows, "M")

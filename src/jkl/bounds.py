@@ -65,36 +65,17 @@ def exp_plus(z: np.ndarray | float) -> np.ndarray | float:
     return np.exp(np.maximum(z, 0.0))
 
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1) / z with the analytic value 1 at z = 0."""
-    z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
-    nz = np.abs(z) > 1e-12
-    with np.errstate(over="ignore"):
-        out[nz] = np.expm1(z[nz]) / z[nz]
-    # second-order series keeps ~1e-10 accuracy through the removable point
-    small = ~nz
-    out[small] = 1.0 + z[small] / 2.0 + z[small] ** 2 / 6.0
-    return out
-
-
 def _envelope(x0_pow: float, b_const: float, beta: float, grid: np.ndarray) -> np.ndarray:
-    # exponents can be huge for high moment orders; inf is the honest value.
-    # A term with coefficient 0 is dropped, so no 0 * inf turns it into NaN.
-    beta_plus = max(beta, 0.0)
-    t = np.asarray(grid, dtype=float)
-    out = np.zeros_like(t)
-    with np.errstate(over="ignore"):
-        if x0_pow:
-            out = out + x0_pow * np.exp(beta_plus * t)
-        if b_const:
-            out = out + b_const * t * _phi(beta_plus * t)
-    return out
+    """:func:`_envelope_at` at each grid time."""
+    return np.array([_envelope_at(x0_pow, b_const, beta, t) for t in grid.tolist()])
 
 
 def _envelope_at(x0_pow: float, b_const: float, beta: float, t: float) -> float:
-    """``_envelope`` at one time, bit for bit: the same float operations in
-    the same order, with numpy's exp and expm1 on a float64 scalar."""
+    """``x0_pow exp(z) + b_const t (exp(z) - 1) / z`` at one time, ``z = max(beta, 0) t``.
+
+    A second-order series keeps ~1e-10 accuracy where ``|z| <= 1e-12``.  A
+    term with coefficient 0 is dropped, so an overflow reads inf, never NaN.
+    """
     z = np.float64(max(beta, 0.0) * t)
     out = 0.0
     with np.errstate(over="ignore"):
@@ -106,6 +87,12 @@ def _envelope_at(x0_pow: float, b_const: float, beta: float, t: float) -> float:
     return float(out)
 
 
+def _check_x0_norm(x0_norm: float) -> None:
+    """Reject a starting norm that is not finite and >= 0."""
+    if not (math.isfinite(x0_norm) and x0_norm >= 0):
+        raise ValueError(f"x0_norm must be finite and >= 0, got {x0_norm!r}")
+
+
 def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """int_0^t values ds at every grid time, by the trapezoid rule on the grid."""
     return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
@@ -114,8 +101,13 @@ def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
 def first_moment_curve(
     report: StabilityReport, x0_norm: float, grid: Sequence[float]
 ) -> BoundCurve:
-    """Envelope for E|X_t|_1: |X_0|_1 e^(a+ t) + A (e^(a+ t) - 1)/a+."""
+    """Envelope for E|X_t|_1: |X_0|_1 e^(a+ t) + A (e^(a+ t) - 1)/a+.
+
+    Raises:
+        ValueError: for a bad grid, or an x0_norm that is not finite and >= 0.
+    """
     grid = _check_grid(grid)
+    _check_x0_norm(x0_norm)
     values = _envelope(x0_norm, report.A, report.alpha, grid)
     return BoundCurve(
         grid,
@@ -149,9 +141,11 @@ def second_moment_curve(
 
     Raises:
         ValueError: for any other explicit eps (0 with A > 0, negative,
-            infinite or NaN).
+            infinite or NaN), a bad grid, or an x0_norm that is not finite
+            and >= 0.
     """
     grid = _check_grid(grid)
+    _check_x0_norm(x0_norm)
     if eps is not None and not (
         (eps > 0 and math.isfinite(eps)) or (eps == 0 and report.A == 0)
     ):
@@ -212,10 +206,15 @@ def pth_moment_curve(
 
     beta <= (p - 1 + p alpha) + (Gamma + gamma)(2^p - 2 - p) |1^T N|_inf^p,
     B <= A^p + Gamma |1^T N|_inf^p.
+
+    Raises:
+        ValueError: for p <= 2, a bad grid, or an x0_norm that is not
+            finite and >= 0.
     """
     if not isinstance(p, int) or p <= 2:
         raise ValueError("p must be an integer > 2; use the first/second moment curves")
     grid = _check_grid(grid)
+    _check_x0_norm(x0_norm)
     npow = report.norm_1tN**p
     beta = (p - 1 + p * report.alpha) + (report.Gamma + report.gamma) * (
         2**p - 2 - p

@@ -222,11 +222,14 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
     report = analyze(net, weight="auto")
     if kind == "asymptotic":
-        kappa = bnd.asymptotic_check(report, args.p or 1)
+        p = 1 if args.p is None else args.p
+        if p < 1:
+            raise CliError(f"--p must be >= 1, got {p}")
+        kappa = bnd.asymptotic_check(report, p)
         if kappa is None:
-            _emit(args, json.dumps({"p": args.p or 1, "satisfied": False}) + "\n")
+            _emit(args, json.dumps({"p": p, "satisfied": False}) + "\n")
         else:
-            _emit(args, json.dumps({"p": args.p or 1, "satisfied": True, "kappa": kappa}) + "\n")
+            _emit(args, json.dumps({"p": p, "satisfied": True, "kappa": kappa}) + "\n")
         return EXIT_OK
     x0 = _initial_state(args, net, default_x0)
     grid = _grid(args)
@@ -258,6 +261,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_cme(args) -> int:
+    if args.p < 1:
+        raise CliError(f"--p must be >= 1, got {args.p}")
     net, default_x0 = _load_network(args)
     x0 = _initial_state(args, net, default_x0)
     caps = args.caps or "200"
@@ -268,13 +273,12 @@ def cmd_cme(args) -> int:
     idx = cme.enumerate_states(net, x0, caps_vec, max_states=args.max_states)
     gen = cme.build_generator(net, idx)
     sol = cme.integrate_cme(gen, cme.point_mass(idx, x0), grid)
-    p_max = args.p or 2
     rows = []
     for probs, t, defect in zip(sol.probs, grid.tolist(), sol.defect.tolist()):
-        mom = cme.cme_moments(probs, idx, p_max, defect=defect)
+        mom = cme.cme_moments(probs, idx, args.p, defect=defect)
         rows += [
             (t, p, m, up, defect)
-            for p, m, up in zip(range(1, p_max + 1), mom.moments.tolist(), mom.upper.tolist())
+            for p, m, up in zip(range(1, args.p + 1), mom.moments.tolist(), mom.upper.tolist())
         ]
     _emit(args, eng._csv(["time", "p", "estimate", "upper", "defect"], rows))
     if args.dump_index:

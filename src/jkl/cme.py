@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .engine import _check_grid, _check_network
+from .engine import _check_grid, _check_network, _check_state
 from .model import ReactionNetwork, _rates
 
 if TYPE_CHECKING:
@@ -102,10 +102,8 @@ def enumerate_states(
     )
     if caps_arr.shape != (dim,):
         raise ValueError("caps must be a scalar or one per species")
-    start = tuple(int(v) for v in x0)
-    if len(start) != dim:
-        raise ValueError("initial state has wrong dimension")
-    if any(v < 0 for v in start) or (np.array(start) > caps_arr).any():
+    start = tuple(_check_state(x0, net))
+    if (np.array(start) > caps_arr).any():
         raise ValueError("initial state must lie within the caps")
 
     lookup = {start: 0}
@@ -228,8 +226,8 @@ def integrate_cme(
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n,):
         raise ValueError(f"p0 must have length {n}")
-    if abs(p0.sum() - 1.0) > 1e-9 or (p0 < 0).any():
-        raise ValueError("p0 must be a probability vector")
+    if not np.isfinite(p0).all() or abs(p0.sum() - 1.0) > 1e-9 or (p0 < 0).any():
+        raise ValueError("p0 must be a finite probability vector")
 
     out = np.empty((len(grid), n))
     defect = np.empty(len(grid))
@@ -276,7 +274,12 @@ def cme_moments(dist: np.ndarray, idx: StateIndex, p_max: int, defect: float = 0
     The retained-mass sum is a lower value; ``upper`` adds
     ``defect * max f`` over the truncated set, which is not an upper
     bound (see :class:`CmeMoments`).
+
+    Raises:
+        ValueError: for ``p_max < 1``.
     """
+    if p_max < 1:
+        raise ValueError(f"p_max must be >= 1, got {p_max!r}")
     dist = np.asarray(dist, dtype=float)
     states = idx.states.astype(float)
     norms = states.sum(axis=1)

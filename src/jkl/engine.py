@@ -50,6 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 import random
 from dataclasses import dataclass, field
@@ -180,11 +181,17 @@ class Trajectory:
     status: str
     t_end: float
     internal_times: tuple[float, ...] | None = None  # per-channel integrated intensity
-    channel_counts: tuple[int, ...] | None = None
 
     @property
     def n_events(self) -> int:
         return len(self.channels)
+
+    @property
+    def channel_counts(self) -> tuple[int, ...] | None:
+        """Firings per channel, counted from ``channels``; None on a direct path."""
+        if self.internal_times is None:
+            return None
+        return tuple(np.bincount(self.channels, minlength=len(self.internal_times)).tolist())
 
     @property
     def final_state(self) -> np.ndarray:
@@ -308,9 +315,9 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
     of the locals ``x0, x1, ...``; the 1-norm is kept incrementally.  Only
     ``repr(float(rate))``, species indices and stoichiometric integers
     enter the text.  ``path`` mode returns ``(times, states, channels,
-    status)`` plus, for RTC, the integrated intensities and channel
-    counts; ``grid`` mode records the state only at the grid times and
-    returns ``(rows, cap_time, events)``.
+    status, internal)`` with ``internal`` the RTC sampler's integrated
+    intensities (None for direct); ``grid`` mode records the state only
+    at the grid times and returns ``(rows, cap_time, events)``.
     """
     n_r = len(reactions)
     xs = [f"x{s}" for s in range(dim)]
@@ -325,8 +332,6 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
             out.append(f"{pad}norm {'-' if sum(nu) > 0 else '+'}= {abs(sum(nu))}")
         if rtc:
             out[:0] = [f"{pad}s{j} = p{j}", f"{pad}p{j} += -log(1.0 - clock{j}())"]
-            if not grid:
-                out.append(f"{pad}k{j} += 1")
         if not grid:
             out.append(f"{pad}channels.append({j})")
         return out or [f"{pad}pass"]
@@ -336,7 +341,6 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
         start = [f"    clock{j} = draws[{j}]" for j in range(n_r)]
         start += [f"    p{j} = -log(1.0 - clock{j}())" for j in range(n_r)]
         start += [f"    s{j} = 0.0" for j in range(n_r)]
-        start += [] if grid else [f"    k{j} = 0" for j in range(n_r)]
         rates = [f"        w{j} = {expr}" for j, expr in enumerate(exprs)]
         rates.append(f"        total = {' + '.join(['0.0'] + [f'w{j}' for j in range(n_r)])}")
         # the smallest time to a clock point wins; strict, so ties go to
@@ -394,8 +398,8 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
         start += ["    times = [0.0]", f"    states = [{row}]", "    channels = []"]
         before = []
         after = ["        times.append(t)", f"        states.append({row})"]
-        clocks = [_tuple_source([f"{v}{j}" for j in range(n_r)]) for v in "sk"] if rtc else []
-        stop = [f"    return {', '.join(['times', 'states', 'channels', 'status', *clocks])}"]
+        internal = _tuple_source([f"s{j}" for j in range(n_r)]) if rtc else "None"
+        stop = [f"    return times, states, channels, status, {internal}"]
     slots = dict(
         start=start, rates=rates, wait=wait, before=before, fire=fire, after=after, stop=stop
     )
@@ -427,6 +431,14 @@ def _check_network(net: ReactionNetwork) -> None:
 
 
 def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
+    """x0 as ints, one non-negative count per species.
+
+    Integral floats such as ``2.0`` pass; a fractional or non-finite
+    entry is rejected, never truncated.
+    """
+    bad = [v for v in x0 if not (isinstance(v, numbers.Integral) or float(v).is_integer())]
+    if bad:
+        raise ValueError(f"initial state must hold integer counts, got {float(bad[0])!r}")
     x = [int(v) for v in x0]
     if len(x) != net.n_species:
         raise ValueError(f"state has dimension {len(x)}, expected {net.n_species}")
@@ -439,10 +451,9 @@ def _path(net, sampler: str, x0, cfg: SimConfig, draws) -> Trajectory:
     """One full sample path from the compiled path-mode stepper on ``draws``."""
     x = _check_state(x0, net)
     step = _stepper(net.reactions, net.n_species, sampler, "path")
-    times, states, channels, status, *clocks = step(
+    times, states, channels, status, internal = step(
         x, draws, cfg.t_end, cfg.max_events, cfg.state_cap
     )
-    internal, counts = clocks or (None, None)
     return Trajectory(
         times=np.array(times, dtype=float),
         states=np.array(states, dtype=np.int64),
@@ -450,7 +461,6 @@ def _path(net, sampler: str, x0, cfg: SimConfig, draws) -> Trajectory:
         status=status,
         t_end=cfg.t_end,
         internal_times=internal,
-        channel_counts=counts,
     )
 
 

@@ -190,15 +190,6 @@ class ReactionNetwork:
                 if not 0 <= s < d:
                     raise ValueError(f"reaction {rxn.label}: invalid species index {s}")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReactionNetwork):
-            return NotImplemented
-        return (
-            self.species == other.species
-            and self.reactions == other.reactions
-            and self.parameters == other.parameters
-        )
-
     @property
     def n_species(self) -> int:
         return len(self.species)

@@ -430,16 +430,27 @@ class TestAnalyze:
         assert report.norm_1tN_sq == 4.0
         assert report.norm_1tN2 == 2.0  # squared-entry column sums 1, 1, 2
 
+    # R3 raises |x|_1, so only a searched weight tames it
+    OBSTRUCTED = parse_model(
+        "species A B C\nk1 = 1.0\nk3 = 1.0\nR1: 0 -> A @ k1\nR2: 0 -> B @ k1\n"
+        "R3: A + B -> 3 C @ 1.0\nR4: C -> 0 @ k3"
+    )
+
     def test_auto_weight_on_obstructed_network(self):
-        net = parse_model(
-            "species A B C\nk1 = 1.0\nk3 = 1.0\nR1: 0 -> A @ k1\nR2: 0 -> B @ k1\n"
-            "R3: A + B -> 3 C @ 1.0\nR4: C -> 0 @ k3"
-        )
-        report = analyze(net, weight="auto")
+        report = analyze(self.OBSTRUCTED, weight="auto")
         assert not np.allclose(report.l, 1.0)
         # d/dt (l, x) = 6 k1 - 2 k3 c (scaled by the min-normalization)
         lv = np.array(report.l)
         assert report.A == pytest.approx(float(lv[:2].sum()), abs=1e-12)
+
+    @pytest.mark.parametrize("weight", ["ones", [1.0, 1.0, 1.0], np.ones(3)])
+    def test_only_auto_searches_for_a_weight(self, weight):
+        with pytest.raises(QuadraticObstruction, match="R3"):
+            analyze(self.OBSTRUCTED, weight=weight)
+
+    def test_unknown_weight_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown weight policy"):
+            analyze(self.OBSTRUCTED, weight="best")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_explicit_weight_must_be_finite_and_positive(self, bad):

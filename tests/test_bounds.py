@@ -85,6 +85,22 @@ class TestOverflow:
             assert curve.values[2] == math.inf
 
 
+@pytest.mark.parametrize("x0_norm", [math.nan, math.inf, -5.0])
+@pytest.mark.parametrize(
+    "curve",
+    [
+        lambda x0_norm: first_moment_curve(R_BIMOL, x0_norm, [0.0, 1.0]),
+        lambda x0_norm: second_moment_curve(R_BIMOL, x0_norm, [0.0, 1.0]),
+        lambda x0_norm: pth_moment_curve(R_BIMOL, x0_norm, 3, [0.0, 1.0]),
+    ],
+    ids=["first", "second", "pth"],
+)
+def test_moment_curves_reject_a_bad_x0_norm(curve, x0_norm):
+    # a NaN would fill the curve, a negative norm gives a negative "bound"
+    with pytest.raises(ValueError, match="x0_norm"):
+        curve(x0_norm)
+
+
 class TestSecondMoment:
     def test_a_zero_takes_eps_zero_limit(self):
         curve = second_moment_curve(R_REV, 10.0, np.linspace(0, 1, 5))
@@ -122,8 +138,33 @@ class TestSecondMoment:
             second_moment_curve(R_REV, 10.0, grid, eps=-1.0)
 
 
+def _phi_reference(z: np.ndarray) -> np.ndarray:
+    """(exp(z) - 1) / z with the analytic value 1 at z = 0, as an array formula."""
+    z = np.asarray(z, dtype=float)
+    out = np.ones_like(z)
+    nz = np.abs(z) > 1e-12
+    with np.errstate(over="ignore"):
+        out[nz] = np.expm1(z[nz]) / z[nz]
+    small = ~nz
+    out[small] = 1.0 + z[small] / 2.0 + z[small] ** 2 / 6.0
+    return out
+
+
+def _envelope_reference(x0_pow, b_const, beta, grid) -> np.ndarray:
+    """The envelope as the array formula the recorded bound bytes came from."""
+    beta_plus = max(beta, 0.0)
+    t = np.asarray(grid, dtype=float)
+    out = np.zeros_like(t)
+    with np.errstate(over="ignore"):
+        if x0_pow:
+            out = out + x0_pow * np.exp(beta_plus * t)
+        if b_const:
+            out = out + b_const * t * _phi_reference(beta_plus * t)
+    return out
+
+
 class TestEnvelopeAt:
-    """The scalar envelope of the eps search equals the array one bit for bit."""
+    """The envelope equals the array formula of the recorded bytes bit for bit."""
 
     def _cases(self):
         rng = np.random.default_rng(5)
@@ -140,7 +181,7 @@ class TestEnvelopeAt:
         seen = set()
         with np.errstate(invalid="ignore"):
             for x0_pow, b_const, beta, t in self._cases():
-                want = float(_envelope(x0_pow, b_const, beta, np.array([t]))[0])
+                want = float(_envelope_reference(x0_pow, b_const, beta, np.array([t]))[0])
                 got = _envelope_at(x0_pow, b_const, beta, t)
                 assert type(got) is float
                 assert got.hex() == want.hex(), (x0_pow, b_const, beta, t)
@@ -148,6 +189,22 @@ class TestEnvelopeAt:
                 seen.add("series" if abs(z) <= 1e-12 else "expm1")
                 seen.add("inf" if got == math.inf else "nan" if math.isnan(got) else "finite")
         assert seen == {"series", "expm1", "inf", "nan", "finite"}
+
+    def test_grids_match_the_array_envelope(self):
+        # multi-point grids run numpy's array kernels in the reference
+        rng = np.random.default_rng(6)
+        with np.errstate(invalid="ignore"):
+            for _ in range(300):
+                grid = np.sort(10 ** rng.uniform(-14, 4, int(rng.integers(1, 70))))
+                if rng.random() < 0.5:
+                    grid[0] = 0.0
+                x0_pow, b_const = (float(rng.choice([0.0, 10 ** rng.uniform(-3, 6)]))
+                                   for _ in range(2))
+                beta = float(rng.choice([0.0, -1.0, 10 ** rng.uniform(-14, 3)]))
+                want = _envelope_reference(x0_pow, b_const, beta, grid)
+                got = _envelope(x0_pow, b_const, beta, grid)
+                assert got.dtype == np.float64 and got.shape == grid.shape
+                assert got.tobytes() == want.tobytes(), (x0_pow, b_const, beta)
 
 
 class TestPthMoment:

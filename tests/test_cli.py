@@ -5,6 +5,8 @@ import json
 import pytest
 
 from jkl.cli import main
+from jkl.cme import enumerate_states
+from jkl.presets import get_preset
 
 
 def run(capsys, *argv):
@@ -193,6 +195,13 @@ class TestBounds:
             assert code == 0
             assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(x0_norm**p)
 
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_asymptotic_order_below_one_rejected(self, capsys, p):
+        code, out, err = run(capsys, "bounds", "--preset", "extended-bimol",
+                             "--kind", "asymptotic", "--p", p)
+        assert code == 2 and out == ""
+        assert "--p must be >= 1" in err
+
     def test_analyzer_rejection_propagates(self, capsys):
         code, _, err = run(capsys, "bounds", "--preset", "cubic", "--kind", "first",
                            "--t-end", "1")
@@ -215,7 +224,17 @@ class TestCme:
                          "--caps", "10", "--t-end", "1", "--grid", "1",
                          "--dump-index", str(path))
         assert code == 0
-        assert len(path.read_text().splitlines()) == 3
+        lines = path.read_text().splitlines()
+        idx = enumerate_states(get_preset("reversible").network, [2, 2, 0], 10)
+        assert len(lines) == idx.n_states
+        assert lines[0] == "0\t(2, 2, 0)"
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_order_below_one_rejected(self, capsys, p):
+        code, out, err = run(capsys, "cme", "--preset", "reversible", "--x0", "2,2,0",
+                             "--caps", "10", "--t-end", "1", "--grid", "2", "--p", p)
+        assert code == 2 and out == ""
+        assert "--p must be >= 1" in err
 
     def test_infinite_grid_time_rejected(self, capsys):
         code, _, err = run(capsys, "cme", "--preset", "bimol", "--caps", "5",

@@ -147,6 +147,15 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="negative"):
             enumerate_states(NEGATIVE, [0], 5)
 
+    @pytest.mark.parametrize("x0", [[1.7, 0.2], [2.9, 0], [math.inf, 0], [math.nan, 0]])
+    def test_non_integral_initial_state_rejected(self, x0):
+        with pytest.raises(ValueError, match="integer counts"):
+            enumerate_states(BIMOL, x0, 3)
+
+    def test_integral_float_initial_state_accepted(self):
+        idx = enumerate_states(BIMOL, [2.0, 1.0], 3)
+        assert idx.states.tolist() == enumerate_states(BIMOL, [2, 1], 3).states.tolist()
+
     def test_index_round_trip(self):
         idx = enumerate_states(BIMOL, [0, 0], 6)
         for i, s in enumerate(idx.states):
@@ -329,6 +338,15 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_cme(gen, np.ones(idx.n_states), np.array([1.0]))
 
+    def test_nan_in_p0_rejected(self):
+        # the sum and sign checks both pass a NaN entry
+        idx = enumerate_states(BIRTH, [0], 4)
+        gen = build_generator(BIRTH, idx)
+        p0 = point_mass(idx, [0])
+        p0[1] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            integrate_cme(gen, p0, np.array([1.0]))
+
 
 class TestMoments:
     def test_point_mass_exact(self):
@@ -338,6 +356,12 @@ class TestMoments:
         assert mom.moments[2] == pytest.approx(27.0)
         assert np.allclose(mom.species_mean, [1.0, 1.0, 1.0])
         assert np.allclose(mom.species_var, 0.0)
+
+    @pytest.mark.parametrize("p_max", [0, -1])
+    def test_order_below_one_rejected(self, p_max):
+        idx = enumerate_states(BIRTH, [0], 3)
+        with pytest.raises(ValueError, match="p_max"):
+            cme_moments(point_mass(idx, [0]), idx, p_max)
 
     def test_defect_bracket(self):
         idx = enumerate_states(BIRTH, [0], 3)

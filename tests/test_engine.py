@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import random
 import re
 import warnings
@@ -37,20 +38,20 @@ ENZYME = get_preset("enzyme").network
 BIRTH = parse_model("species A\nR: 0 -> A @ 1.0")
 NAMED_BIRTH = parse_model("species A\nk = 1.0\nR: 0 -> A @ k")
 
-# each public sampler entry point, called on a one-species network
+# each public sampler entry point, called on a one-species network from x0
 ENTRY_POINTS = {
-    "simulate_direct": lambda net: simulate_direct(net, [0], SimConfig(t_end=1.0)),
-    "simulate_rtc": lambda net: simulate_rtc(net, [0], SimConfig(t_end=1.0)),
-    "simulate_coupled": lambda net: simulate_coupled(
-        net, [0], [0], PerturbationSpec(), SimConfig(t_end=1.0)
+    "simulate_direct": lambda net, x0=(0,): simulate_direct(net, x0, SimConfig(t_end=1.0)),
+    "simulate_rtc": lambda net, x0=(0,): simulate_rtc(net, x0, SimConfig(t_end=1.0)),
+    "simulate_coupled": lambda net, x0=(0,): simulate_coupled(
+        net, x0, x0, PerturbationSpec(), SimConfig(t_end=1.0)
     ),
-    "ensemble_moments": lambda net: ensemble_moments(
-        net, [0], [0.0, 1.0], 1, 4, seed=1, workers=1
+    "ensemble_moments": lambda net, x0=(0,): ensemble_moments(
+        net, x0, [0.0, 1.0], 1, 4, seed=1, workers=1
     ),
-    "coupled_rms": lambda net: coupled_rms(
-        net, [0], [0], PerturbationSpec(), [0.0, 1.0], 4, seed=1, workers=1
+    "coupled_rms": lambda net, x0=(0,): coupled_rms(
+        net, x0, x0, PerturbationSpec(), [0.0, 1.0], 4, seed=1, workers=1
     ),
-    "batch_states": lambda net: batch_states(net, [0], [1.0], 4, seed=1),
+    "batch_states": lambda net, x0=(0,): batch_states(net, x0, [1.0], 4, seed=1),
 }
 
 # each grid-taking sampler, called on a one-species birth process
@@ -229,6 +230,18 @@ class TestEntryValidation:
         net = parse_model("species A\nk = -1.0\nR: 0 -> A @ k")
         with pytest.raises(ValueError, match="negative"):
             ENTRY_POINTS[name](net)
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("x0", [1.7, 2.9, math.inf, math.nan])
+    def test_non_integral_initial_state_rejected(self, name, x0):
+        # never truncated to a count
+        with pytest.raises(ValueError, match="integer counts"):
+            ENTRY_POINTS[name](BIRTH, [x0])
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_integral_float_initial_state_accepted(self, name):
+        got = ENTRY_POINTS[name](BIRTH, [np.float64(2.0)])
+        assert pickle.dumps(got) == pickle.dumps(ENTRY_POINTS[name](BIRTH, [2]))
 
     def test_invalid_perturbed_network_rejected(self):
         # an infinite delta fails the perturbation check; a finite delta that

@@ -689,6 +689,46 @@ def _network(name):
     return parse_model(WEIGHTED[name]) if name in WEIGHTED else get_preset(name).network
 
 
+def _analyze_outputs(name: str, out_dir) -> dict[str, str]:
+    """Digests of the ``jkl analyze`` output, ``--json`` and text.
+
+    ``ANALYZE_GOLDEN`` compares the same constants at rel 1e-12; these pin
+    every byte, key names and order included.
+    """
+    source = ["--preset", name]
+    if name in WEIGHTED:
+        source = ["--model", os.path.join(out_dir, "model.rxn")]
+        with open(source[1], "w", encoding="utf-8") as fh:
+            fh.write(WEIGHTED[name])
+    path = os.path.join(out_dir, "out.txt")
+    out = {}
+    for fmt, flags in (("json", ["--json"]), ("text", [])):
+        assert main(["analyze", *source, *flags, "--out", path]) == 0
+        with open(path, encoding="utf-8") as fh:
+            out[fmt] = _digest(fh.read())
+    return out
+
+
+# recorded by running `jkl analyze` as it was before to_dict derived its keys
+# from the report's fields
+ANALYZE_OUTPUT_GOLDEN = {'bimol': {'json': '45b7bf419c25dc28edeb8247dde888220b8ee98211d346177863f1fcf6a21fb3',
+           'text': '472703e2751fb70bd0c14d513f456a55ebc6be378acb4e8769666afa26d2180d'},
+ 'enzyme': {'json': 'bb3e2acbfed8802f3eff299a12772152425d185a908c859cff2c5e02338e718b',
+            'text': '4ee5c549ad682a5410455f2bb074ff30a56197b10cd63f4516d8aa393ae609ac'},
+ 'enzyme-linear': {'json': '372f480ab708a2c13881993e6635b7ef906cb017d374b6fd4c2a691e91488f53',
+                   'text': '61f566fb971f9b23fb273909c683209d026cdc9da81e99536842f1ad888f6370'},
+ 'extended-bimol': {'json': 'e2f707c2f72c5df44e20edacf76330b576dcd4c9e9416ccbe84faa88c0795b0e',
+                    'text': '96152375c1f9ff0fb92b927e6db2882157455503368520c6e7ef5e64ab18a1ad'},
+ 'reversible': {'json': '947abb30d5fea014476636b4fb77dc834dba925085c22abadd4bc0bbfd77db6e',
+                'text': '73433d0c6b9a911ad339d4fc451e5241c06f74fa08334eab49ad91de9adf3960'},
+ 'reversible-open': {'json': 'fd01decd4ac0292a4358e5fb880f865689544ec09594e377236e41395513ff55',
+                     'text': '2f3d0000630d52948abf9c06fb88052b9a4e4e7b47754825822d4d770bf7cb5f'},
+ 'weighted-exact': {'json': '84038dc36e52237ddccf63f20f9f6277a5325b5a71f4d64d4fd28b4cd45ad65f',
+                    'text': 'cb98c5617d1694c8f3843f6eeda573627e9b15e319fa2cf0f0123bbc10f89005'},
+ 'weighted-lp': {'json': '649f6183bc08e0ccc59595cb1d5586b673431d5f02a968a28ab468483c9845b4',
+                 'text': '402e1b859f1b4656315b0747f6a55cda2c950c7896f9a760aa82d1a6d4a559ed'}}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_sampler_digests(name):
     assert _sampler_outputs(name) == SAMPLER_GOLDEN[name]
@@ -727,6 +767,11 @@ def test_bound_digest():
 def test_analyze_constants(name):
     report = analyzer.analyze(_network(name))
     _assert_close(report.to_dict(), ANALYZE_GOLDEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
+def test_analyze_output_digests(name, tmp_path):
+    assert _analyze_outputs(name, str(tmp_path)) == ANALYZE_OUTPUT_GOLDEN[name]
 
 
 def test_engine_csv_digests():
