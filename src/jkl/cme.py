@@ -10,7 +10,11 @@ used by the simulator's state cap.
 
 Integration uses uniformization on every horizon: exact up to a
 truncated Poisson tail, at a cost of about ``max |diagonal| * horizon``
-sparse matrix-vector products.
+sparse matrix-vector products.  Retained entries of a Poisson term that
+fall below ``np.finfo(float).tiny`` are flushed into the defect, which
+keeps the products off the slow subnormal path.  The uniformized matrix
+is entrywise non-negative, so the flush only lowers retained values and
+raises the defect; each flush moves at most ``n * tiny`` of mass.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .engine import _check_grid, _check_network, _check_state
+from .engine import _check_grid, _check_network, _check_state, _counts
 from .model import ReactionNetwork, _rates
 
 if TYPE_CHECKING:
@@ -40,6 +44,7 @@ __all__ = [
 
 DEFAULT_MAX_STATES = 2 * 10**6
 DEFECT_THRESHOLD = 0.05  # CmeSolution.unreliable once the defect exceeds this
+_TINY = np.finfo(float).tiny  # smallest normal double; terms below it go to the defect
 
 
 class CmeError(RuntimeError):
@@ -59,7 +64,13 @@ class StateIndex:
         return len(self.states)
 
     def index_of(self, state: Sequence[int]) -> int:
-        key = tuple(int(v) for v in state)
+        """Dense index of ``state``.
+
+        Raises:
+            ValueError: for a fractional or non-finite entry.
+            KeyError: if the state is not in the truncated set.
+        """
+        key = tuple(_counts(state, "state"))
         if key not in self.lookup:
             raise KeyError(f"state {key} is not in the truncated set")
         return self.lookup[key]
@@ -165,12 +176,18 @@ def build_generator(net: ReactionNetwork, idx: StateIndex) -> GeneratorMatrix:
 
 @dataclass(frozen=True)
 class CmeSolution:
-    """Probability vectors on a time grid plus the defect channel."""
+    """Probability vectors on a time grid plus the defect channel.
+
+    ``defect`` includes the ``flushed`` mass: sub-``tiny`` Poisson-term
+    entries moved off the retained states (see :func:`integrate_cme`).
+    """
 
     times: np.ndarray
     probs: np.ndarray  # (G, n) retained probabilities
     defect: np.ndarray  # (G,)
     unreliable: bool  # defect exceeded DEFECT_THRESHOLD
+    matvecs: int  # Poisson terms taken, one sparse matrix-vector product each
+    flushed: float  # sub-tiny probability moved into the defect, at most matvecs * n * tiny
 
     def total_mass(self) -> np.ndarray:
         return self.probs.sum(axis=1) + self.defect
@@ -183,22 +200,35 @@ def point_mass(idx: StateIndex, state: Sequence[int]) -> np.ndarray:
 
 
 def _uniformization_step(p, p_op, a, tol):
-    """exp(a (P - I)) p via the truncated Poisson series, a = lam * dt."""
+    """exp(a (P - I)) p via the truncated Poisson series, a = lam * dt.
+
+    Returns the result, the number of terms taken and the flushed mass
+    that the result's defect entry carries (see :func:`integrate_cme`).
+    """
     result = p * np.exp(-a)
     term = p.copy()
     weight = np.exp(-a)
     acc = weight
     k = 0
+    in_term = flushed = 0.0
     # the tail after k terms is 1 - acc; stop once it is below tol
     while acc < 1.0 - tol:
         k += 1
         term = p_op @ term
+        kept = term[:-1]
+        low = (kept > 0.0) & (kept < _TINY)  # exact zeros need no flush
+        if low.any():
+            moved = kept[low].sum()
+            kept[low] = 0.0
+            term[-1] += moved
+            in_term += moved
         weight *= a / k
         result += weight * term
+        flushed += weight * in_term  # the defect row keeps what earlier terms flushed
         acc += weight
         if k > 10 * a + 1000:
             raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
-    return result
+    return result, k, flushed
 
 
 def integrate_cme(
@@ -214,6 +244,13 @@ def integrate_cme(
     is split into Poisson series of mean at most 500, so the cost is
     about ``lam * horizon`` matrix-vector products on any horizon.
     ``retained + defect = 1`` holds to within ``tol``.
+
+    After each product, retained entries below ``np.finfo(float).tiny``
+    are set to zero and their sum is added to the defect entry.  Since
+    ``P = I + Q / lam`` is entrywise non-negative, retained values stay
+    lower values and the defect stays an upper value for the mass off the
+    retained states; each flush moves at most ``n * tiny`` of mass, far
+    below ``tol``.
 
     Raises:
         ValueError: if the grid is not a finite, non-negative, increasing axis.
@@ -232,6 +269,7 @@ def integrate_cme(
     out = np.empty((len(grid), n))
     defect = np.empty(len(grid))
     p = np.concatenate([p0, [0.0]])
+    matvecs, flushed = 0, 0.0
 
     ident = scipy.sparse.identity(n + 1, format="csr")
     p_op = (ident + gen.q / gen.lam).tocsr() if gen.lam > 0 else ident
@@ -244,7 +282,9 @@ def integrate_cme(
             a = gen.lam * dt / n_sub
             step_tol = tol / max(1, len(grid)) / n_sub
             for _ in range(n_sub):
-                p = _uniformization_step(p, p_op, a, step_tol)
+                p, k, moved = _uniformization_step(p, p_op, a, step_tol)
+                matvecs += k
+                flushed += moved
         t_prev = float(t)
         out[g] = p[:n]
         defect[g] = p[n]
@@ -254,6 +294,8 @@ def integrate_cme(
         probs=out,
         defect=defect,
         unreliable=bool(defect.max() > DEFECT_THRESHOLD),
+        matvecs=matvecs,
+        flushed=float(flushed),
     )
 
 

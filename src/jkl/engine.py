@@ -430,16 +430,21 @@ def _check_network(net: ReactionNetwork) -> None:
         raise ValueError(f"network fails validation: {msgs}")
 
 
-def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
-    """x0 as ints, one non-negative count per species.
+def _counts(values: Sequence[int], what: str) -> list[int]:
+    """values as ints.
 
     Integral floats such as ``2.0`` pass; a fractional or non-finite
-    entry is rejected, never truncated.
+    entry raises ValueError, never truncated.
     """
-    bad = [v for v in x0 if not (isinstance(v, numbers.Integral) or float(v).is_integer())]
+    bad = [v for v in values if not (isinstance(v, numbers.Integral) or float(v).is_integer())]
     if bad:
-        raise ValueError(f"initial state must hold integer counts, got {float(bad[0])!r}")
-    x = [int(v) for v in x0]
+        raise ValueError(f"{what} must hold integer counts, got {float(bad[0])!r}")
+    return [int(v) for v in values]
+
+
+def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
+    """x0 as ints (see :func:`_counts`), one non-negative count per species."""
+    x = _counts(x0, "initial state")
     if len(x) != net.n_species:
         raise ValueError(f"state has dimension {len(x)}, expected {net.n_species}")
     if any(v < 0 for v in x):

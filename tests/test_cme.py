@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from jkl import cme
 from jkl.cme import (
     CmeError,
     StateIndex,
@@ -156,6 +157,20 @@ class TestEnumeration:
         idx = enumerate_states(BIMOL, [2.0, 1.0], 3)
         assert idx.states.tolist() == enumerate_states(BIMOL, [2, 1], 3).states.tolist()
 
+    @pytest.mark.parametrize("state", [[1.9, 0.5], [1.7, 0.2], [math.inf, 0], [math.nan, 0]])
+    def test_non_integral_state_lookup_rejected(self, state):
+        idx = enumerate_states(BIMOL, [1, 0], 3)
+        with pytest.raises(ValueError, match="integer counts"):
+            idx.index_of(state)
+        with pytest.raises(ValueError, match="integer counts"):
+            point_mass(idx, state)
+
+    def test_state_lookup_integral_float_and_outside(self):
+        idx = enumerate_states(BIMOL, [1, 0], 3)
+        assert idx.index_of([1.0, 0.0]) == idx.index_of(np.array([1, 0])) == 0
+        with pytest.raises(KeyError):
+            idx.index_of([9, 0])
+
     def test_index_round_trip(self):
         idx = enumerate_states(BIMOL, [0, 0], 6)
         for i, s in enumerate(idx.states):
@@ -268,6 +283,9 @@ class TestIntegration:
         p_a = sol.probs[:, idx.index_of([1, 0])]
         assert np.abs(p_a - (1.0 + np.exp(-2.0 * k * grid)) / 2.0).max() <= 1e-10
         assert np.abs(sol.total_mass() - 1.0).max() <= 1e-10
+        # one matvec per Poisson term; a series of mean a takes a + O(sqrt(a)) terms
+        assert gen.lam * grid[-1] <= sol.matvecs <= 1.5 * gen.lam * grid[-1]
+        assert sol.flushed == 0.0
 
     def test_mass_conservation(self):
         idx = enumerate_states(BIMOL, [0, 0], 25)
@@ -346,6 +364,49 @@ class TestIntegration:
         p0[1] = math.nan
         with pytest.raises(ValueError, match="finite"):
             integrate_cme(gen, p0, np.array([1.0]))
+
+
+def _reference_step(p, p_op, a, tol):
+    """The Poisson series without the sub-tiny flush: every term kept as computed."""
+    result = p * np.exp(-a)
+    term = p.copy()
+    weight = np.exp(-a)
+    acc = weight
+    k = 0
+    while acc < 1.0 - tol:
+        k += 1
+        term = p_op @ term
+        weight *= a / k
+        result += weight * term
+        acc += weight
+        if k > 10 * a + 1000:
+            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
+    return result
+
+
+class TestSubnormalFlush:
+    def test_matches_unflushed_series(self, monkeypatch):
+        # bimol's far corners at caps 60 carry subnormal mass in the Poisson terms
+        tiny = np.finfo(float).tiny
+        grid = np.array([0.05, 0.1, 0.2])
+        idx = enumerate_states(BIMOL, [0, 0], 60)
+        gen = build_generator(BIMOL, idx)
+        p0 = point_mass(idx, [0, 0])
+        sol = integrate_cme(gen, p0, grid)
+        with monkeypatch.context() as m:
+            m.setattr(cme, "_uniformization_step", lambda *args: (_reference_step(*args), 0, 0.0))
+            ref = integrate_cme(gen, p0, grid)
+        assert ((ref.probs > 0) & (ref.probs < tiny)).any()
+        assert 0.0 < sol.flushed <= sol.matvecs * idx.n_states * tiny
+        for g in range(len(grid)):
+            got = cme_moments(sol.probs[g], idx, 3, defect=float(sol.defect[g]))
+            want = cme_moments(ref.probs[g], idx, 3, defect=float(ref.defect[g]))
+            assert got.moments.tolist() == want.moments.tolist()
+            assert got.species_mean.tolist() == want.species_mean.tolist()
+            assert got.species_var.tolist() == want.species_var.tolist()
+        assert np.abs(sol.probs - ref.probs).max() <= idx.n_states * tiny
+        assert (sol.defect >= ref.defect).all()
+        assert np.abs(sol.total_mass() - 1.0).max() <= 1e-10
 
 
 class TestMoments:

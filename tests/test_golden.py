@@ -744,6 +744,17 @@ def test_cme_digests(name):
     assert _cme_outputs(name) == CME_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(CME_CASES))
+def test_cme_cases_flush_nothing(name):
+    # no Poisson term of these cases holds a subnormal, so the digests
+    # above hold with or without the flush
+    net, x0 = _model(name)
+    caps, grid = CME_CASES[name]
+    idx = cme.enumerate_states(net, x0, caps)
+    sol = cme.integrate_cme(cme.build_generator(net, idx), cme.point_mass(idx, x0), grid)
+    assert sol.flushed == 0.0
+
+
 def _assert_close(got, want):
     if isinstance(want, dict):
         assert set(got) == set(want)
