@@ -31,17 +31,15 @@ EXIT_NUMERIC = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error found after argument parsing (exit 2)."""
 
 
-def _load_network(args) -> tuple[ReactionNetwork, np.ndarray | None]:
+def _load_network(args) -> tuple[ReactionNetwork, tuple[int, ...] | None]:
     """Network plus its preset default initial state (None for files)."""
-    if getattr(args, "preset", None):
+    if args.preset:
         preset = get_preset(args.preset)
-        return preset.network, preset.initial_state()
-    if getattr(args, "model", None):
+        return preset.network, preset.x0
+    if args.model:
         with open(args.model, "r", encoding="utf-8") as fh:
             return parse_model(fh.read()), None
     raise CliError("one of --preset or --model is required")
@@ -57,17 +55,22 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
     return vec
 
 
-def _initial_state(args, net, default) -> np.ndarray:
-    if getattr(args, "x0", None):
+def _initial_state(args, net, default):
+    if args.x0:
         return _parse_vector(args.x0, net.n_species, "--x0")
     if default is None:
         raise CliError("--x0 is required for file models")
     return default
 
 
+def _perturbed_state(args, net, x0):
+    """--y0, or x0 when it is not given."""
+    return _parse_vector(args.y0, net.n_species, "--y0") if args.y0 else x0
+
+
 def _grid(args) -> np.ndarray:
     """Time grid from --t-end and --grid (point count or explicit times)."""
-    spec = getattr(args, "grid", None)
+    spec = args.grid
     if spec and ("," in spec or "." in spec):
         try:
             times = np.array([float(v) for v in spec.split(",")], dtype=float)
@@ -83,7 +86,7 @@ def _grid(args) -> np.ndarray:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -92,7 +95,7 @@ def _emit(args, text: str) -> None:
 
 def _perturbation(args) -> eng.PerturbationSpec:
     deltas = {}
-    for item in getattr(args, "perturb", None) or []:
+    for item in args.perturb:
         if "=" not in item:
             raise CliError(f"--perturb expects NAME=DELTA, got {item!r}")
         name, _, val = item.partition("=")
@@ -189,7 +192,7 @@ def cmd_ensemble(args) -> int:
 def cmd_couple(args) -> int:
     net, default_x0 = _load_network(args)
     x0 = _initial_state(args, net, default_x0)
-    y0 = _parse_vector(args.y0, net.n_species, "--y0") if args.y0 else x0
+    y0 = _perturbed_state(args, net, x0)
     pert = _perturbation(args)
     grid = _grid(args)
     if args.samples == 1:
@@ -243,19 +246,14 @@ def cmd_bounds(args) -> int:
             raise CliError("--p must be an integer > 2 for --kind pth")
         curve = bnd.pth_moment_curve(report, x0_norm, args.p, grid)
     elif kind == "ode-divergence":
-        y0 = _parse_vector(args.y0, net.n_species, "--y0") if args.y0 else x0
-        curve = bnd.ode_divergence_bound(net, x0, y0, grid)
+        curve = bnd.ode_divergence_bound(net, x0, _perturbed_state(args, net, x0), grid)
     elif kind == "initial":
-        y0 = _parse_vector(args.y0, net.n_species, "--y0") if args.y0 else x0
-        curve = bnd.initial_perturbation_curve(report, x0, y0, grid)
-    elif kind == "coeff":
-        pert = _perturbation(args)
-        delta, delta_f = pert.totals(net)
+        curve = bnd.initial_perturbation_curve(report, x0, _perturbed_state(args, net, x0), grid)
+    else:  # coeff
+        delta, delta_f = _perturbation(args).totals(net)
         curve = bnd.coefficient_perturbation_curve(
             report, x0, delta, delta_f, grid, variant=args.variant
         )
-    else:
-        raise CliError(f"unknown bound kind {kind!r}")
     _emit(args, curve.to_csv())
     return EXIT_OK
 
@@ -394,25 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (CliError, ModelError, KeyError, ValueError, OSError) as exc:
+        err, code = exc, EXIT_USAGE
     except AnalyzerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYZER
+        err, code = exc, EXIT_ANALYZER
     except (eng.SimulationError, cme.CmeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        err, code = exc, EXIT_NUMERIC
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

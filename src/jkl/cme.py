@@ -108,11 +108,10 @@ def enumerate_states(
     """
     _check_network(net)
     dim = net.n_species
-    caps_arr = np.full(dim, caps, dtype=np.int64) if np.isscalar(caps) else np.asarray(
-        caps, dtype=np.int64
-    )
-    if caps_arr.shape != (dim,):
+    if np.shape(caps) not in ((), (dim,)):
         raise ValueError("caps must be a scalar or one per species")
+    counts = _counts(np.ravel(caps).tolist(), "caps")  # fractional caps raise, never truncate
+    caps_arr = np.array(counts * dim if np.ndim(caps) == 0 else counts, dtype=np.int64)
     start = tuple(_check_state(x0, net))
     if (np.array(start) > caps_arr).any():
         raise ValueError("initial state must lie within the caps")

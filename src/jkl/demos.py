@@ -36,6 +36,13 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
         fh.write(text)
 
 
+def _check_samples(**counts: int) -> None:
+    """Every standard error needs at least two samples; reject fewer before sampling."""
+    for name, n in counts.items():
+        if n < 2:
+            raise ValueError(f"{name} must be >= 2, got {n}")
+
+
 def _finish_summary(out_dir: str | None, summary: dict) -> dict:
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
@@ -70,6 +77,7 @@ def demo_enzyme_sensitivity(
     * RMS difference of coupled pairs, which saturates within ~0.05
       time units, on the short window ``t_rms``.
     """
+    _check_samples(samples=samples)
     preset = get_preset("enzyme")
     net = preset.network
     x0 = preset.x0
@@ -163,6 +171,7 @@ def demo_cubic_blowup(
     part estimates the third falling moment from X0 = 10 at half the
     lower-bound blow-up scale and compares against the bound curve.
     """
+    _check_samples(samples=samples, moment_samples=moment_samples)
     preset = get_preset("cubic")
     net = preset.network
 
@@ -230,6 +239,7 @@ def demo_bimol_walk(
     Its law at time t is the difference of two Poisson(k1 t) counts:
     mean 0 and variance 2 k1 t, independent of the pair decay.
     """
+    _check_samples(samples=samples)
     preset = get_preset("bimol")
     net = preset.network
     diffs = np.empty(samples)
@@ -307,6 +317,7 @@ def demo_reversible_oracle(
     birth-death pair model truncated at 60 copies per species: all
     moment z-scores between the ensemble and the oracle stay small.
     """
+    _check_samples(samples=samples)
     rev = get_preset("reversible")
     rows_rev, z_rev, n_rev = _oracle_case(rev.network, rev.x0, 10, times, samples, eng.mix64(seed, 1))
     bim = get_preset("bimol")

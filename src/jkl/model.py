@@ -207,12 +207,6 @@ class ReactionNetwork:
             mat[:, j] = rxn.nu
         return mat
 
-    def species_index(self, name: str) -> int:
-        try:
-            return self.species.index(name)
-        except ValueError:
-            raise KeyError(f"unknown species {name!r}") from None
-
     def reactions_for_parameter(self, name: str) -> list[int]:
         return [j for j, rxn in enumerate(self.reactions) if rxn.rate_name == name]
 

@@ -24,11 +24,10 @@ and column; arbitrary byte input never raises anything else.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .model import MAX_ORDER, Diagnostic, Propensity, Reaction, ReactionNetwork
 
-__all__ = ["ModelError", "ModelDocument", "parse_model", "parse_document", "serialize_model"]
+__all__ = ["ModelError", "parse_model", "serialize_model"]
 
 
 class ModelError(Exception):
@@ -37,15 +36,6 @@ class ModelError(Exception):
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.diagnostic = Diagnostic(message, line=line, column=column)
         super().__init__(str(self.diagnostic))
-
-
-@dataclass(frozen=True)
-class ModelDocument:
-    """A parsed model plus its source text and declaration locations."""
-
-    text: str
-    network: ReactionNetwork
-    locations: dict[str, int]  # "species:A" / "param:k1" / "reaction:R1" -> line
 
 
 _TOKEN = re.compile(
@@ -137,8 +127,12 @@ def _parse_side(cur: _Cursor, what: str) -> list[tuple[int, str, int]]:
         return terms
 
 
-def parse_document(text: str | bytes) -> ModelDocument:
-    """Parse model text into a document; see :func:`parse_model`."""
+def parse_model(text: str | bytes) -> ReactionNetwork:
+    """Parse model text into a :class:`ReactionNetwork`.
+
+    Raises:
+        ModelError: on any syntax or reference problem, with line/column.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -147,7 +141,6 @@ def parse_document(text: str | bytes) -> ModelDocument:
 
     species: list[str] = []
     parameters: dict[str, float] = {}
-    locations: dict[str, int] = {}
     # reaction lines are resolved in a second pass, once all species are known
     pending: list[tuple[int, list]] = []
 
@@ -165,7 +158,6 @@ def parse_document(text: str | bytes) -> ModelDocument:
                 if name in species:
                     raise ModelError(f"duplicate species {name!r}", lineno, tcol)
                 species.append(name)
-                locations[f"species:{name}"] = lineno
         elif len(tokens) >= 2 and kind == "ident" and tokens[1][:2] == ("sym", "="):
             cur = _Cursor(tokens, lineno)
             cur.next()
@@ -175,11 +167,11 @@ def parse_document(text: str | bytes) -> ModelDocument:
             if word in parameters:
                 raise ModelError(f"duplicate parameter {word!r}", lineno, col)
             parameters[word] = float(val_tok[1])
-            locations[f"param:{word}"] = lineno
         else:
             pending.append((lineno, tokens))
 
     reactions: list[Reaction] = []
+    labels: set[str] = set()
     index = {name: i for i, name in enumerate(species)}
     for lineno, tokens in pending:
         cur = _Cursor(tokens, lineno)
@@ -229,26 +221,13 @@ def parse_document(text: str | bytes) -> ModelDocument:
 
         if label is None:
             label = f"R{len(reactions) + 1}"
-        if f"reaction:{label}" in locations:
+        if label in labels:
             raise ModelError(f"duplicate reaction label {label!r}", lineno, label_col)
+        labels.add(label)
         nu = tuple(react.get(s, 0) - prod.get(s, 0) for s in range(len(species)))
         reactions.append(Reaction(label, nu, Propensity(rate, tuple(react.items())), rate_name))
-        locations[f"reaction:{label}"] = lineno
 
-    try:
-        net = ReactionNetwork(tuple(species), tuple(reactions), parameters)
-    except ValueError as exc:  # construction invariants double as diagnostics
-        raise ModelError(str(exc)) from None
-    return ModelDocument(text, net, locations)
-
-
-def parse_model(text: str | bytes) -> ReactionNetwork:
-    """Parse model text into a :class:`ReactionNetwork`.
-
-    Raises:
-        ModelError: on any syntax or reference problem, with line/column.
-    """
-    return parse_document(text).network
+    return ReactionNetwork(tuple(species), tuple(reactions), parameters)
 
 
 def _format_side(counts: dict[str, int]) -> str:

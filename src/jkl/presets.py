@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .parser import parse_model
 from .model import ReactionNetwork
 
@@ -20,17 +18,12 @@ __all__ = ["Preset", "PRESETS", "get_preset"]
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     text: str
     x0: tuple[int, ...]
-    note: str = ""
 
     @property
     def network(self) -> ReactionNetwork:
         return parse_model(self.text)
-
-    def initial_state(self) -> np.ndarray:
-        return np.array(self.x0, dtype=np.int64)
 
 
 _BIMOL = """\
@@ -114,13 +107,13 @@ R3: C -> 0 @ kE
 """
 
 PRESETS: dict[str, Preset] = {
-    "bimol": Preset("bimol", _BIMOL, (0, 0)),
-    "reversible": Preset("reversible", _REVERSIBLE, (5, 5, 0)),
-    "reversible-open": Preset("reversible-open", _REVERSIBLE_OPEN, (0, 0, 0)),
-    "extended-bimol": Preset("extended-bimol", _EXTENDED_BIMOL, (0, 0)),
-    "cubic": Preset("cubic", _CUBIC, (3,), note="simulation only: order-3 propensities"),
-    "enzyme": Preset("enzyme", _ENZYME, (10, 10)),
-    "enzyme-linear": Preset("enzyme-linear", _ENZYME_LINEAR, (10,)),
+    "bimol": Preset(_BIMOL, (0, 0)),
+    "reversible": Preset(_REVERSIBLE, (5, 5, 0)),
+    "reversible-open": Preset(_REVERSIBLE_OPEN, (0, 0, 0)),
+    "extended-bimol": Preset(_EXTENDED_BIMOL, (0, 0)),
+    "cubic": Preset(_CUBIC, (3,)),
+    "enzyme": Preset(_ENZYME, (10, 10)),
+    "enzyme-linear": Preset(_ENZYME_LINEAR, (10,)),
 }
 
 

@@ -1,10 +1,11 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from jkl.cli import main
+from jkl.cli import build_parser, main
 from jkl.cme import enumerate_states
 from jkl.presets import get_preset
 
@@ -13,6 +14,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _choices(command, dest):
+    """The argparse choices of ``command``'s option ``dest``."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).choices
 
 
 class TestValidate:
@@ -63,6 +70,17 @@ class TestAnalyze:
         assert rep["l"] == [1.0, 1.0, 2.0]
         assert rep["alpha"] == 0.0  # the conserved weight kills the drift
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--model", "{dir}"), ("--preset", "bimol", "--weight", "{dir}"),
+         ("--preset", "bimol", "--out", "{dir}")],
+        ids=["model", "weight", "out"],
+    )
+    def test_directory_path_is_usage_error(self, capsys, tmp_path, flags):
+        code, out, err = run(capsys, "analyze", *(f.format(dir=tmp_path) for f in flags))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestSimulate:
     def test_deterministic_csv(self, capsys):
@@ -91,6 +109,20 @@ class TestSimulate:
                            "--t-end", "1", "--seed", "2", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("time,A,B")
+
+    def test_capped_run_notes_early_stop(self, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "bimol", "--t-end", "5",
+                             "--state-cap", "2", "--seed", "3")
+        assert code == 0 and out.startswith("time,A,B\n")
+        assert err == "note: run stopped early (state_cap)\n"
+
+    def test_propensity_overflow_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "overflow.rxn"  # propensities overflow from A = 10
+        path.write_text("species A\nR1: 0 -> A @ 1e305\nR2: 3 A -> 4 A @ 1e305\n")
+        code, out, err = run(capsys, "simulate", "--model", str(path), "--x0", "10",
+                             "--t-end", "1")
+        assert code == 4 and out == ""
+        assert err.startswith("error: propensity overflow")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -179,6 +211,21 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["kappa"] == pytest.approx(2.0)
 
+    def test_asymptotic_unsatisfied_json(self, capsys):
+        code, out, _ = run(capsys, "bounds", "--preset", "bimol", "--kind", "asymptotic")
+        assert code == 0
+        assert json.loads(out) == {"p": 1, "satisfied": False}
+
+    # the options each kind reads beyond the grid; every other kind reads none
+    KIND_FLAGS = {"pth": ("--p", "3"), "ode-divergence": ("--y0", "1,0"), "initial": ("--y0", "1,0")}
+
+    @pytest.mark.parametrize("kind", _choices("bounds", "kind"))
+    def test_every_kind_runs(self, capsys, kind):
+        code, out, err = run(capsys, "bounds", "--preset", "bimol", "--kind", kind,
+                             "--t-end", "1", "--grid", "2", *self.KIND_FLAGS.get(kind, ()))
+        assert code == 0 and err == ""
+        assert out
+
     def test_weight_vector_network(self, capsys, tmp_path):
         # R2 raises |x|_1, so only a searched weight l tames it; the moment
         # bounds then start from l . x0
@@ -236,6 +283,12 @@ class TestCme:
         assert code == 2 and out == ""
         assert "--p must be >= 1" in err
 
+    def test_state_budget_exceeded_exits_4(self, capsys):
+        code, out, err = run(capsys, "cme", "--preset", "bimol", "--t-end", "0.1",
+                             "--max-states", "5")
+        assert code == 4 and out == ""
+        assert err == "error: state set exceeds 5 states; tighten the caps\n"
+
     def test_infinite_grid_time_rejected(self, capsys):
         code, _, err = run(capsys, "cme", "--preset", "bimol", "--caps", "5",
                            "--grid", "1.0,inf")
@@ -271,6 +324,13 @@ class TestDemo:
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "difference_histogram.csv").exists()
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+    def test_too_few_samples_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "demo", "cubic-blowup", "--samples", "0",
+                             "--out-dir", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == "error: samples must be >= 2, got 0\n"
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_demo(self, capsys):
         with pytest.raises(SystemExit):

@@ -157,6 +157,28 @@ class TestEnumeration:
         idx = enumerate_states(BIMOL, [2.0, 1.0], 3)
         assert idx.states.tolist() == enumerate_states(BIMOL, [2, 1], 3).states.tolist()
 
+    def test_per_species_caps(self):
+        idx = enumerate_states(BIMOL, [0, 0], [2, 3])
+        assert idx.caps.tolist() == [2, 3]
+        assert sorted(map(tuple, idx.states.tolist())) == [
+            (a, b) for a in range(3) for b in range(4)
+        ]
+
+    @pytest.mark.parametrize("caps", [2.7, [2.7, 3], math.inf, math.nan])
+    def test_non_integral_caps_rejected(self, caps):
+        with pytest.raises(ValueError, match="caps must hold integer counts"):
+            enumerate_states(BIMOL, [0, 0], caps)
+
+    def test_integral_float_caps_accepted(self):
+        idx = enumerate_states(BIMOL, [0, 0], 2.0)
+        assert idx.caps.tolist() == [2, 2]
+        assert idx.states.tolist() == enumerate_states(BIMOL, [0, 0], 2).states.tolist()
+
+    @pytest.mark.parametrize("caps", [[2, 3, 4], [[2, 3]]])
+    def test_caps_shape_rejected(self, caps):
+        with pytest.raises(ValueError, match="scalar or one per species"):
+            enumerate_states(BIMOL, [0, 0], caps)
+
     @pytest.mark.parametrize("state", [[1.9, 0.5], [1.7, 0.2], [math.inf, 0], [math.nan, 0]])
     def test_non_integral_state_lookup_rejected(self, state):
         idx = enumerate_states(BIMOL, [1, 0], 3)

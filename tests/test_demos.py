@@ -65,6 +65,25 @@ class TestEnzymeSensitivity:
         assert header == "time,rms,stderr,n,rms_C,rms_E"
 
 
+@pytest.mark.parametrize(
+    "name, kwargs, message",
+    [
+        ("bimol-walk", {"samples": 0}, "samples must be >= 2, got 0"),
+        ("bimol-walk", {"samples": 1}, "samples must be >= 2, got 1"),
+        ("cubic-blowup", {"samples": 0}, "samples must be >= 2, got 0"),
+        ("cubic-blowup", {"samples": 2, "moment_samples": 1}, "moment_samples must be >= 2"),
+        ("reversible-oracle", {"samples": 1}, "samples must be >= 2, got 1"),
+        ("enzyme-sensitivity", {"samples": 1}, "samples must be >= 2, got 1"),
+    ],
+    ids=["bimol-walk-0", "bimol-walk-1", "cubic-blowup-0", "cubic-blowup-moments-1",
+         "reversible-oracle-1", "enzyme-sensitivity-1"],
+)
+def test_fewer_than_two_samples_rejected(tmp_path, name, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        run_demo(name, out_dir=str(tmp_path), **kwargs)
+    assert not any(tmp_path.iterdir())  # rejected before anything ran
+
+
 class TestRunDemo:
     def test_dispatch(self):
         s = run_demo("bimol-walk", samples=200, seed=1)

@@ -867,6 +867,11 @@ class TestBatchSampler:
         states, _ = batch_states(net, [1], np.array([0.5, 1.0]), 10, seed=1)
         assert (states == 1).all()
 
+    def test_overflow_raises(self):
+        net = parse_model("species A\nR: 0 -> A @ 1e305\nR2: 3 A -> 4 A @ 1e305")
+        with np.errstate(over="ignore"), pytest.raises(SimulationError, match="overflow"):
+            batch_states(net, [10], np.array([1.0]), 4, seed=1)
+
 
 class TestRateEquations:
     def test_linear_relaxation_and_doubling(self):

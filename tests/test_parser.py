@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jkl.parser import ModelError, parse_document, parse_model, serialize_model
+from jkl.parser import ModelError, parse_model, serialize_model
 from jkl.presets import PRESETS
 
 
@@ -123,12 +123,6 @@ class TestDiagnostics:
         with pytest.raises(ModelError, match="duplicate reaction label") as info:
             parse_model(text)
         assert (info.value.diagnostic.line, info.value.diagnostic.column) == (line, column)
-
-    def test_locations_recorded(self):
-        doc = parse_document("species A\nk = 1.0\nR: A -> 0 @ k")
-        assert doc.locations["species:A"] == 1
-        assert doc.locations["param:k"] == 2
-        assert doc.locations["reaction:R"] == 3
 
 
 class TestRoundTrip:
