@@ -395,7 +395,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ModelError, KeyError, ValueError, OSError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        err, code = exc.args[0], EXIT_USAGE
+    except (CliError, ModelError, ValueError, OSError) as exc:
         err, code = exc, EXIT_USAGE
     except AnalyzerError as exc:
         err, code = exc, EXIT_ANALYZER

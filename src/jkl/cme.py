@@ -10,11 +10,14 @@ used by the simulator's state cap.
 
 Integration uses uniformization on every horizon: exact up to a
 truncated Poisson tail, at a cost of about ``max |diagonal| * horizon``
-sparse matrix-vector products.  Retained entries of a Poisson term that
-fall below ``np.finfo(float).tiny`` are flushed into the defect, which
-keeps the products off the slow subnormal path.  The uniformized matrix
-is entrywise non-negative, so the flush only lowers retained values and
-raises the defect; each flush moves at most ``n * tiny`` of mass.
+Poisson terms.  Retained entries of a Poisson term that fall below
+``np.finfo(float).tiny`` are flushed into the defect, which keeps the
+products off the slow subnormal path.  The uniformized matrix is
+entrywise non-negative, so the flush only lowers retained values and
+raises the defect; each flush moves at most ``n * tiny`` of mass.  Each
+term multiplies only the rows its nonzero prefix in breadth-first order
+can reach, plus the defect row, so a term costs the part of the
+generator its support touches, with the bytes of the full product.
 """
 
 from __future__ import annotations
@@ -187,6 +190,7 @@ class CmeSolution:
     unreliable: bool  # defect exceeded DEFECT_THRESHOLD
     matvecs: int  # Poisson terms taken, one sparse matrix-vector product each
     flushed: float  # sub-tiny probability moved into the defect, at most matvecs * n * tiny
+    row_products: int  # rows computed over all terms; / (matvecs * (n + 1)) is the share touched
 
     def total_mass(self) -> np.ndarray:
         return self.probs.sum(axis=1) + self.defect
@@ -198,36 +202,74 @@ def point_mass(idx: StateIndex, state: Sequence[int]) -> np.ndarray:
     return p0
 
 
-def _uniformization_step(p, p_op, a, tol):
+def _reach(p_op) -> list:
+    """``reach[h]``: 1 + the largest retained row that any column ``< h`` feeds.
+
+    A vector whose retained entries vanish from index ``h`` on has a
+    product with ``p_op`` whose retained entries vanish from
+    ``reach[h]`` on.  Computed in O(nnz) from the CSR arrays.
+    """
+    n = p_op.shape[0] - 1
+    rows = np.repeat(np.arange(n + 1), np.diff(p_op.indptr))
+    retained = rows < n
+    fed = np.full(n, -1)
+    np.maximum.at(fed, p_op.indices[retained], rows[retained])
+    return [0, *(np.maximum.accumulate(fed) + 1).tolist()]
+
+
+def _uniformization_step(p, p_op, reach, a, tol, matvec):
     """exp(a (P - I)) p via the truncated Poisson series, a = lam * dt.
 
-    Returns the result, the number of terms taken and the flushed mass
-    that the result's defect entry carries (see :func:`integrate_cme`).
+    Each term multiplies only the retained rows ``[0, reach[hi])`` its
+    nonzero prefix ``[0, hi)`` can feed, plus the defect row; ``matvec``
+    is scipy's CSR kernel, which adds each row's products in storage
+    order onto the output slot.  Every other row of the full product is
+    a sum of exact ``+0.0`` products, so the bytes equal those of
+    ``p_op @ term``.  Returns the result, the number of terms taken, the
+    flushed mass that the result's defect entry carries (see
+    :func:`integrate_cme`) and the number of rows computed.
     """
+    n = len(p) - 1
+    indptr, indices, data = p_op.indptr, p_op.indices, p_op.data
     result = p * np.exp(-a)
-    term = p.copy()
+    term, out = p.copy(), np.zeros_like(p)
+    hi = (p[:n] != 0.0).tobytes().rfind(1) + 1  # term[hi:n] == 0
+    stale = 0  # out[stale:n] == 0
     weight = np.exp(-a)
     acc = weight
-    k = 0
+    k = rows = 0
     in_term = flushed = 0.0
     # the tail after k terms is 1 - acc; stop once it is below tol
     while acc < 1.0 - tol:
         k += 1
-        term = p_op @ term
-        kept = term[:-1]
-        low = (kept > 0.0) & (kept < _TINY)  # exact zeros need no flush
-        if low.any():
+        r = reach[hi]
+        if r < n:
+            out[: max(r, stale)] = 0.0
+            out[n] = 0.0
+            matvec(r, n + 1, indptr, indices, data, term, out)
+            matvec(1, n + 1, indptr[n:], indices, data, term, out[n:])
+        else:  # the prefix covers the index: one call over every row
+            out[:] = 0.0
+            matvec(n + 1, n + 1, indptr, indices, data, term, out)
+        term, out, stale = out, term, hi
+        rows += r + 1
+        kept = term[:r]
+        big = kept >= _TINY
+        low = (kept > 0.0) ^ big  # exact zeros need no flush
+        if np.count_nonzero(low):
             moved = kept[low].sum()
             kept[low] = 0.0
-            term[-1] += moved
+            term[n] += moved
             in_term += moved
+        hi = big.tobytes().rfind(1) + 1  # a bool is one byte: 1 past the last kept entry
         weight *= a / k
-        result += weight * term
+        result[:r] += weight * kept
+        result[n] += weight * term[n]
         flushed += weight * in_term  # the defect row keeps what earlier terms flushed
         acc += weight
         if k > 10 * a + 1000:
             raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
-    return result, k, flushed
+    return result, k, flushed, rows
 
 
 def integrate_cme(
@@ -241,7 +283,8 @@ def integrate_cme(
     ``p0`` is the probability vector on the state index at time zero;
     grid times are absolute (non-negative, increasing).  Each interval
     is split into Poisson series of mean at most 500, so the cost is
-    about ``lam * horizon`` matrix-vector products on any horizon.
+    about ``lam * horizon`` Poisson terms on any horizon, each a product
+    over the rows its support reaches (``row_products`` counts them).
     ``retained + defect = 1`` holds to within ``tol``.
 
     After each product, retained entries below ``np.finfo(float).tiny``
@@ -256,6 +299,7 @@ def integrate_cme(
         CmeError: if a Poisson series cannot reach its share of ``tol``.
     """
     import scipy.sparse
+    from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr_matrix @ v
 
     grid = _check_grid(grid)
     n = gen.n_states
@@ -268,10 +312,11 @@ def integrate_cme(
     out = np.empty((len(grid), n))
     defect = np.empty(len(grid))
     p = np.concatenate([p0, [0.0]])
-    matvecs, flushed = 0, 0.0
+    matvecs, flushed, row_products = 0, 0.0, 0
 
     ident = scipy.sparse.identity(n + 1, format="csr")
     p_op = (ident + gen.q / gen.lam).tocsr() if gen.lam > 0 else ident
+    reach = _reach(p_op)
     t_prev = 0.0
     for g, t in enumerate(grid):
         dt = float(t) - t_prev
@@ -281,9 +326,10 @@ def integrate_cme(
             a = gen.lam * dt / n_sub
             step_tol = tol / max(1, len(grid)) / n_sub
             for _ in range(n_sub):
-                p, k, moved = _uniformization_step(p, p_op, a, step_tol)
+                p, k, moved, rows = _uniformization_step(p, p_op, reach, a, step_tol, csr_matvec)
                 matvecs += k
                 flushed += moved
+                row_products += rows
         t_prev = float(t)
         out[g] = p[:n]
         defect[g] = p[n]
@@ -295,6 +341,7 @@ def integrate_cme(
         unreliable=bool(defect.max() > DEFECT_THRESHOLD),
         matvecs=matvecs,
         flushed=float(flushed),
+        row_products=row_products,
     )
 
 

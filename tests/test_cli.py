@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from jkl import demos
 from jkl.cli import build_parser, main
 from jkl.cme import enumerate_states
+from jkl.demos import DEMO_NAMES
 from jkl.presets import get_preset
 
 
@@ -182,6 +184,7 @@ class TestEnsembleCouple:
         code, _, err = run(capsys, "couple", "--preset", "bimol", "--t-end", "1",
                            "--samples", "4", "--perturb", "zz=0.1")
         assert code == 2
+        assert err == "error: no reaction rate is bound to parameter 'zz'\n"
 
 
 class TestBounds:
@@ -331,6 +334,18 @@ class TestDemo:
         assert code == 2 and out == ""
         assert err == "error: samples must be >= 2, got 0\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", sorted(DEMO_NAMES))
+    def test_out_dir_file_fails_before_work(self, capsys, tmp_path, monkeypatch, name):
+        # every demo fetches its preset first; none may be fetched
+        fetched = []
+        monkeypatch.setattr(demos, "get_preset", fetched.append)
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, out, err = run(capsys, "demo", name, "--samples", "10", "--out-dir", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and fetched == []
+        assert path.read_text() == ""
 
     def test_unknown_demo(self, capsys):
         with pytest.raises(SystemExit):

@@ -22,7 +22,7 @@ from jkl.cme import (
 from jkl.model import ReactionNetwork, propensity_eval
 from jkl.parser import parse_model
 from jkl.presets import get_preset
-from test_golden import MIXED
+from test_golden import MIXED, _random_order2
 
 REVERSIBLE = get_preset("reversible").network
 BIMOL = get_preset("bimol").network
@@ -416,7 +416,11 @@ class TestSubnormalFlush:
         p0 = point_mass(idx, [0, 0])
         sol = integrate_cme(gen, p0, grid)
         with monkeypatch.context() as m:
-            m.setattr(cme, "_uniformization_step", lambda *args: (_reference_step(*args), 0, 0.0))
+            m.setattr(
+                cme,
+                "_uniformization_step",
+                lambda p, p_op, reach, a, tol, matvec: (_reference_step(p, p_op, a, tol), 0, 0.0, 0),
+            )
             ref = integrate_cme(gen, p0, grid)
         assert ((ref.probs > 0) & (ref.probs < tiny)).any()
         assert 0.0 < sol.flushed <= sol.matvecs * idx.n_states * tiny
@@ -429,6 +433,82 @@ class TestSubnormalFlush:
         assert np.abs(sol.probs - ref.probs).max() <= idx.n_states * tiny
         assert (sol.defect >= ref.defect).all()
         assert np.abs(sol.total_mass() - 1.0).max() <= 1e-10
+
+
+def _full_step(p, p_op, a, tol):
+    """The Poisson series over the full matrix: every term multiplies every row."""
+    result = p * np.exp(-a)
+    term = p.copy()
+    weight = np.exp(-a)
+    acc = weight
+    k = 0
+    in_term = flushed = 0.0
+    # the tail after k terms is 1 - acc; stop once it is below tol
+    while acc < 1.0 - tol:
+        k += 1
+        term = p_op @ term
+        kept = term[:-1]
+        low = (kept > 0.0) & (kept < cme._TINY)  # exact zeros need no flush
+        if low.any():
+            moved = kept[low].sum()
+            kept[low] = 0.0
+            term[-1] += moved
+            in_term += moved
+        weight *= a / k
+        result += weight * term
+        flushed += weight * in_term  # the defect row keeps what earlier terms flushed
+        acc += weight
+        if k > 10 * a + 1000:
+            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
+    return result, k, flushed
+
+
+def _random_cases(count=20, seed=16):
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        text, x0 = _random_order2(rng)
+        yield pytest.param(parse_model(text), x0, 12, np.linspace(0.0, 1.0, 5), id=f"random-{i}")
+
+
+class TestSupportPrefix:
+    """The prefix step keeps the bytes of the full-matrix series."""
+
+    CASES = [
+        pytest.param(BIMOL, [0, 0], 40, np.linspace(0.0, 1.0, 11), id="bimol-40"),
+        pytest.param(BIMOL, [0, 0], 120, np.linspace(0.0, 0.2, 11), id="bimol-120"),
+        pytest.param(
+            get_preset("enzyme").network, get_preset("enzyme").x0, 60,
+            np.linspace(0.0, 0.01, 6), id="enzyme-60",
+        ),
+        # the diagonal vanishes, so each term moves all mass one state up:
+        # from the sixth term on the retained prefix is empty
+        pytest.param(BIRTH, [0], 5, np.array([1.0, 10.0]), id="birth-escapes"),
+        *_random_cases(),
+    ]
+
+    @pytest.mark.parametrize("net, x0, caps, grid", CASES)
+    def test_bytes_match_the_full_matrix_step(self, monkeypatch, net, x0, caps, grid):
+        idx = enumerate_states(net, x0, caps)
+        gen = build_generator(net, idx)
+        p0 = point_mass(idx, x0)
+        sol = integrate_cme(gen, p0, grid)
+        with monkeypatch.context() as m:
+            m.setattr(
+                cme,
+                "_uniformization_step",
+                lambda p, p_op, reach, a, tol, matvec: (*_full_step(p, p_op, a, tol), 0),
+            )
+            ref = integrate_cme(gen, p0, grid)
+        assert sol.probs.tobytes() == ref.probs.tobytes()
+        assert sol.defect.tobytes() == ref.defect.tobytes()
+        assert (sol.flushed, sol.matvecs) == (ref.flushed, ref.matvecs)
+        assert sol.matvecs <= sol.row_products <= sol.matvecs * (idx.n_states + 1)
+
+    def test_prefix_share(self):
+        # bimol from (0, 0): the support covers under half the index at caps 120
+        idx = enumerate_states(BIMOL, [0, 0], 120)
+        sol = integrate_cme(build_generator(BIMOL, idx), point_mass(idx, [0, 0]), [0.2])
+        assert 0.3 < sol.row_products / (sol.matvecs * (idx.n_states + 1)) < 0.6
 
 
 class TestMoments:
