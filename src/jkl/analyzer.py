@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Reaction, ReactionNetwork, drift_eval, validate_network
+from .model import InvalidNetworkError, Reaction, ReactionNetwork, _check_network, drift_eval
 
 __all__ = [
     "AnalyzerError",
@@ -97,13 +97,6 @@ class WeightVectorNotFound(AnalyzerError):
             "no strictly positive weight vector l satisfies l . nu_r >= 0 on "
             f"every superlinear column; obstructing reactions: {names}"
         )
-
-
-class InvalidNetworkError(AnalyzerError):
-    def __init__(self, diagnostics):
-        self.diagnostics = diagnostics
-        msgs = "; ".join(str(d) for d in diagnostics)
-        super().__init__(f"network fails validation: {msgs}")
 
 
 def log_norm(mtx: np.ndarray) -> float:
@@ -476,13 +469,10 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
             vector.
 
     Raises:
-        InvalidNetworkError, CubicUnsupported, QuadraticObstruction,
-        WeightVectorNotFound.
+        InvalidNetworkError (a ValueError), CubicUnsupported,
+        QuadraticObstruction, WeightVectorNotFound.
     """
-    issues = validate_network(net)
-    if issues:
-        raise InvalidNetworkError(issues)
-
+    _check_network(net)
     rows = _contributions(net)
     if isinstance(weight, str):
         if weight not in ("ones", "auto"):

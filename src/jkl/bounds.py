@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .analyzer import StabilityReport, one_sided_constants
-from .engine import _check_grid, _csv, integrate_rre
+from .engine import _check_grid, _check_real_state, _check_state, _csv, integrate_rre
 from .model import ReactionNetwork
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "coefficient_perturbation_curve",
     "cubic_blowup_lowerbound",
 ]
+
+ODE_TOL = 1e-8  # rtol and atol of both rate-equation solves in ode_divergence_bound
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,6 @@ def ode_divergence_bound(
     x0: Sequence[float],
     y0: Sequence[float],
     grid: Sequence[float],
-    tol: float = 1e-8,
 ) -> BoundCurve:
     """Envelope |x0-y0| exp(int_0^t M + mu |x_s+y_s|_1 ds) for the rate ODE.
 
@@ -256,8 +257,8 @@ def ode_divergence_bound(
     """
     grid = np.asarray(grid, dtype=float)
     m, mu = one_sided_constants(net)
-    sol_x = integrate_rre(net, x0, grid, tol)
-    sol_y = integrate_rre(net, y0, grid, tol)
+    sol_x = integrate_rre(net, x0, grid, ODE_TOL)
+    sol_y = integrate_rre(net, y0, grid, ODE_TOL)
     sigma = sol_x.states.sum(axis=1) + sol_y.states.sum(axis=1)
     c_vals = m + mu * sigma
     integral = _cumulative_trapezoid(c_vals, grid)
@@ -266,7 +267,7 @@ def ode_divergence_bound(
         grid,
         d0 * np.exp(integral),
         "ode-divergence",
-        inputs={"M": m, "mu": mu, "d0": d0, "tol": tol},
+        inputs={"M": m, "mu": mu, "d0": d0, "tol": ODE_TOL},
     )
 
 
@@ -284,8 +285,8 @@ def initial_perturbation_curve(
     constant and is dropped, so domination holds on small windows only.
     """
     grid = _check_grid(grid)
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0 = _check_real_state(x0, len(report.l))
+    y0 = _check_real_state(y0, len(report.l))
     sigma0 = float(x0.sum() + y0.sum())
     rate = report.M + report.mu * sigma0
     d0 = float(np.linalg.norm(x0 - y0))
@@ -333,7 +334,7 @@ def coefficient_perturbation_curve(
     O(t^3/2) remainders are dropped.
     """
     grid = _check_grid(grid)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _check_real_state(x0, len(report.l))
     x_norm = float(x0.sum())
     w0 = report.Gamma + report.gamma * x_norm**2
     delta_prime = report.norm_1tN2 * delta
@@ -384,8 +385,12 @@ def cubic_blowup_lowerbound(x0: int, grid: Sequence[float]) -> BoundCurve:
     blowing up no later than t = 1 / (3 gamma m0^(1/3)).  Grid points at
     or past the asymptote are reported infinite.  For X0 < 3 the bound
     is the zero curve (m0 = 0).
+
+    Raises:
+        ValueError: for a bad grid, or an x0 that is not a non-negative count.
     """
     grid = _check_grid(grid)
+    (x0,) = _check_state([x0], 1)
     if x0 < 3:
         return BoundCurve(
             grid, np.zeros_like(grid), "cubic-third-moment-lower", inputs={"x0": x0, "m0": 0}

@@ -20,7 +20,7 @@ from . import cme
 from . import engine as eng
 from .analyzer import AnalyzerError, analyze
 from .demos import DEMO_NAMES, run_demo
-from .model import ReactionNetwork, validate_network
+from .model import ReactionNetwork, _check_network
 from .parser import ModelError, parse_model
 from .presets import PRESETS, get_preset
 
@@ -120,17 +120,10 @@ def _sim_config(args, t_end: float) -> eng.SimConfig:
 
 
 def cmd_validate(args) -> int:
-    try:
-        net, _ = _load_network(args)
-    except ModelError as exc:
-        print(str(exc.diagnostic), file=sys.stderr)
-        return EXIT_USAGE
-    issues = validate_network(net)
-    for d in issues:
-        print(str(d), file=sys.stderr)
-    if not issues:
-        print(f"ok: {net.n_species} species, {net.n_reactions} reactions", file=sys.stderr)
-    return EXIT_OK if not issues else EXIT_USAGE
+    net, _ = _load_network(args)
+    _check_network(net)
+    print(f"ok: {net.n_species} species, {net.n_reactions} reactions", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -219,7 +212,7 @@ def cmd_bounds(args) -> int:
     net, default_x0 = _load_network(args)
     kind = args.kind
     if kind == "cubic":
-        x0 = int(args.x0) if args.x0 else 3
+        x0 = _parse_vector(args.x0, 1, "--x0")[0] if args.x0 else 3
         curve = bnd.cubic_blowup_lowerbound(x0, _grid(args))
         _emit(args, curve.to_csv())
         return EXIT_OK

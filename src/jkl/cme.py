@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .engine import _check_grid, _check_network, _check_state, _counts
-from .model import ReactionNetwork, _rates
+from .engine import _check_grid, _check_state, _counts
+from .model import ReactionNetwork, _check_network, _rates
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -115,7 +115,7 @@ def enumerate_states(
         raise ValueError("caps must be a scalar or one per species")
     counts = _counts(np.ravel(caps).tolist(), "caps")  # fractional caps raise, never truncate
     caps_arr = np.array(counts * dim if np.ndim(caps) == 0 else counts, dtype=np.int64)
-    start = tuple(_check_state(x0, net))
+    start = tuple(_check_state(x0, dim))
     if (np.array(start) > caps_arr).any():
         raise ValueError("initial state must lie within the caps")
 
@@ -243,14 +243,10 @@ def _uniformization_step(p, p_op, reach, a, tol, matvec):
     while acc < 1.0 - tol:
         k += 1
         r = reach[hi]
-        if r < n:
-            out[: max(r, stale)] = 0.0
-            out[n] = 0.0
-            matvec(r, n + 1, indptr, indices, data, term, out)
-            matvec(1, n + 1, indptr[n:], indices, data, term, out[n:])
-        else:  # the prefix covers the index: one call over every row
-            out[:] = 0.0
-            matvec(n + 1, n + 1, indptr, indices, data, term, out)
+        out[: max(r, stale)] = 0.0
+        out[n] = 0.0
+        matvec(r, n + 1, indptr, indices, data, term, out)
+        matvec(1, n + 1, indptr[n:], indices, data, term, out[n:])
         term, out, stale = out, term, hi
         rows += r + 1
         kept = term[:r]

@@ -40,9 +40,9 @@ numpy on one master-seeded vector stream: exact and deterministic, but
 its per-trajectory paths depend on the batch size.  Running sums of the
 rates give the total and the channel; one gather per species moves it.
 
-Every public sampler runs :func:`~jkl.model.validate_network` once per
-call and raises ``ValueError`` listing the diagnostics; ensemble chunks
-then run the compiled steppers, which skip the check.
+Every public sampler checks its network (raising
+:class:`~jkl.model.InvalidNetworkError`) and initial state once per call;
+ensemble chunks then run the compiled steppers on the checked state.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ReactionNetwork, _compile, _expression, _rates, validate_network
+from .model import ReactionNetwork, _check_network, _compile, _expression, _rates
 
 __all__ = [
     "SimulationError",
@@ -422,14 +422,6 @@ def _stepper(reactions, dim: int, sampler: str, mode: str):
     return _compile(source, "step", SimulationError=SimulationError, log=math.log)
 
 
-def _check_network(net: ReactionNetwork) -> None:
-    """Reject a network that fails validation before simulating or enumerating it."""
-    issues = validate_network(net)
-    if issues:
-        msgs = "; ".join(str(d) for d in issues)
-        raise ValueError(f"network fails validation: {msgs}")
-
-
 def _counts(values: Sequence[int], what: str) -> list[int]:
     """values as ints.
 
@@ -442,19 +434,29 @@ def _counts(values: Sequence[int], what: str) -> list[int]:
     return [int(v) for v in values]
 
 
-def _check_state(x0: Sequence[int], net: ReactionNetwork) -> list[int]:
-    """x0 as ints (see :func:`_counts`), one non-negative count per species."""
+def _check_state(x0: Sequence[int], dim: int) -> list[int]:
+    """x0 as ints (see :func:`_counts`), ``dim`` non-negative counts."""
     x = _counts(x0, "initial state")
-    if len(x) != net.n_species:
-        raise ValueError(f"state has dimension {len(x)}, expected {net.n_species}")
+    if len(x) != dim:
+        raise ValueError(f"state has dimension {len(x)}, expected {dim}")
     if any(v < 0 for v in x):
+        raise ValueError("initial state must be non-negative")
+    return x
+
+
+def _check_real_state(x0: Sequence[float], dim: int) -> np.ndarray:
+    """x0 as a float array of ``dim`` finite, non-negative values."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (dim,) or not np.isfinite(x).all():
+        raise ValueError(f"initial state must be {dim} finite values")
+    if (x < 0).any():
         raise ValueError("initial state must be non-negative")
     return x
 
 
 def _path(net, sampler: str, x0, cfg: SimConfig, draws) -> Trajectory:
     """One full sample path from the compiled path-mode stepper on ``draws``."""
-    x = _check_state(x0, net)
+    x = _check_state(x0, net.n_species)
     step = _stepper(net.reactions, net.n_species, sampler, "path")
     times, states, channels, status, internal = step(
         x, draws, cfg.t_end, cfg.max_events, cfg.state_cap
@@ -648,9 +650,8 @@ def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
     return grid, means, valid, nv, nv / np.maximum(nv - 1, 1)
 
 
-def _moment_terms(grid, cfg, net, x0, p_max):
+def _moment_terms(grid, cfg, net, x, p_max):
     step = _stepper(net.reactions, net.n_species, "direct", "grid")
-    x = _check_state(x0, net)
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
     orders = np.arange(1, p_max + 1)
 
@@ -684,8 +685,9 @@ def ensemble_moments(
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     _check_network(net)
+    x = _check_state(x0, net.n_species)
     grid, (mean, sq, sp_mean, sp_sq), valid, nv, bessel = _reduce(
-        _moment_terms, (net, x0, p_max), grid, n, seed, workers, max_events, state_cap
+        _moment_terms, (net, x, p_max), grid, n, seed, workers, max_events, state_cap
     )
     var = np.maximum(sq - mean**2, 0.0)
     return MomentTable(
@@ -724,10 +726,9 @@ class RmsCurve:
         return _csv(header, ((*row, *sp) for row, sp in zip(rows, self.species_rms.tolist())))
 
 
-def _rms_terms(grid, cfg, net, pert_net, x0, y0):
+def _rms_terms(grid, cfg, net, pert_net, x, y):
     step_x = _stepper(net.reactions, net.n_species, "rtc", "grid")
     step_y = _stepper(pert_net.reactions, net.n_species, "rtc", "grid")
-    x, y = _check_state(x0, net), _check_state(y0, pert_net)
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
     n_r = net.n_reactions
 
@@ -762,8 +763,9 @@ def coupled_rms(
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
+    x, y = _check_state(x0, net.n_species), _check_state(y0, net.n_species)
     grid, (mean_sq, sq_sq, sp_sq), valid, nv, bessel = _reduce(
-        _rms_terms, (net, pert_net, x0, y0), grid, n, seed, workers, max_events, state_cap
+        _rms_terms, (net, pert_net, x, y), grid, n, seed, workers, max_events, state_cap
     )
     var_sq = np.maximum(sq_sq - mean_sq**2, 0.0)
     se_mean_sq = (np.sqrt(var_sq * bessel) / np.sqrt(nv))[:, 0]
@@ -812,7 +814,7 @@ def batch_states(
     """
     grid = _check_grid(grid)
     _check_network(net)
-    x_init = _check_state(x0, net)
+    x_init = _check_state(x0, net.n_species)
     _check_caps(max_events_per_traj, state_cap)
     if n < 1:
         raise ValueError("batch needs n >= 1")
@@ -906,11 +908,7 @@ def integrate_rre(
     """
     _check_network(net)
     grid = _check_grid(grid)
-    x_init = np.asarray(x0, dtype=float)
-    if x_init.shape != (net.n_species,) or not np.isfinite(x_init).all():
-        raise ValueError(f"initial state must be {net.n_species} finite values")
-    if (x_init < 0).any():
-        raise ValueError("initial state must be non-negative")
+    x_init = _check_real_state(x0, net.n_species)
     if len(grid) == 1:  # solve_ivp returns no usable result on an empty span
         return OdeSolution(times=grid, states=x_init[None, :])
     import scipy.integrate

@@ -35,6 +35,7 @@ __all__ = [
     "Reaction",
     "ReactionNetwork",
     "Diagnostic",
+    "InvalidNetworkError",
     "validate_network",
     "propensity_eval",
     "drift_eval",
@@ -272,6 +273,22 @@ def validate_network(net: ReactionNetwork) -> list[Diagnostic]:
                     )
                 )
     return issues
+
+
+class InvalidNetworkError(ValueError):
+    """A network that fails :func:`validate_network`, with its diagnostics."""
+
+    def __init__(self, diagnostics: list[Diagnostic]):
+        self.diagnostics = diagnostics
+        msgs = "; ".join(str(d) for d in diagnostics)
+        super().__init__(f"network fails validation: {msgs}")
+
+
+def _check_network(net: ReactionNetwork) -> None:
+    """Raise :class:`InvalidNetworkError` if ``net`` has any diagnostic."""
+    issues = validate_network(net)
+    if issues:
+        raise InvalidNetworkError(issues)
 
 
 def propensity_eval(net: ReactionNetwork, x: Sequence[float]) -> np.ndarray:

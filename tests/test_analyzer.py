@@ -464,6 +464,13 @@ class TestAnalyze:
         with pytest.raises(InvalidNetworkError):
             analyze(bad)
 
+    def test_invalid_network_error_is_the_model_value_error(self):
+        # one class for every entry point, so the CLI exits 2 for it everywhere
+        from jkl import model
+
+        assert InvalidNetworkError is model.InvalidNetworkError
+        assert issubclass(InvalidNetworkError, ValueError)
+
     def test_report_json_fields(self):
         d = analyze(BIMOL).to_dict()
         for key in ("A", "alpha", "L", "lambda", "Gamma", "gamma", "M", "mu",

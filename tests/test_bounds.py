@@ -305,6 +305,30 @@ class TestInitialPerturbation:
         assert curve.values[0] == pytest.approx(1.0)
 
 
+# each perturbation envelope, called with state s where the report wants
+# one finite, non-negative value per species
+STATE_CURVES = {
+    "initial-x0": lambda s: initial_perturbation_curve(R_BIMOL, s, [0, 0], [0.0, 0.1]),
+    "initial-y0": lambda s: initial_perturbation_curve(R_BIMOL, [0, 0], s, [0.0, 0.1]),
+    "coeff": lambda s: coefficient_perturbation_curve(R_BIMOL, s, 0.1, 0.1, [0.0, 0.1]),
+}
+BAD_STATES = {
+    "negative": ([-3, 0], "non-negative"),
+    "short": ([1], "2 finite values"),
+    "long": ([1, 1, 1], "2 finite values"),
+    "nan": ([math.nan, 0], "2 finite values"),
+    "inf": ([0, math.inf], "2 finite values"),
+}
+
+
+@pytest.mark.parametrize("state", list(BAD_STATES.values()), ids=list(BAD_STATES))
+@pytest.mark.parametrize("curve", list(STATE_CURVES.values()), ids=list(STATE_CURVES))
+def test_perturbation_curves_reject_a_bad_state(curve, state):
+    values, message = state
+    with pytest.raises(ValueError, match=message):
+        curve(values)
+
+
 class TestCoefficientPerturbation:
     GRID = np.linspace(0.0, 0.05, 11)
 
@@ -345,6 +369,22 @@ class TestCubicLowerBound:
     def test_below_three_is_zero(self):
         curve = cubic_blowup_lowerbound(2, np.linspace(0, 1, 5))
         assert np.allclose(curve.values, 0.0)
+
+    @pytest.mark.parametrize(
+        "x0, message",
+        [(-4, "non-negative"), (-1, "non-negative"), (3.5, "integer counts"),
+         (math.nan, "integer counts")],
+    )
+    def test_x0_must_be_a_count(self, x0, message):
+        with pytest.raises(ValueError, match=message):
+            cubic_blowup_lowerbound(x0, np.linspace(0, 1, 3))
+
+    def test_integral_float_x0_accepted(self):
+        grid = np.linspace(0, 0.01, 3)
+        assert (
+            cubic_blowup_lowerbound(5.0, grid).values.tobytes()
+            == cubic_blowup_lowerbound(5, grid).values.tobytes()
+        )
 
     def test_value_at_zero(self):
         curve = cubic_blowup_lowerbound(5, np.array([0.0]))

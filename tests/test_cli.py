@@ -40,10 +40,32 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--model", str(path))
         assert code == 2
         assert "line 2" in err
+        assert err.startswith("error: line 2, col 9")
 
     def test_missing_model_arg(self, capsys):
         code, _, err = run(capsys, "validate")
         assert code == 2
+
+
+# a command per entry point that validates the network, each from x0 = 1
+VALIDATING = {
+    "analyze": ["analyze"],
+    "bounds": ["bounds", "--kind", "first", "--x0", "1", "--t-end", "1"],
+    "simulate": ["simulate", "--x0", "1", "--t-end", "1"],
+    "cme": ["cme", "--x0", "1", "--caps", "5", "--t-end", "1"],
+    "validate": ["validate"],
+}
+
+
+@pytest.mark.parametrize("argv", list(VALIDATING.values()), ids=list(VALIDATING))
+def test_invalid_network_exits_2_everywhere(capsys, tmp_path, argv):
+    path = tmp_path / "neg.rxn"
+    path.write_text("species A\nk = -1\nR1: 0 -> A @ k\nR2: A -> 0 @ 1\n")
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: network fails validation: rate constant is negative (-1.0) [reaction R1]"
+    ]
 
 
 class TestAnalyze:
@@ -251,6 +273,26 @@ class TestBounds:
                              "--kind", "asymptotic", "--p", p)
         assert code == 2 and out == ""
         assert "--p must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--preset", "bimol", "--kind", "initial", "--x0=-3,0", "--y0=0,0"),
+            ("--preset", "bimol", "--kind", "coeff", "--x0=-3,0", "--perturb", "k1=0.1"),
+            ("--preset", "cubic", "--kind", "cubic", "--x0=-4"),
+        ],
+        ids=["initial", "coeff", "cubic"],
+    )
+    def test_negative_x0_rejected(self, capsys, argv):
+        code, out, err = run(capsys, "bounds", *argv, "--t-end", "1", "--grid", "2")
+        assert code == 2 and out == ""
+        assert err == "error: initial state must be non-negative\n"
+
+    def test_cubic_x0_parsed_as_a_count(self, capsys):
+        code, out, err = run(capsys, "bounds", "--preset", "cubic", "--kind", "cubic",
+                             "--x0", "3.5", "--t-end", "1")
+        assert code == 2 and out == ""
+        assert "--x0 must be comma-separated integers, got '3.5'" in err
 
     def test_analyzer_rejection_propagates(self, capsys):
         code, _, err = run(capsys, "bounds", "--preset", "cubic", "--kind", "first",

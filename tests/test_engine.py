@@ -243,6 +243,24 @@ class TestEntryValidation:
         got = ENTRY_POINTS[name](BIRTH, [np.float64(2.0)])
         assert pickle.dumps(got) == pickle.dumps(ENTRY_POINTS[name](BIRTH, [2]))
 
+    @pytest.mark.parametrize("name", ["ensemble_moments", "coupled_rms"])
+    def test_state_checked_before_the_pool(self, monkeypatch, name):
+        # x0 is checked once at entry, not per chunk inside the workers
+        def no_pool(*args):
+            raise AssertionError("samples ran before the state check")
+
+        monkeypatch.setattr(engine, "_pool_map", no_pool)
+        calls = {
+            "ensemble_moments": lambda: ensemble_moments(
+                BIMOL, [1.5, 0], [0.0, 1.0], 1, 600, seed=1, workers=2
+            ),
+            "coupled_rms": lambda: coupled_rms(
+                BIMOL, [0, 0], [1.5, 0], PerturbationSpec(), [0.0, 1.0], 600, seed=1, workers=2
+            ),
+        }
+        with pytest.raises(ValueError, match="integer counts"):
+            calls[name]()
+
     def test_invalid_perturbed_network_rejected(self):
         # an infinite delta fails the perturbation check; a finite delta that
         # overflows the rate fails validation of the perturbed network
