@@ -179,11 +179,6 @@ def _contribution(rxn: Reaction) -> ReactionContribution:
     raise CubicUnsupported(rxn.label)
 
 
-def _contributions(net: ReactionNetwork) -> tuple[ReactionContribution, ...]:
-    """One row per reaction, in reaction order."""
-    return tuple(_contribution(rxn) for rxn in net.reactions)
-
-
 # ---------------------------------------------------------------------------
 # weight vector
 
@@ -318,16 +313,16 @@ def drift_constants(
     return max(0.0, float(a_const)), alpha
 
 
-def _column_sum(rows: Sequence[ReactionContribution], name: str) -> float:
-    return float(sum(getattr(row, name) for row in rows))
+def _pairs(net: ReactionNetwork) -> dict:
+    """The report's fields that do not depend on the weight vector ``l``.
 
-
-def _linear_part_log_norm(net: ReactionNetwork) -> float:
-    """Logarithmic norm of the drift's full linear part.
-
-    A linear reaction adds ``-k nu e_n^T``; a dimer's linear correction
-    ``-k x_n`` of its propensity adds ``+k nu e_n^T``.
+    The six pair fields are the column sums of ``per_reaction``, one row per
+    reaction in reaction order.  ``M`` is the smaller of the rank-1 sum
+    ``M_special_sum`` and ``M_combined``, the logarithmic norm of the drift's
+    full linear part: a linear reaction adds ``-k nu e_n^T`` to it, and a
+    dimer's linear correction ``-k x_n`` adds ``+k nu e_n^T``.
     """
+    rows = tuple(_contribution(rxn) for rxn in net.reactions)
     dim = net.n_species
     lin_part = np.zeros((dim, dim))
     for rxn in net.reactions:
@@ -335,7 +330,15 @@ def _linear_part_log_norm(net: ReactionNetwork) -> float:
         if prop.kind in ("linear", "dimer"):
             k = prop.rate if prop.kind == "linear" else -prop.rate
             lin_part[:, prop.reactants[0][0]] -= np.array(rxn.nu, dtype=float) * k
-    return float(log_norm(lin_part)) if dim else 0.0
+    out = {
+        name: float(sum(getattr(row, name) for row in rows))
+        for name in ("M", "mu", "L", "lam", "Gamma", "gamma")
+    }
+    out["M_special_sum"] = out["M"]
+    out["M_combined"] = float(log_norm(lin_part)) if dim else 0.0
+    out["M"] = min(out["M_special_sum"], out["M_combined"])
+    out["per_reaction"] = rows
+    return out
 
 
 def one_sided_constants(net: ReactionNetwork) -> tuple[float, float]:
@@ -345,9 +348,8 @@ def one_sided_constants(net: ReactionNetwork) -> tuple[float, float]:
     logarithmic norm of the full linear part (including dimer linear
     corrections); mu sums the per-reaction quadratic contributions.
     """
-    rows = _contributions(net)
-    special_sum = _column_sum(rows, "M")
-    return min(special_sum, _linear_part_log_norm(net)), _column_sum(rows, "mu")
+    pairs = _pairs(net)
+    return pairs["M"], pairs["mu"]
 
 
 def lipschitz_constants(net: ReactionNetwork) -> tuple[float, float]:
@@ -357,8 +359,8 @@ def lipschitz_constants(net: ReactionNetwork) -> tuple[float, float]:
     <= |S| |x+y|_1 |x-y|, with |S| = k/2 for a bilinear term and k for a
     squared one; the dimer's linear correction joins L.
     """
-    rows = _contributions(net)
-    return _column_sum(rows, "L"), _column_sum(rows, "lam")
+    pairs = _pairs(net)
+    return pairs["L"], pairs["lam"]
 
 
 def growth_constants(net: ReactionNetwork) -> tuple[float, float]:
@@ -368,8 +370,8 @@ def growth_constants(net: ReactionNetwork) -> tuple[float, float]:
     (where linear propensities vanish anyway), x_m x_n <= |x|_1^2 / 4,
     and x_n (x_n - 1) <= |x|_1^2.
     """
-    rows = _contributions(net)
-    return _column_sum(rows, "Gamma"), _column_sum(rows, "gamma")
+    pairs = _pairs(net)
+    return pairs["Gamma"], pairs["gamma"]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +422,8 @@ class StabilityReport:
     ``norm_1tN`` is ``max_r |l . nu_r|``, ``norm_1tN_sq`` its square taken
     elementwise over columns (these enter the moment bounds), and
     ``norm_1tN2`` is ``max_r sum_i nu_{ir}^2`` (which enters the
-    perturbation bounds through L', lambda' and delta').
+    perturbation bounds through L', lambda' and delta').  The fields are
+    declared in the order ``jkl analyze`` prints them.
     """
 
     A: float
@@ -431,12 +434,12 @@ class StabilityReport:
     gamma: float
     M: float
     mu: float
-    l: tuple[float, ...]
+    M_special_sum: float
+    M_combined: float
     norm_1tN: float
     norm_1tN_sq: float
     norm_1tN2: float
-    M_special_sum: float
-    M_combined: float
+    l: tuple[float, ...]
     per_reaction: tuple[ReactionContribution, ...] = field(default_factory=tuple)
 
     @property
@@ -473,7 +476,6 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
         QuadraticObstruction, WeightVectorNotFound.
     """
     _check_network(net)
-    rows = _contributions(net)
     if isinstance(weight, str):
         if weight not in ("ones", "auto"):
             raise ValueError(f"unknown weight policy {weight!r}")
@@ -488,9 +490,6 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
         lv = find_weight_vector(net)
         a, alpha = drift_constants(net, lv)
 
-    m_special = _column_sum(rows, "M")
-    m_combined = _linear_part_log_norm(net)
-
     if net.n_reactions:
         nmat = net.stoichiometry.astype(float)
         colsums = lv @ nmat
@@ -503,18 +502,9 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
     return StabilityReport(
         A=a,
         alpha=alpha,
-        L=_column_sum(rows, "L"),
-        lam=_column_sum(rows, "lam"),
-        Gamma=_column_sum(rows, "Gamma"),
-        gamma=_column_sum(rows, "gamma"),
-        M=min(m_special, m_combined),
-        mu=_column_sum(rows, "mu"),
-        l=tuple(float(v) for v in lv),
         norm_1tN=norm_1tn,
         norm_1tN_sq=norm_1tn_sq,
         norm_1tN2=norm_1tn2,
-        M_special_sum=m_special,
-        M_combined=m_combined,
-        per_reaction=rows,
+        l=tuple(float(v) for v in lv),
+        **_pairs(net),
     )
-

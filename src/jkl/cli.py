@@ -136,19 +136,13 @@ def cmd_analyze(args) -> int:
     if args.json:
         _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         return EXIT_OK
-    d = report.to_dict()
+    fields = report.to_dict()
+    rows = fields.pop("per_reaction")
     lines = ["constant        value", "-" * 30]
-    for key in ("A", "alpha", "L", "lambda", "Gamma", "gamma", "M", "mu",
-                "M_special_sum", "M_combined", "norm_1tN", "norm_1tN_sq", "norm_1tN2"):
-        lines.append(f"{key:<15s} {d[key]!r}")
-    lines.append(f"{'l':<15s} {d['l']!r}")
-    lines.append("")
-    lines.append("reaction breakdown (label kind M mu L lambda Gamma gamma)")
-    for row in d["per_reaction"]:
-        lines.append(
-            f"  {row['label']:<8s} {row['kind']:<9s} {row['M']:.12g} {row['mu']:.12g} "
-            f"{row['L']:.12g} {row['lambda']:.12g} {row['Gamma']:.12g} {row['gamma']:.12g}"
-        )
+    lines += [f"{key:<15s} {value!r}" for key, value in fields.items()]
+    lines += ["", "reaction breakdown (label kind M mu L lambda Gamma gamma)"]
+    for label, kind, *values in (row.values() for row in rows):
+        lines.append(f"  {label:<8s} {kind:<9s} " + " ".join(f"{v:.12g}" for v in values))
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -212,6 +206,9 @@ def cmd_bounds(args) -> int:
     net, default_x0 = _load_network(args)
     kind = args.kind
     if kind == "cubic":
+        pair = [(r.nu, r.propensity) for r in get_preset("cubic").network.reactions]
+        if [(r.nu, r.propensity) for r in net.reactions] != pair:
+            raise CliError("--kind cubic bounds only the zero-drift cubic pair of preset cubic")
         x0 = _parse_vector(args.x0, 1, "--x0")[0] if args.x0 else 3
         curve = bnd.cubic_blowup_lowerbound(x0, _grid(args))
         _emit(args, curve.to_csv())

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from jkl import analyzer as an
 from jkl import bounds as bnd
@@ -160,6 +161,7 @@ def test_06_cubic_blowup():
     _run("06 cubic-blowup", 60.0, body)
 
 
+@pytest.mark.slow
 def test_07_enzyme_sensitivity():
     """Rate-ODE doubles; the stochastic mean response is ~fourfold."""
 

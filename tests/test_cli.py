@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from jkl.cli import build_parser, main
 from jkl.cme import enumerate_states
 from jkl.demos import DEMO_NAMES
 from jkl.presets import get_preset
+from test_golden import CLI_CSV_GOLDEN
 
 
 def run(capsys, *argv):
@@ -246,10 +248,39 @@ class TestBounds:
 
     @pytest.mark.parametrize("kind", _choices("bounds", "kind"))
     def test_every_kind_runs(self, capsys, kind):
-        code, out, err = run(capsys, "bounds", "--preset", "bimol", "--kind", kind,
+        # the cubic bound holds for the cubic pair only; every other kind
+        # runs on bimol
+        preset = "cubic" if kind == "cubic" else "bimol"
+        code, out, err = run(capsys, "bounds", "--preset", preset, "--kind", kind,
                              "--t-end", "1", "--grid", "2", *self.KIND_FLAGS.get(kind, ()))
         assert code == 0 and err == ""
         assert out
+
+    def test_cubic_kind_rejects_another_network(self, capsys):
+        code, out, err = run(capsys, "bounds", "--preset", "bimol", "--kind", "cubic",
+                             "--t-end", "0.1", "--grid", "2")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --kind cubic bounds only the zero-drift cubic pair of preset cubic\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            get_preset("cubic").text,
+            # the same reactions under other labels and another species name
+            "species Y\nloss: 3 Y -> Y @ 0.5\ngain: 3 Y -> 4 Y @ 1.0\n",
+        ],
+        ids=["preset", "relabelled"],
+    )
+    def test_cubic_kind_reads_the_cubic_pair(self, capsys, tmp_path, text):
+        path = tmp_path / "cubic.rxn"
+        path.write_text(text)
+        argv = ("bounds", "--kind", "cubic", "--x0", "3", "--t-end", "0.4", "--grid", "4")
+        code, out, err = run(capsys, *argv, "--model", str(path))
+        assert code == 0 and err == ""
+        assert run(capsys, *argv, "--preset", "cubic") == (0, out, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_CSV_GOLDEN["bounds-cubic"]
 
     def test_weight_vector_network(self, capsys, tmp_path):
         # R2 raises |x|_1, so only a searched weight l tames it; the moment

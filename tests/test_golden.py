@@ -8,6 +8,7 @@ small: the whole module runs in a few seconds.
 """
 
 import hashlib
+import json
 import os
 from collections import Counter
 
@@ -212,6 +213,22 @@ CLI_CSV_CASES = {
     **{f"bounds-second-{name}": ("bounds", "--preset", name, "--kind", "second",
                                  "--t-end", "1", "--grid", "4")
        for name in ("bimol", "enzyme", "reversible")},
+    # the other bound kinds, each from the constants the analyzer feeds it
+    "bounds-first": ("bounds", "--preset", "enzyme-linear", "--kind", "first",
+                     "--t-end", "0.01", "--grid", "4"),
+    "bounds-pth": ("bounds", "--preset", "reversible", "--kind", "pth", "--p", "3",
+                   "--t-end", "1", "--grid", "4"),
+    "bounds-initial": ("bounds", "--preset", "bimol", "--kind", "initial", "--x0", "3,2",
+                       "--y0", "1,4", "--t-end", "1", "--grid", "4"),
+    **{f"bounds-coeff-{variant}": ("bounds", "--preset", "enzyme", "--kind", "coeff",
+                                   "--perturb", "alphaE=-0.5", "--variant", variant,
+                                   "--t-end", "0.1", "--grid", "4")
+       for variant in ("small-time", "large-time")},
+    # also pins scipy's RK45 bytes
+    "bounds-ode-divergence": ("bounds", "--preset", "bimol", "--kind", "ode-divergence",
+                              "--x0", "3,2", "--y0", "1,4", "--t-end", "1", "--grid", "4"),
+    "bounds-asymptotic": ("bounds", "--preset", "extended-bimol", "--kind", "asymptotic",
+                          "--p", "1"),
 }
 
 DEMO_CSV_CASES = {
@@ -254,11 +271,19 @@ def _demo_csv_outputs(name: str, out_dir) -> dict[str, str]:
 
 # recorded by running the CSV writers as they were before the one CSV writer;
 # the bounds-second digests by running second_moment_curve before the scalar
-# envelope of its eps search
+# envelope of its eps search; the other bounds digests (all but cubic) by running
+# the analyzer as it was before one function aggregated its per-reaction rows
 ENGINE_CSV_GOLDEN = {'ode': '5b3860416ceefa328b981635f45e9b382962ed0c94f6e4ad02db442216174a0d',
  'rms-no-species': 'e9cf5fa26870117ab96210f6a92096a195baa56d05bc638b15438d68de3cd41d'}
 
-CLI_CSV_GOLDEN = {'bounds-cubic': '8163777000c1bc640ed2ee953044c1c05bddc33fe34fade9692ff217906ce4ca',
+CLI_CSV_GOLDEN = {'bounds-asymptotic': 'a801ae74d4792c2dcce1ea438e76dd353dfad188c7efcd5010c2ebdbf91731a5',
+ 'bounds-coeff-large-time': 'b6ad3aae5720598f4353d51dedf56ba2582073fd99fbeae6c0cf6bdf97e4d9b4',
+ 'bounds-coeff-small-time': 'a40ef722bdfef88495e6c66a5553f6c45e8f508ebf45f9375ca81406dc10bcf6',
+ 'bounds-cubic': '8163777000c1bc640ed2ee953044c1c05bddc33fe34fade9692ff217906ce4ca',
+ 'bounds-first': 'b6401c2ff3c6c1488efbccac4a20a1476cd8c160ebde5aff1d16ba423de183ad',
+ 'bounds-initial': '7485aebcc259ba41b63841aa3cdf845b1912827826da2f1d710f60dde8447d0d',
+ 'bounds-ode-divergence': '084d9da3a94c8c92c1ba9c7a11b035904263e56b1b4ca80613e83bfd4d85b6c0',
+ 'bounds-pth': '4366dd1e647f7b63f2f0fe195516f2655d50f19ebcc7fa0662c95ced358611f8',
  'bounds-second-bimol': 'b2cdb9808cba336957163509201b1bf4fdc042d11c6e5849d449cb319f2c1ac1',
  'bounds-second-enzyme': '6e5e23b4d81a9c4937a747fce0d02850eb7891b7fd65a4ecb9499eb360490809',
  'bounds-second-reversible': '2e0063d445e0112ad52e4079b27def948eaa8f39a25faab4bbf933cc3128e313',
@@ -685,6 +710,44 @@ def _bound_outputs() -> str:
 BOUNDS_GOLDEN = '7c4ca33f4df3c3982711f2bec14931369abc10d00f96ee6cd5aa564f10ebf796'
 
 
+# the pair functions and the report fields they must equal bit for bit
+PAIR_FIELDS = {
+    analyzer.one_sided_constants: ("M", "mu"),
+    analyzer.lipschitz_constants: ("L", "lam"),
+    analyzer.growth_constants: ("Gamma", "gamma"),
+}
+
+
+def _analyze_screen_outputs() -> str:
+    """sha256 of ``json.dumps(report.to_dict(), sort_keys=True)``.
+
+    Over the seeded networks of the bound digest; a rejected network
+    contributes the name of its rejection.  Their rates are not integers,
+    so a column sum taken in another order changes these bytes, which no
+    preset's constants can show.  Each pair function must return the
+    report's own bits.
+    """
+    rng = np.random.default_rng(20120217)
+    parts = []
+    for _ in range(BOUND_NETWORKS):
+        net = parse_model(_random_order2(rng)[0])
+        try:
+            report = analyzer.analyze(net)
+        except analyzer.AnalyzerError as exc:
+            parts.append(type(exc).__name__)
+            continue
+        parts.append(json.dumps(report.to_dict(), sort_keys=True))
+        for pair, names in PAIR_FIELDS.items():
+            want = np.array([getattr(report, name) for name in names])
+            assert np.array(pair(net)).tobytes() == want.tobytes(), pair.__name__
+    return _digest(*parts)
+
+
+# recorded by running analyze as it was before the report's l-free fields
+# came from one aggregation
+ANALYZE_SCREEN_GOLDEN = '56deb50398ebffa859faefb5817f5b4848861af4d754e730f6adf1d3a3438b79'
+
+
 def _network(name):
     return parse_model(WEIGHTED[name]) if name in WEIGHTED else get_preset(name).network
 
@@ -772,6 +835,10 @@ def _assert_close(got, want):
 
 def test_bound_digest():
     assert _bound_outputs() == BOUNDS_GOLDEN
+
+
+def test_analyze_screen_digest():
+    assert _analyze_screen_outputs() == ANALYZE_SCREEN_GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(ANALYZE_GOLDEN))
