@@ -24,7 +24,8 @@ plain 1-norm, so constants stated against ``|.|_1`` stay valid.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, astuple, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +38,7 @@ __all__ = [
     "CubicUnsupported",
     "QuadraticObstruction",
     "WeightVectorNotFound",
+    "RateOverflow",
     "InvalidNetworkError",
     "log_norm",
     "log_norm_rank1",
@@ -96,6 +98,18 @@ class WeightVectorNotFound(AnalyzerError):
         super().__init__(
             "no strictly positive weight vector l satisfies l . nu_r >= 0 on "
             f"every superlinear column; obstructing reactions: {names}"
+        )
+
+
+class RateOverflow(AnalyzerError):
+    """A rate so large that its reaction's constants are not finite floats."""
+
+    def __init__(self, reaction: str, rate: float):
+        self.reaction = reaction
+        super().__init__(
+            f"reaction {reaction} with rate {rate!r} overflows its stability "
+            "constants: a per-reaction term or the drift's linear part is not "
+            "a finite float"
         )
 
 
@@ -321,19 +335,34 @@ def _pairs(net: ReactionNetwork) -> dict:
     ``M_special_sum`` and ``M_combined``, the logarithmic norm of the drift's
     full linear part: a linear reaction adds ``-k nu e_n^T`` to it, and a
     dimer's linear correction ``-k x_n`` adds ``+k nu e_n^T``.
+
+    Raises:
+        RateOverflow: at the first reaction whose row, or whose share of the
+            linear part, is not finite.
     """
-    rows = tuple(_contribution(rxn) for rxn in net.reactions)
     dim = net.n_species
     lin_part = np.zeros((dim, dim))
-    for rxn in net.reactions:
-        prop = rxn.propensity
-        if prop.kind in ("linear", "dimer"):
-            k = prop.rate if prop.kind == "linear" else -prop.rate
-            lin_part[:, prop.reactants[0][0]] -= np.array(rxn.nu, dtype=float) * k
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = tuple(_contribution(rxn) for rxn in net.reactions)
+        for rxn in net.reactions:
+            prop = rxn.propensity
+            if prop.kind in ("linear", "dimer"):
+                k = prop.rate if prop.kind == "linear" else -prop.rate
+                lin_part[:, prop.reactants[0][0]] -= np.array(rxn.nu, dtype=float) * k
+        finite = math.isfinite(lin_part.sum())
     out = {
         name: float(sum(getattr(row, name) for row in rows))
         for name in ("M", "mu", "L", "lam", "Gamma", "gamma")
     }
+    # row terms are non-negative, so a row or a share that is not finite
+    # shows in a sum or in the linear part; only then look for the reaction
+    if not (finite and all(map(math.isfinite, out.values()))):
+        for rxn, row in zip(net.reactions, rows):
+            prop = rxn.propensity
+            linear = prop.kind in ("linear", "dimer")
+            share = max(map(abs, rxn.nu)) * prop.rate if linear else 0.0
+            if not np.isfinite([*astuple(row)[2:], share]).all():
+                raise RateOverflow(rxn.label, prop.rate)
     out["M_special_sum"] = out["M"]
     out["M_combined"] = float(log_norm(lin_part)) if dim else 0.0
     out["M"] = min(out["M_special_sum"], out["M_combined"])

@@ -21,7 +21,10 @@ and schedule-independent:
 * exponentials are inverse-CDF samples ``-log(1 - u)``;
 * both ensemble estimators go through one reducer, :func:`_reduce`,
   which combines fixed-size chunk sums in index order, so serial and
-  parallel runs produce identical bytes.
+  parallel runs produce identical bytes.  A chunk derives all its seeds
+  in one uint64 array pass (:func:`_mix_lanes`, the same chain) and
+  re-seeds one stream per channel for each sample, which leaves each
+  stream as a freshly seeded one.
 
 Both samplers run as generated code: for each network, sampler and
 record mode, :func:`_stepper_source` writes one straight-line Python
@@ -39,6 +42,8 @@ The lockstep batch sampler (:func:`batch_states`) runs species-major in
 numpy on one master-seeded vector stream: exact and deterministic, but
 its per-trajectory paths depend on the batch size.  Running sums of the
 rates give the total and the channel; one gather per species moves it.
+Once at most half of the trajectories still fire, the work rows shrink to
+those that do; the draws stay full width, so each keeps its own column.
 
 Every public sampler checks its network (raising
 :class:`~jkl.model.InvalidNetworkError`) and initial state once per call;
@@ -51,6 +56,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 import os
 import random
 from dataclasses import dataclass, field
@@ -102,6 +108,32 @@ def _mix(z: int, parts) -> int:
         z = (z * 0x94D049BB133111EB) & _MASK64
         z ^= z >> 31
     return z
+
+
+def _mix_lanes(z, parts) -> np.ndarray:
+    """:func:`_mix` elementwise on uint64 arrays, whose adds and multiplies wrap mod 2**64.
+
+    ``z`` and each part are integers in ``[0, 2**64)`` or uint64 arrays of
+    them; they broadcast.  ``_mix_lanes(mix64(seed), [i])`` holds the seeds
+    ``mix64(seed, i)`` of the sample indices ``i``.
+    """
+    z = np.array(z, dtype=np.uint64, ndmin=1)
+    for p in parts:
+        z = z + np.asarray(p, dtype=np.uint64)
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+    return z
+
+
+def _seed(seed) -> int:
+    """``seed`` as a Python int; any integer type passes (numpy's too), anything else is rejected."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
 
 
 def _csv(header: Sequence[str], rows) -> str:
@@ -158,6 +190,7 @@ class SimConfig:
         if not 0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
         _check_caps(self.max_events, self.state_cap)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 def _check_caps(max_events, state_cap) -> None:
@@ -506,7 +539,7 @@ def _channel_streams(seed: int, n_r: int) -> list[random.Random]:
     return [random.Random(_mix(z, (r,))) for r in range(n_r)]
 
 
-def _coupled_clocks(seed: int, n_r: int) -> tuple[list, list]:
+def _coupled_clocks(streams: list[random.Random]) -> tuple[list, list]:
     """The channel clocks of a coupled pair's two legs, on one set of streams.
 
     The first leg draws channel r from its stream through a ``tee``; the
@@ -514,7 +547,7 @@ def _coupled_clocks(seed: int, n_r: int) -> tuple[list, list]:
     same stream.  So each leg sees the stream's draws in stream order,
     exactly as a leg with freshly seeded streams would.
     """
-    legs = [itertools.tee(iter(r.random, None)) for r in _channel_streams(seed, n_r)]
+    legs = [itertools.tee(iter(r.random, None)) for r in streams]
     return [x.__next__ for x, _ in legs], [y.__next__ for _, y in legs]
 
 
@@ -537,7 +570,7 @@ def simulate_coupled(
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
-    clocks_x, clocks_y = _coupled_clocks(cfg.seed, net.n_reactions)
+    clocks_x, clocks_y = _coupled_clocks(_channel_streams(cfg.seed, net.n_reactions))
     return _path(net, "rtc", x0, cfg, clocks_x), _path(pert_net, "rtc", y0, cfg, clocks_y)
 
 
@@ -598,15 +631,18 @@ def _chunk(terms, targs, grid, seed, start, stop, cfg):
     """Sums of the per-sample terms of samples start..stop-1 at their valid times.
 
     ``terms(grid, cfg, *targs)`` looks up the compiled steppers once per
-    chunk and returns ``(sample, batch)``: ``sample(seed)`` runs one sample
-    on the given stream seed and returns its grid rows and the time it hit
-    a cap, and ``batch(rows)`` takes the chunk's rows stacked as floats,
-    one sample per leading index, and returns its term arrays, shaped
-    ``(S, G, k)``.  Sample i uses the seed ``mix64(seed, i)``.  The sums
-    run in sample order: numpy's cumsum, unlike its sum, is never pairwise.
+    chunk and returns ``(samples, batch)``: ``samples(seeds)`` runs one
+    sample per stream seed of a uint64 array, in order, and yields each
+    one's grid rows and the time it hit a cap, and ``batch(rows)`` takes
+    the chunk's rows stacked as floats, one sample per leading index, and
+    returns its term arrays, shaped ``(S, G, k)``.  Sample i uses the seed
+    ``mix64(seed, i)``; the chunk's seeds come from one array pass.  The
+    sums run in sample order: numpy's cumsum, unlike its sum, is never
+    pairwise.
     """
-    sample, batch = terms(grid, cfg, *targs)
-    rows, caps = zip(*(sample(mix64(seed, i)) for i in range(start, stop)))
+    samples, batch = terms(grid, cfg, *targs)
+    seeds = _mix_lanes(mix64(seed), [np.arange(start, stop, dtype=np.uint64)])
+    rows, caps = zip(*samples(seeds))
     ok = grid < np.array(caps)[:, None]
     okf = ok[:, :, None].astype(float)
     sums = [np.cumsum(term * okf, axis=0)[-1] for term in batch(np.array(rows, dtype=float))]
@@ -634,6 +670,7 @@ def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
     if n < 2:
         raise ValueError("ensemble needs n >= 2")
     grid = _check_grid(grid)
+    seed = _seed(seed)
     # the run controls shared by every sample (each has its own seed); a
     # [0.0] grid needs no events
     cfg = SimConfig(
@@ -655,14 +692,18 @@ def _moment_terms(grid, cfg, net, x, p_max):
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
     orders = np.arange(1, p_max + 1)
 
-    def sample(seed):
-        return step(x, random.Random(seed), *run)[:2]
+    def samples(seeds):
+        # one stream, re-seeded per sample: seed(s) sets the state Random(s) starts in
+        stream = random.Random()
+        for s in seeds.tolist():
+            stream.seed(s)
+            yield step(x, stream, *run)[:2]
 
-    def batch(samples):
-        powers = samples.sum(axis=2)[:, :, None] ** orders
-        return powers, powers**2, samples, samples**2
+    def batch(rows):
+        powers = rows.sum(axis=2)[:, :, None] ** orders
+        return powers, powers**2, rows, rows**2
 
-    return sample, batch
+    return samples, batch
 
 
 def ensemble_moments(
@@ -730,21 +771,26 @@ def _rms_terms(grid, cfg, net, pert_net, x, y):
     step_x = _stepper(net.reactions, net.n_species, "rtc", "grid")
     step_y = _stepper(pert_net.reactions, net.n_species, "rtc", "grid")
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
-    n_r = net.n_reactions
+    channels = np.arange(net.n_reactions, dtype=np.uint64)
 
-    def sample(seed):
-        # both legs run on the same per-channel clocks, seeded once per pair
-        clocks_x, clocks_y = _coupled_clocks(seed, n_r)
-        rows_x, cap_x, _ = step_x(x, clocks_x, *run)
-        rows_y, cap_y, _ = step_y(y, clocks_y, *run)
-        return (rows_x, rows_y), min(cap_x, cap_y)
+    def samples(seeds):
+        # one stream per channel, re-seeded once per pair with the seeds
+        # _channel_streams gives it; both legs run on the same clocks
+        streams = [random.Random() for _ in channels]
+        for pair in _mix_lanes(mix64(), (seeds[:, None], _CHANNEL_TAG, channels)).tolist():
+            for stream, s in zip(streams, pair):
+                stream.seed(s)
+            clocks_x, clocks_y = _coupled_clocks(streams)
+            rows_x, cap_x, _ = step_x(x, clocks_x, *run)
+            rows_y, cap_y, _ = step_y(y, clocks_y, *run)
+            yield (rows_x, rows_y), min(cap_x, cap_y)
 
     def batch(pairs):
         diff = pairs[:, 0] - pairs[:, 1]
         d2 = (diff**2).sum(axis=2)[:, :, None]
         return d2, d2**2, diff**2
 
-    return sample, batch
+    return samples, batch
 
 
 def coupled_rms(
@@ -818,6 +864,7 @@ def batch_states(
     _check_caps(max_events_per_traj, state_cap)
     if n < 1:
         raise ValueError("batch needs n >= 1")
+    seed = _seed(seed)
     dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
     rng = np.random.Generator(np.random.PCG64(mix64(seed, _BATCH_TAG)))
     rates = _rates(net.reactions, dim, True)
@@ -834,6 +881,9 @@ def batch_states(
     out = np.empty((dim, n_g, n))
     w = np.zeros((max(n_r, 1), n))  # a network with no channel has total 0
     e, u = np.empty(n), np.empty(n)
+    # the work rows hold the trajectories ``lane`` (all n while it is None);
+    # once at most half of them fire, they shrink to those that do
+    lane = None
     # a trajectory fires on every pass until its grid is recorded, so the
     # pass count is the event count of every trajectory that fires
     events = 0
@@ -847,9 +897,11 @@ def batch_states(
             if not np.isfinite(total).all():
                 if not np.isfinite(total[(tg < np.inf) & (t < np.inf)]).all():
                     raise SimulationError("propensity overflow in batch run")
+            # the draws stay full width, so each trajectory reads its own column
             rng.standard_exponential(out=e)  # the bits of rng.exponential(size=n)
             rng.random(out=u)
-            t_new = t + np.where(total > 0, e / total, np.inf)
+            e_run, u_run = (e, u) if lane is None else (e[lane], u[lane])
+            t_new = t + np.where(total > 0, e_run / total, np.inf)
 
             # record the grid points strictly before the pending event (an
             # event on a grid point is recorded post-event, right-continuous)
@@ -858,21 +910,26 @@ def batch_states(
                 lo, hi = np.searchsorted(grid, [tg[rec], t_new[rec]])
                 for g in range(lo.min(), hi.max()):
                     k = rec[(lo <= g) & (g < hi)]
-                    out[:, g, k] = x[:, k]
+                    out[:, g, k if lane is None else lane[k]] = x[:, k]
                 tg[rec] = gnext[hi]
 
             # the rest fire: a pending event past t_end flushed the whole grid
             fire = tg < np.inf
-            if not fire.any():
+            n_fire = np.count_nonzero(fire)
+            if not n_fire:
                 break
-            sel = np.where(fire, (w[:-1] <= u * total).sum(axis=0), n_r)
+            if 2 * n_fire <= fire.size:
+                lane = np.flatnonzero(fire) if lane is None else lane[fire]
+                x, w, t_new, tg, u_run = x[:, fire], w[:, fire], t_new[fire], tg[fire], u_run[fire]
+                total, fire = w[-1], fire[fire]
+            sel = np.where(fire, (w[:-1] <= u_run * total).sum(axis=0), n_r)
             for s in range(dim):
                 x[s] -= nu[s].take(sel)
             t = t_new
             events += 1
             capped = fire if events >= max_events_per_traj else fire & (x.sum(axis=0) > state_cap)
             if capped.any():
-                cap_time[capped] = t[capped]
+                cap_time[capped if lane is None else lane[capped]] = t[capped]
                 t[capped] = np.inf
     return np.ascontiguousarray(out.transpose(1, 2, 0)), cap_time
 

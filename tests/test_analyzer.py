@@ -11,6 +11,7 @@ from jkl.analyzer import (
     CubicUnsupported,
     InvalidNetworkError,
     QuadraticObstruction,
+    RateOverflow,
     WeightVectorNotFound,
     analyze,
     drift_constants,
@@ -456,6 +457,19 @@ class TestAnalyze:
     def test_explicit_weight_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             analyze(BIMOL, weight=[bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "species A\nR0: 0 -> A @ 1.0\nR1: A -> 3 A @ 1e308",  # every linear row term
+            "species A B\nR1: A + B -> 5 A @ 1e308",  # the bilinear mu alone
+            "species A B\nR0: B -> 0 @ 2.0\nR1: A -> 3 B @ 1e308",  # the linear part alone
+        ],
+        ids=["linear", "bilinear", "linear-part"],
+    )
+    def test_overflowing_rate_names_its_reaction(self, text):
+        with np.errstate(all="raise"), pytest.raises(RateOverflow, match="R1 with rate 1e[+]308"):
+            analyze(parse_model(text))
 
     def test_invalid_network_rejected(self):
         from jkl.model import Propensity, Reaction, ReactionNetwork

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -85,6 +86,19 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--preset", "cubic")
         assert code == 3
         assert "order-3" in err
+
+    @pytest.mark.parametrize(
+        "text", ["R1: A -> 3 A @ 1e308", "R1: A + B -> 5 A @ 1e308"], ids=["linear", "bilinear"]
+    )
+    def test_overflowing_rate_exit_3(self, capsys, tmp_path, text):
+        path = tmp_path / "m.txt"
+        path.write_text(f"species A B\n{text}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--model", str(path))
+        assert code == 3 and out == ""
+        assert err == "error: reaction R1 with rate 1e+308 overflows its stability constants: " \
+            "a per-reaction term or the drift's linear part is not a finite float\n"
 
     def test_weight_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"

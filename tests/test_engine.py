@@ -54,6 +54,22 @@ ENTRY_POINTS = {
     "batch_states": lambda net, x0=(0,): batch_states(net, x0, [1.0], 4, seed=1),
 }
 
+# each sampler on bimol at the given seed
+SEEDED = {
+    "simulate_direct": lambda seed: simulate_direct(BIMOL, [5, 5], SimConfig(1.0, seed)),
+    "simulate_rtc": lambda seed: simulate_rtc(BIMOL, [5, 5], SimConfig(1.0, seed)),
+    "simulate_coupled": lambda seed: simulate_coupled(
+        BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), SimConfig(1.0, seed)
+    ),
+    "ensemble_moments": lambda seed: ensemble_moments(
+        BIMOL, [5, 5], [0.0, 1.0], 2, 300, seed, workers=1
+    ),
+    "coupled_rms": lambda seed: coupled_rms(
+        BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), [0.0, 1.0], 300, seed, workers=1
+    ),
+    "batch_states": lambda seed: batch_states(BIMOL, [5, 5], [0.5, 1.0], 300, seed),
+}
+
 # each grid-taking sampler, called on a one-species birth process
 GRID_ENTRY_POINTS = {
     "ensemble_moments": lambda grid: ensemble_moments(BIRTH, [0], grid, 1, 4, seed=1, workers=1),
@@ -83,6 +99,23 @@ class TestMix64:
         vals = [mix64(i) for i in range(1000)]
         assert all(0 <= v < 2**64 for v in vals)
         assert len(set(vals)) == 1000
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1, 2**70])
+    @pytest.mark.parametrize("start", [0, 256, 2**40])
+    def test_lane_chain_equals_the_scalar_chain(self, seed, start):
+        # the sample seeds of a chunk and each sample's channel seeds
+        index = np.arange(start, start + 256, dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from the wrapping
+            seeds = engine._mix_lanes(mix64(seed), [index])
+            channels = engine._mix_lanes(
+                mix64(), (seeds[:, None], engine._CHANNEL_TAG, np.arange(3, dtype=np.uint64))
+            )
+        assert seeds.tolist() == [mix64(seed, i) for i in range(start, start + 256)]
+        assert channels.tolist() == [
+            [mix64(mix64(seed, i), engine._CHANNEL_TAG, r) for r in range(3)]
+            for i in range(start, start + 256)
+        ]
 
 
 class TestCsv:
@@ -272,6 +305,24 @@ class TestEntryValidation:
             with pytest.raises(ValueError, match="not finite"):
                 coupled_rms(net, [0], [0], pert, [0.0, 1.0], 4, seed=1, workers=1)
 
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    @pytest.mark.parametrize(
+        "seed",
+        [np.int64(5), np.uint64(5), np.int64(-3), np.int64(2**63 - 1), np.uint64(2**64 - 1)],
+        ids=["int64", "uint64", "int64-negative", "int64-max", "uint64-max"],
+    )
+    def test_numpy_integer_seeds_give_the_int_bytes(self, name, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pickle.dumps(SEEDED[name](seed))
+        assert got == pickle.dumps(SEEDED[name](int(seed)))
+
+    @pytest.mark.parametrize("name", sorted(SEEDED))
+    @pytest.mark.parametrize("seed", [5.0, "5", None, np.float64(5.0)])
+    def test_non_integer_seed_rejected(self, name, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SEEDED[name](seed)
+
     def test_batch_negative_initial_state_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             batch_states(BIRTH, [-5], [1.0], 4, seed=1)
@@ -410,19 +461,29 @@ class TestSharedStreams:
 
     def test_streams_seeded_once_per_pair(self, monkeypatch):
         seeds = []
-        streams = engine._channel_streams
+        reseed = random.Random.seed
 
-        def counting(seed, n_r):
-            seeds.append(seed)
-            return streams(seed, n_r)
+        def counting(stream, a=None, version=2):
+            seeds.append(a)
+            reseed(stream, a, version)
 
-        monkeypatch.setattr(engine, "_channel_streams", counting)
+        monkeypatch.setattr(random.Random, "seed", counting)
         pert = PerturbationSpec({"k2": 0.1})
-        coupled_rms(BIMOL, [5, 5], [5, 5], pert, [0.0, 0.5], 300, seed=2, workers=1)
-        assert seeds == [mix64(2, i) for i in range(300)]
+        grid = np.array([0.0, 0.5])
+        cfg = SimConfig(t_end=0.5)
+        samples, _ = engine._rms_terms(grid, cfg, BIMOL, pert.apply(BIMOL), [5, 5], [5, 5])
+        pairs = list(samples(np.array([mix64(2, i) for i in range(300)], dtype=np.uint64)))
+        # one unseeded stream per channel, then each re-seeded once per pair
+        n_r, tag = BIMOL.n_reactions, engine._CHANNEL_TAG
+        want = [mix64(mix64(2, i), tag, r) for i in range(300) for r in range(n_r)]
+        assert seeds == [None] * n_r + want
+        # and each pair is the coupled pair on the pair's seed
+        for i in (0, 299):
+            legs = simulate_coupled(BIMOL, [5, 5], [5, 5], pert, SimConfig(0.5, mix64(2, i)))
+            assert np.array_equal(pairs[i][0], [leg.sample(grid) for leg in legs])
         seeds.clear()
         simulate_coupled(BIMOL, [5, 5], [5, 5], pert, SimConfig(t_end=0.5, seed=2))
-        assert seeds == [2]
+        assert seeds == [mix64(2, tag, r) for r in range(n_r)]
 
 
 class TestEnsembles:
@@ -464,6 +525,15 @@ class TestEnsembles:
         )
         assert (a.n_valid < 600).any()
         assert a.to_csv(BIMOL.species) == b.to_csv(BIMOL.species)
+
+    def test_no_worker_left_running(self):
+        import multiprocessing
+
+        pert = PerturbationSpec({"k2": 0.1})
+        ensemble_moments(BIMOL, [5, 5], [0.0, 0.5], 1, 600, seed=1, workers=2)
+        assert multiprocessing.active_children() == []
+        coupled_rms(BIMOL, [5, 5], [5, 5], pert, [0.0, 0.5], 600, seed=1, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_explosion_flagged_and_excluded(self):
         grid = np.array([0.0, 0.5, 2.0])
@@ -517,12 +587,12 @@ class TestEnsembles:
         cfg = SimConfig(t_end=1.0, state_cap=123456790)
         targs = (BIRTH, [123456789], 2)
         sums, valid = engine._chunk(engine._moment_terms, targs, grid, 5, 0, 200, cfg)
-        sample, _ = engine._moment_terms(grid, cfg, *targs)
+        run_samples, _ = engine._moment_terms(grid, cfg, *targs)
+        seeds = np.array([mix64(5, i) for i in range(200)], dtype=np.uint64)
         orders = np.arange(1, 3)[None, :]
         want, want_valid = None, np.zeros(len(grid), dtype=np.int64)
-        for i in range(200):
+        for rows, cap_time in run_samples(seeds):
             # one sample's terms, as they were computed before the chunk batching
-            rows, cap_time = sample(mix64(5, i))
             ok = grid < cap_time
             samples = np.array(rows, dtype=float)
             powers = samples.sum(axis=1)[:, None] ** orders
@@ -841,9 +911,19 @@ class TestBatchSampler:
             (parse_model("species A\nR: A -> 0 @ 1.0"), [5], GRID5, 2000, {}, "none"),
             (parse_model(MIXED), [20, 20], GRID5, 1, {}, "none"),
             (BIRTH, [0], [ON_EVENT, ON_EVENT + 1.0], 4, {}, "none"),
+            # trajectories leave after 1 to 15 events, on both sides of the
+            # pass where at most half of them still fire
+            (BIRTH, [0], GRID5, 2000, {}, "none"),
+            # a third freeze at 1 or 2 after the first events and most of the
+            # rest pass the cap within three events
+            (CUBIC, [3], GRID5, 2000, {"state_cap": 5}, "some"),
+            # about half freeze at total 0 on the first event; the rest branch
+            (parse_model("species A\nR1: A -> 0 @ 1.0\nR2: A -> 2 A @ 1.0"), [1], GRID5,
+             2000, {}, "none"),
         ],
         ids=["mixed", "mixed-max-events", "cubic-state-cap", "enzyme", "zero-and-gap",
-             "absorbing", "n-one", "event-on-grid"],
+             "absorbing", "n-one", "event-on-grid", "birth-leaving", "cubic-early-cap",
+             "half-frozen"],
     )
     def test_bytes_match_the_reference_loop(self, case):
         # uncapped digests cannot see a reassociated rate; cap times can
