@@ -24,8 +24,9 @@ plain 1-norm, so constants stated against ``|.|_1`` stay valid.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -102,15 +103,30 @@ class WeightVectorNotFound(AnalyzerError):
 
 
 class RateOverflow(AnalyzerError):
-    """A rate so large that its reaction's constants are not finite floats."""
+    """A rate so large that its reaction's constants, or their sums over the
+    reactions up to it, are not finite floats."""
 
-    def __init__(self, reaction: str, rate: float):
+    def __init__(self, reaction: str, rate: float, summed: bool = False):
         self.reaction = reaction
+        what = (
+            "the sum of the constants over the reactions up to it"
+            if summed
+            else "a per-reaction term or the drift's linear part"
+        )
         super().__init__(
             f"reaction {reaction} with rate {rate!r} overflows its stability "
-            "constants: a per-reaction term or the drift's linear part is not "
-            "a finite float"
+            f"constants: {what} is not a finite float"
         )
+
+
+def _raise_first_overflow(reactions: Sequence[Reaction], finite) -> None:
+    """Raise RateOverflow at the first reaction after which the running sums
+    stop being finite; ``finite(s)`` says whether the sums over the reactions
+    ``reactions[s]`` are."""
+    for r, rxn in enumerate(reactions):
+        if not finite(slice(r + 1)):
+            summed = finite(slice(r, r + 1))
+            raise RateOverflow(rxn.label, rxn.propensity.rate, summed)
 
 
 def log_norm(mtx: np.ndarray) -> float:
@@ -220,6 +236,61 @@ def _min_norm_positive(n2t: np.ndarray) -> np.ndarray | None:
     return l
 
 
+@functools.cache
+def _highs_options():
+    """The options ``linprog(method="highs")`` sets: presolve on, no debug
+    checks, no log, dual simplex."""
+    from scipy.optimize._highspy import _core as highs
+
+    opts = highs.HighsOptions()
+    opts.presolve = "on"
+    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return opts
+
+
+def _min_sum_weight(n2t: np.ndarray) -> np.ndarray | None:
+    """Smallest-sum l with l >= 1 and N2^T l >= 0; None if not found.
+
+    HiGHS's dual simplex solves the model ``linprog(c=1, A_ub=-N2^T, b_ub=0,
+    bounds=(1, None), method="highs")`` builds, with its options, and the
+    solution is accepted by linprog's own check at its tolerance
+    ``10 sqrt(1e-9)``, so ``l`` has linprog's bytes.
+    """
+    from scipy.optimize._highspy import _core as highs
+
+    n_rows, dim = n2t.shape
+    nonzero = n2t.T != 0  # CSC of -N2^T: nonzeros column by column
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = dim
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1)))).astype(np.int32)
+    lp.a_matrix_.index_ = np.nonzero(nonzero)[1].astype(np.int32)
+    lp.a_matrix_.value_ = -n2t.T[nonzero]
+    lp.col_cost_ = np.ones(dim)
+    lp.col_lower_ = np.ones(dim)
+    lp.col_upper_ = np.full(dim, highs.kHighsInf)
+    lp.row_lower_ = np.full(n_rows, -highs.kHighsInf)
+    lp.row_upper_ = np.zeros(n_rows)
+    solver = highs._Highs()
+    solver.passOptions(_highs_options())
+    solver.passModel(lp)
+    solver.run()
+    if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
+        return None
+    solution = solver.getSolution()
+    l = np.array(solution.col_value)
+    slack = -np.array(solution.row_value)
+    # NaN fails both comparisons, as in linprog's check
+    tol = 10.0 * math.sqrt(1e-9)
+    if (l >= 1.0 - tol).all() and (slack >= -tol).all():
+        return l
+    return None
+
+
 def _snap_rational(l: np.ndarray, n2_cols: list[tuple[int, ...]], equality: bool) -> np.ndarray:
     """``l`` scaled to ``min(l) = 1``: as nearby exact rationals if they keep
     every ``l . nu_r`` zero (``equality``) or non-negative, else as floats."""
@@ -235,13 +306,16 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     """Strictly positive weight vector taming all superlinear columns.
 
     Prefers an exact annihilator (``l . nu_r = 0`` for every superlinear
-    reaction r, searched for when the superlinear stoichiometry has a
-    non-trivial null space); otherwise falls back to the inequality form
-    ``l . nu_r >= 0``.  The exact search is skipped when a superlinear
-    column is nonzero and one-signed: no strictly positive l annihilates
-    it.  The inequality search is skipped when such a column has no
-    positive entry: no strictly positive l gives ``l . nu_r >= 0``.  The
-    result is normalized to ``min(l) = 1``.
+    reaction r, searched for by SLSQP when the superlinear stoichiometry
+    has a non-trivial null space); otherwise falls back to the inequality
+    form ``l . nu_r >= 0`` with the smallest ``sum(l)``.  That LP goes to
+    HiGHS's dual simplex directly, with the model and options of
+    ``linprog(method="highs")`` and its acceptance check, so ``l`` has
+    linprog's bytes without its per-call wrapper.  The exact search is
+    skipped when a superlinear column is nonzero and one-signed: no
+    strictly positive l annihilates it.  The inequality search is skipped
+    when such a column has no positive entry: no strictly positive l gives
+    ``l . nu_r >= 0``.  The result is normalized to ``min(l) = 1``.
 
     Raises:
         WeightVectorNotFound: if no strictly positive l exists; the
@@ -265,17 +339,9 @@ def find_weight_vector(net: ReactionNetwork) -> np.ndarray:
     # inequality fallback: minimize sum(l) with l >= 1, N2^T l >= 0; a
     # nonzero column with no positive entry has l . nu_r < 0 for every l > 0
     if not any(any(c) and max(c) <= 0 for c in cols):
-        import scipy.optimize
-
-        res = scipy.optimize.linprog(
-            c=np.ones(dim),
-            A_ub=-n2t,
-            b_ub=np.zeros(len(cols)),
-            bounds=[(1.0, None)] * dim,
-            method="highs",
-        )
-        if res.status == 0:
-            return _snap_rational(np.asarray(res.x, dtype=float), cols, equality=False)
+        l = _min_sum_weight(n2t)
+        if l is not None:
+            return _snap_rational(l, cols, equality=False)
 
     obstructions = [rxn.label for rxn in sup if any(v < 0 for v in rxn.nu)]
     raise WeightVectorNotFound(obstructions)
@@ -299,6 +365,8 @@ def drift_constants(
     Raises:
         CubicUnsupported: for order-3 propensities.
         QuadraticObstruction: if a quadratic reaction has ``d_r > 0``.
+        RateOverflow: at the first reaction after which A or alpha is not
+            finite.
     """
     for rxn in net.reactions:
         if rxn.propensity.kind == "mass-action":
@@ -310,20 +378,32 @@ def drift_constants(
     if dim and not (np.isfinite(lv).all() and lv.min() > 0):
         raise ValueError("weight vector must be finite and strictly positive")
 
+    pair = _drift_pair(net.reactions, lv)
+    if not all(map(math.isfinite, pair)):
+        _raise_first_overflow(
+            net.reactions,
+            lambda s: all(map(math.isfinite, _drift_pair(net.reactions[s], lv))),
+        )
+    return pair
+
+
+def _drift_pair(reactions: Sequence[Reaction], lv: np.ndarray) -> tuple[float, float]:
+    """:func:`drift_constants` over ``reactions``, with overflow left as inf."""
     a_const = 0.0
-    coeff = np.zeros(dim)
-    for rxn in net.reactions:
-        kind, k = rxn.propensity.kind, rxn.propensity.rate
-        d = -float(lv @ np.array(rxn.nu, dtype=float))
-        if kind in ("bilinear", "dimer") and d > 1e-12:
-            raise QuadraticObstruction(rxn.label, d)
-        if kind == "constant":
-            a_const += d * k
-        elif kind == "linear":
-            coeff[rxn.propensity.reactants[0][0]] += d * k
-        elif kind == "dimer":
-            coeff[rxn.propensity.reactants[0][0]] += abs(d) * k
-    alpha = float((coeff / lv).max()) if dim else 0.0
+    coeff = np.zeros(len(lv))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rxn in reactions:
+            kind, k = rxn.propensity.kind, rxn.propensity.rate
+            d = -float(lv @ np.array(rxn.nu, dtype=float))
+            if kind in ("bilinear", "dimer") and d > 1e-12:
+                raise QuadraticObstruction(rxn.label, d)
+            if kind == "constant":
+                a_const += d * k
+            elif kind == "linear":
+                coeff[rxn.propensity.reactants[0][0]] += d * k
+            elif kind == "dimer":
+                coeff[rxn.propensity.reactants[0][0]] += abs(d) * k
+        alpha = float((coeff / lv).max()) if len(lv) else 0.0
     return max(0.0, float(a_const)), alpha
 
 
@@ -337,37 +417,44 @@ def _pairs(net: ReactionNetwork) -> dict:
     dimer's linear correction ``-k x_n`` adds ``+k nu e_n^T``.
 
     Raises:
-        RateOverflow: at the first reaction whose row, or whose share of the
-            linear part, is not finite.
+        RateOverflow: at the first reaction after which a column sum or an
+            entry of the linear part is not finite.
     """
-    dim = net.n_species
-    lin_part = np.zeros((dim, dim))
     with np.errstate(over="ignore", invalid="ignore"):
         rows = tuple(_contribution(rxn) for rxn in net.reactions)
-        for rxn in net.reactions:
-            prop = rxn.propensity
-            if prop.kind in ("linear", "dimer"):
-                k = prop.rate if prop.kind == "linear" else -prop.rate
-                lin_part[:, prop.reactants[0][0]] -= np.array(rxn.nu, dtype=float) * k
-        finite = math.isfinite(lin_part.sum())
-    out = {
-        name: float(sum(getattr(row, name) for row in rows))
-        for name in ("M", "mu", "L", "lam", "Gamma", "gamma")
-    }
-    # row terms are non-negative, so a row or a share that is not finite
-    # shows in a sum or in the linear part; only then look for the reaction
-    if not (finite and all(map(math.isfinite, out.values()))):
-        for rxn, row in zip(net.reactions, rows):
-            prop = rxn.propensity
-            linear = prop.kind in ("linear", "dimer")
-            share = max(map(abs, rxn.nu)) * prop.rate if linear else 0.0
-            if not np.isfinite([*astuple(row)[2:], share]).all():
-                raise RateOverflow(rxn.label, prop.rate)
+        out, lin_part = _column_sums(net.reactions, rows, net.n_species)
+        if not _sums_finite(out, lin_part):
+            _raise_first_overflow(
+                net.reactions,
+                lambda s: _sums_finite(*_column_sums(net.reactions[s], rows[s], net.n_species)),
+            )
     out["M_special_sum"] = out["M"]
-    out["M_combined"] = float(log_norm(lin_part)) if dim else 0.0
+    out["M_combined"] = float(log_norm(lin_part)) if net.n_species else 0.0
     out["M"] = min(out["M_special_sum"], out["M_combined"])
     out["per_reaction"] = rows
     return out
+
+
+def _column_sums(
+    reactions: Sequence[Reaction], rows: Sequence[ReactionContribution], dim: int
+) -> tuple[dict, np.ndarray]:
+    """The six pair fields summed over ``rows``, and the drift's linear part
+    of ``reactions``; overflow reads inf (and warns unless under errstate)."""
+    lin_part = np.zeros((dim, dim))
+    for rxn in reactions:
+        prop = rxn.propensity
+        if prop.kind in ("linear", "dimer"):
+            k = prop.rate if prop.kind == "linear" else -prop.rate
+            lin_part[:, prop.reactants[0][0]] -= np.array(rxn.nu, dtype=float) * k
+    sums = {
+        name: float(sum(getattr(row, name) for row in rows))
+        for name in ("M", "mu", "L", "lam", "Gamma", "gamma")
+    }
+    return sums, lin_part
+
+
+def _sums_finite(sums: dict, lin_part: np.ndarray) -> bool:
+    return bool(np.isfinite(lin_part).all()) and all(map(math.isfinite, sums.values()))
 
 
 def one_sided_constants(net: ReactionNetwork) -> tuple[float, float]:

@@ -75,18 +75,32 @@ def _envelope(x0_pow: float, b_const: float, beta: float, grid: np.ndarray) -> n
 def _envelope_at(x0_pow: float, b_const: float, beta: float, t: float) -> float:
     """``x0_pow exp(z) + b_const t (exp(z) - 1) / z`` at one time, ``z = max(beta, 0) t``.
 
+    The arithmetic is on Python floats, which never warn; only ``exp`` and
+    ``expm1`` are numpy's, on the same float64 inputs, and each result is a
+    float at once.
     A second-order series keeps ~1e-10 accuracy where ``|z| <= 1e-12``.  A
     term with coefficient 0 is dropped, so an overflow reads inf, never NaN.
     """
-    z = np.float64(max(beta, 0.0) * t)
+    x0_pow, b_const, t = float(x0_pow), float(b_const), float(t)
+    z = max(float(beta), 0.0) * t
     out = 0.0
+    if x0_pow:
+        out = out + x0_pow * _float_of(np.exp, z)
+    if b_const:
+        phi = _float_of(np.expm1, z) / z if abs(z) > 1e-12 else 1.0 + z / 2.0 + z * z / 6.0
+        out = out + b_const * t * phi
+    return out
+
+
+def _float_of(ufunc, z: float) -> float:
+    """``ufunc(z)`` as a float for exp or expm1, which overflow to inf just
+    past z = 709.78: certainly from 710, and silently here."""
+    if z < 709.0:
+        return float(ufunc(z))
+    if z >= 710.0:
+        return math.inf
     with np.errstate(over="ignore"):
-        if x0_pow:
-            out = out + x0_pow * np.exp(z)
-        if b_const:
-            phi = np.expm1(z) / z if abs(z) > 1e-12 else 1.0 + z / 2.0 + z * z / 6.0
-            out = out + b_const * t * phi
-    return float(out)
+        return float(ufunc(z))
 
 
 def _check_x0_norm(x0_norm: float) -> None:
@@ -119,11 +133,20 @@ def first_moment_curve(
     )
 
 
-def _second_moment_consts(report: StabilityReport, eps: float) -> tuple[float, float]:
+def _second_moment_consts(report: StabilityReport):
+    """The function ``eps -> (beta, B)`` of the second-moment envelope.
+
+    ``beta = (s2 gamma + eps) + 2 alpha`` and ``B = s2 Gamma + A^2 / eps``
+    with ``s2 = norm_1tN_sq``; the eps-free terms are computed once.
+    """
     s2 = report.norm_1tN_sq
-    beta = s2 * report.gamma + eps + 2.0 * report.alpha
-    b_const = s2 * report.Gamma + (report.A**2 / eps if eps > 0 else 0.0)
-    return beta, b_const
+    s2_gamma, two_alpha = s2 * report.gamma, 2.0 * report.alpha
+    s2_big_gamma, a_sq = s2 * report.Gamma, report.A**2
+
+    def consts(eps: float) -> tuple[float, float]:
+        return s2_gamma + eps + two_alpha, s2_big_gamma + (a_sq / eps if eps > 0 else 0.0)
+
+    return consts
 
 
 def second_moment_curve(
@@ -152,19 +175,21 @@ def second_moment_curve(
         (eps > 0 and math.isfinite(eps)) or (eps == 0 and report.A == 0)
     ):
         raise ValueError(f"eps must be finite and > 0 (or 0 when A = 0), got {eps!r}")
+    consts = _second_moment_consts(report)
     if eps is None:
         if report.A == 0.0:
             eps = 0.0
         else:
             t_mid = 0.5 * (float(grid[0]) + float(grid[-1]))
             t_mid = max(t_mid, 1e-12)
+            x0_sq = x0_norm**2
 
             def val(e: float) -> float:
-                beta, b_const = _second_moment_consts(report, e)
-                return _envelope_at(x0_norm**2, b_const, beta, t_mid)
+                beta, b_const = consts(e)
+                return _envelope_at(x0_sq, b_const, beta, t_mid)
 
             eps = _golden_min(val, 1e-9, 1e3)
-    beta, b_const = _second_moment_consts(report, eps)
+    beta, b_const = consts(eps)
     values = _envelope(x0_norm**2, b_const, beta, grid)
     return BoundCurve(
         grid,

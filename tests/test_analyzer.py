@@ -1,10 +1,14 @@
 """Stability analyzer: closed forms, oracles, certification by sampling."""
 
 import math
+import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.optimize._highspy import _core as highs
 
 from jkl import analyzer
 from jkl.analyzer import (
@@ -212,7 +216,7 @@ def test_lp_skipped_without_a_positive_entry(monkeypatch, name):
     def fail(*args, **kwargs):
         raise AssertionError("the inequality LP ran on a column with no positive entry")
 
-    monkeypatch.setattr(scipy.optimize, "linprog", fail)
+    monkeypatch.setattr(highs, "_Highs", fail)
     text, obstructions = NO_POSITIVE_ENTRY[name]
     with pytest.raises(WeightVectorNotFound) as exc:
         find_weight_vector(parse_model(text))
@@ -221,6 +225,85 @@ def test_lp_skipped_without_a_positive_entry(monkeypatch, name):
         "no strictly positive weight vector l satisfies l . nu_r >= 0 on every "
         f"superlinear column; obstructing reactions: {', '.join(obstructions)}"
     )
+
+
+def _random_superlinear(rng: np.random.Generator) -> str:
+    """An order <= 2 network with 2-8 species and 1-12 reactions."""
+    names = [f"S{i}" for i in range(int(rng.integers(2, 9)))]
+
+    def side(n: int) -> str:
+        counts = Counter(rng.choice(names, size=n).tolist())
+        return " + ".join(f"{c} {s}" if c > 1 else s for s, c in sorted(counts.items())) or "0"
+
+    lines = ["species " + " ".join(names)]
+    for r in range(int(rng.integers(1, 13))):
+        lhs = side(int(rng.choice(3, p=[0.2, 0.3, 0.5])))
+        lines.append(f"R{r + 1}: {lhs} -> {side(int(rng.integers(0, 4)))} @ 1")
+    return "\n".join(lines) + "\n"
+
+
+def _linprog_weight(n2t: np.ndarray) -> np.ndarray | None:
+    """The inequality LP as ``linprog`` solves and checks it."""
+    dim = n2t.shape[1]
+    res = scipy.optimize.linprog(
+        c=np.ones(dim), A_ub=-n2t, b_ub=np.zeros(len(n2t)), bounds=[(1.0, None)] * dim,
+        method="highs",
+    )
+    return np.asarray(res.x, dtype=float) if res.status == 0 else None
+
+
+class TestDirectLp:
+    """The weight-vector LP called on HiGHS directly gives linprog's bits."""
+
+    def test_every_lp_of_seeded_networks_matches_linprog(self, monkeypatch):
+        lps = []
+        real = analyzer._min_sum_weight
+
+        def spy(n2t):
+            lps.append((n2t.copy(), real(n2t)))
+            return lps[-1][1]
+
+        monkeypatch.setattr(analyzer, "_min_sum_weight", spy)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            try:
+                find_weight_vector(parse_model(_random_superlinear(rng)))
+            except WeightVectorNotFound:
+                pass
+        found = non_unique = 0
+        for n2t, got in lps:
+            want = _linprog_weight(n2t)
+            assert (got is None) == (want is None), n2t.tolist()
+            if want is None:
+                continue
+            found += 1
+            assert got.tobytes() == want.tobytes(), n2t.tolist()
+            # another optimal vertex with the species in reverse order
+            other = _linprog_weight(n2t[:, ::-1])
+            non_unique += bool(np.abs(other[::-1] - want).max() > 1e-6)
+        assert len(lps) >= 100 and len(lps) - found >= 5 and non_unique >= 3
+
+    def test_infeasible_lp_is_rejected(self):
+        # l_A >= 2 l_B and l_B >= 2 l_A have no solution with l >= 1
+        n2t = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        assert analyzer._min_sum_weight(n2t) is None and _linprog_weight(n2t) is None
+        net = parse_model("species A B\nR1: 2 A -> A + 2 B @ 1\nR2: 2 B -> 2 A + B @ 1")
+        with pytest.raises(WeightVectorNotFound, match="R1, R2"):
+            find_weight_vector(net)
+
+
+def test_snap_falls_back_to_floats_when_no_rational_keeps_the_constraint():
+    # the annihilator of (-1000004, 1000003) needs the denominator 1000003, so
+    # the nearest rationals with denominators <= 10^6 break l . nu_r = 0 and
+    # l . nu_r >= 0, and l is returned as floats scaled to min(l) = 1
+    cols = [(-1000004, 1000003)]
+    l = np.array([3.0, 3.0 * 1000004 / 1000003])
+    snapped = [Fraction(v).limit_denominator(10**6) for v in l]
+    assert sum(c * v for c, v in zip(cols[0], snapped)) < 0
+    for equality in (True, False):
+        got = analyzer._snap_rational(l, cols, equality)
+        assert got.tobytes() == (l / l.min()).tobytes()
+        assert got[1] != float(snapped[1] / snapped[0])
 
 
 class TestDriftConstants:
@@ -413,6 +496,14 @@ class TestRayDiagnostic:
         assert np.allclose(table.x_dot_F, 0.0)
 
 
+# networks whose rows are finite but whose sums over reactions overflow
+SUM_OVERFLOWS = {
+    "A-and-Gamma": "species A B\nR1: A -> 2 A @ 1e300\nR2: B -> 2 B @ 1e300\n"
+    "R3: A + B -> 0 @ 1e308\nR4: 0 -> A @ 1e308\nR5: 0 -> B @ 1e308\n",
+    "alpha": "species A B\nR1: A -> 2 B @ 1e308\nR2: A -> 2 B @ 1e308\n",
+}
+
+
 class TestAnalyze:
     def test_enzyme_report(self):
         report = analyze(ENZYME)
@@ -470,6 +561,31 @@ class TestAnalyze:
     def test_overflowing_rate_names_its_reaction(self, text):
         with np.errstate(all="raise"), pytest.raises(RateOverflow, match="R1 with rate 1e[+]308"):
             analyze(parse_model(text))
+
+    @pytest.mark.parametrize(
+        "text, reaction",
+        [
+            (SUM_OVERFLOWS["A-and-Gamma"], "R5"),  # A: the constant reactions' sum
+            (SUM_OVERFLOWS["alpha"], "R2"),  # alpha: the linear reactions' sum
+            ("species A B\n" + "".join(f"R{r}: A + B -> A @ 1e308\n" for r in (1, 2, 3, 4)),
+             "R4"),  # lambda: a column sum of finite rows
+        ],
+        ids=["A", "alpha", "column-sum"],
+    )
+    def test_overflowing_sum_names_the_reaction_it_overflows_at(self, text, reaction):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(RateOverflow) as exc:
+                analyze(parse_model(text))
+        assert exc.value.reaction == reaction
+        assert str(exc.value) == (
+            f"reaction {reaction} with rate 1e+308 overflows its stability constants: the "
+            "sum of the constants over the reactions up to it is not a finite float"
+        )
+
+    def test_drift_constants_checks_its_sums(self):
+        with pytest.raises(RateOverflow, match="R5"):
+            drift_constants(parse_model(SUM_OVERFLOWS["A-and-Gamma"]))
 
     def test_invalid_network_rejected(self):
         from jkl.model import Propensity, Reaction, ReactionNetwork

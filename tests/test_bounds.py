@@ -1,6 +1,7 @@
 """Bound curves: closed forms, limits, domination sanity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,20 @@ class TestEnvelopeAt:
                 seen.add("series" if abs(z) <= 1e-12 else "expm1")
                 seen.add("inf" if got == math.inf else "nan" if math.isnan(got) else "finite")
         assert seen == {"series", "expm1", "inf", "nan", "finite"}
+
+    def test_no_warning_escapes(self):
+        # z from 709 to 710 is where exp and expm1 overflow: the only numpy
+        # calls there are made under errstate
+        edge = [(1.0, 1.0, z, 1.0) for z in (709.0, 709.5, 709.78, 709.79, 709.9, 710.0)]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            for case in [*self._cases(), *edge]:
+                got = _envelope_at(*case)
+                assert type(got) is float
+        with np.errstate(over="ignore"):
+            for x0_pow, b_const, beta, t in edge:
+                want = float(_envelope_reference(x0_pow, b_const, beta, np.array([t]))[0])
+                assert _envelope_at(x0_pow, b_const, beta, t).hex() == want.hex(), beta
 
     def test_grids_match_the_array_envelope(self):
         # multi-point grids run numpy's array kernels in the reference

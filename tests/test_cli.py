@@ -12,6 +12,7 @@ from jkl.cli import build_parser, main
 from jkl.cme import enumerate_states
 from jkl.demos import DEMO_NAMES
 from jkl.presets import get_preset
+from test_analyzer import SUM_OVERFLOWS
 from test_golden import CLI_CSV_GOLDEN
 
 
@@ -99,6 +100,20 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert err == "error: reaction R1 with rate 1e+308 overflows its stability constants: " \
             "a per-reaction term or the drift's linear part is not a finite float\n"
+
+    @pytest.mark.parametrize(
+        "name, reaction", [("A-and-Gamma", "R5"), ("alpha", "R2")], ids=["A", "alpha"]
+    )
+    def test_overflowing_sum_exit_3(self, capsys, tmp_path, name, reaction):
+        path = tmp_path / "m.txt"
+        path.write_text(SUM_OVERFLOWS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--model", str(path))
+        assert code == 3 and out == ""
+        assert err == f"error: reaction {reaction} with rate 1e+308 overflows its stability " \
+            "constants: the sum of the constants over the reactions up to it is not a finite " \
+            "float\n"
 
     def test_weight_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"

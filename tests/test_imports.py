@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.optimize
+from scipy.optimize._highspy import _core as highs
 
 from jkl.analyzer import find_weight_vector
 from jkl.parser import parse_model
@@ -28,8 +29,10 @@ DEFERRED = ("scipy.optimize", "scipy.integrate", "scipy.sparse", "multiprocessin
 # A + B -> 0 is one-signed and positive, so the HiGHS LP runs
 WEIGHT_NETWORKS = {
     "minimize": "species A B C\nR: A + B -> 3 C @ 1.0",
-    "linprog": "species A B C\nR1: A + B -> 0 @ 1\nR2: 2 B -> 3 C @ 1\nR3: C -> A @ 0.5",
+    "highs": "species A B C\nR1: A + B -> 0 @ 1\nR2: 2 B -> 3 C @ 1\nR3: C -> A @ 0.5",
 }
+# the entry each path calls: scipy's SLSQP, and HiGHS's solver object
+SOLVERS = {"minimize": (scipy.optimize, "minimize"), "highs": (highs, "_Highs")}
 
 COMMANDS = {
     "simulate": ["simulate", "--preset", "bimol", "--t-end", "10", "--seed", "3"],
@@ -70,13 +73,14 @@ def _python(*args, cwd):
 def _warm_weight_vector(monkeypatch, solver: str, text: str) -> str:
     """``find_weight_vector`` bits in this process, asserting ``solver`` ran."""
     calls = []
-    real = getattr(scipy.optimize, solver)
+    module, name = SOLVERS[solver]
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(solver)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, solver, spy)
+    monkeypatch.setattr(module, name, spy)
     bits = find_weight_vector(parse_model(text)).tobytes().hex()
     assert calls == [solver]
     return bits
