@@ -139,7 +139,7 @@ def log_norm(mtx: np.ndarray) -> float:
         return 0.0
     if not np.isfinite(mtx).all():
         raise ValueError("matrix entries must be finite")
-    sym = (mtx + mtx.T) / 2.0
+    sym = mtx / 2.0 + mtx.T / 2.0  # halving first: no overflow in the sum
     return float(np.linalg.eigvalsh(sym)[-1])
 
 
@@ -191,8 +191,9 @@ def _contribution(rxn: Reaction) -> ReactionContribution:
     prop = rxn.propensity
     kind, k = prop.kind, prop.rate
     species = [s for s, _ in prop.reactants]
-    nu = np.array(rxn.nu, dtype=float)
-    norm = float(np.linalg.norm(nu))
+    nu = rxn.nu
+    # exact: a sum of integer squares, then one correctly rounded sqrt
+    norm = math.sqrt(sum(v * v for v in nu))
     if kind == "constant":
         return ReactionContribution(rxn.label, kind, Gamma=k)
     if kind == "linear":
@@ -215,40 +216,84 @@ def _contribution(rxn: Reaction) -> ReactionContribution:
 
 def _min_norm_positive(n2t: np.ndarray) -> np.ndarray | None:
     """Smallest-norm l with l >= 1 and N2^T l = 0; None if infeasible."""
-    import scipy.optimize
-
-    dim = n2t.shape[1]
-    res = scipy.optimize.minimize(
-        lambda l: l @ l,
-        x0=np.ones(dim),
-        jac=lambda l: 2 * l,
-        bounds=[(1.0, None)] * dim,
-        constraints=[{"type": "eq", "fun": lambda l: n2t @ l, "jac": lambda l: n2t}],
-        method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    if not res.success:
+    l, success = _slsqp_min_norm(n2t)
+    if not success:
         return None
-    l = np.asarray(res.x, dtype=float)
     tol = 1e-8 * max(1.0, float(np.abs(n2t).max()) * float(l.max()))
     if not np.abs(n2t @ l).max() <= tol or l.min() < 1.0 - 1e-9:
         return None
     return l
 
 
-@functools.cache
-def _highs_options():
-    """The options ``linprog(method="highs")`` sets: presolve on, no debug
-    checks, no log, dual simplex."""
-    from scipy.optimize._highspy import _core as highs
+def _slsqp_min_norm(n2t: np.ndarray) -> tuple[np.ndarray, bool]:
+    """SLSQP from l = 1 on ``min l @ l`` with l >= 1 and N2^T l = 0: its x and
+    success.
 
-    opts = highs.HighsOptions()
-    opts.presolve = "on"
-    opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
-    opts.log_to_console = False
-    opts.output_flag = False
-    opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    return opts
+    This is the loop ``minimize(method="SLSQP", options={"maxiter": 200,
+    "ftol": 1e-14})`` runs around SLSQP's core, with the same state, buffer
+    sizes and bounds (``xl = 1``, ``xu = nan`` for none), the objective
+    ``l @ l``, its gradient ``2 l`` and the constraints ``N2^T l`` with
+    their Jacobian ``N2^T``, so x has minimize's bytes without its per-call
+    wrapper.  The Jacobian is passed once: the core never writes it, so
+    minimize's re-evaluation of a constant Jacobian changes no byte.
+    """
+    from scipy.optimize._slsqplib import slsqp
+
+    m, n = n2t.shape
+    acc = 1e-14
+    state = {
+        "acc": acc, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0,
+        "h3": 0.0, "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * acc,
+        "exact": 0, "inconsistent": 0, "reset": 0, "iter": 0, "itermax": 200,
+        "line": 0, "m": m, "meq": m, "mode": 0, "n": n,
+    }
+    # minimize's worst-case workspace for m equality rows (meq = m) and no
+    # inequality rows
+    buffer = np.zeros(
+        n * (n + 1) // 2 + 3 * m * n - (m + 5 * n + 7) * m + 9 * m + 8 * n * n + 35 * n
+        + m * m + 28 + 2 * n * (n + 1)
+    )
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult = np.zeros(m + 2 * n + 2)
+    x, xl, xu = np.ones(n), np.ones(n), np.full(n, np.nan)
+    jac = np.asfortranarray(n2t)  # constant; SLSQP's core only reads it
+    fx, g, d = x @ x, 2 * x, n2t @ x
+    while True:
+        slsqp(state, fx, g, jac, d, x, mult, xl, xu, buffer, indices)
+        if state["mode"] == 1:  # objective and constraints at the new x
+            fx, d = x @ x, n2t @ x
+        elif state["mode"] == -1:  # gradient at the new x
+            g = 2 * x
+        else:
+            return x, state["mode"] == 0
+
+
+@functools.cache
+def _thread_solvers():
+    """Per-thread storage of the HiGHS solver, made on first use."""
+    import threading
+
+    return threading.local()
+
+
+def _highs_solver():
+    """This thread's HiGHS solver, built once with the options
+    ``linprog(method="highs")`` sets: presolve on, no debug checks, no log,
+    dual simplex."""
+    local = _thread_solvers()
+    solver = getattr(local, "solver", None)
+    if solver is None:
+        from scipy.optimize._highspy import _core as highs
+
+        opts = highs.HighsOptions()
+        opts.presolve = "on"
+        opts.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+        opts.log_to_console = False
+        opts.output_flag = False
+        opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        solver = local.solver = highs._Highs()
+        solver.passOptions(opts)
+    return solver
 
 
 def _min_sum_weight(n2t: np.ndarray) -> np.ndarray | None:
@@ -257,7 +302,8 @@ def _min_sum_weight(n2t: np.ndarray) -> np.ndarray | None:
     HiGHS's dual simplex solves the model ``linprog(c=1, A_ub=-N2^T, b_ub=0,
     bounds=(1, None), method="highs")`` builds, with its options, and the
     solution is accepted by linprog's own check at its tolerance
-    ``10 sqrt(1e-9)``, so ``l`` has linprog's bytes.
+    ``10 sqrt(1e-9)``, so ``l`` has linprog's bytes.  The solver is this
+    thread's, cleared before each model.
     """
     from scipy.optimize._highspy import _core as highs
 
@@ -275,8 +321,8 @@ def _min_sum_weight(n2t: np.ndarray) -> np.ndarray | None:
     lp.col_upper_ = np.full(dim, highs.kHighsInf)
     lp.row_lower_ = np.full(n_rows, -highs.kHighsInf)
     lp.row_upper_ = np.zeros(n_rows)
-    solver = highs._Highs()
-    solver.passOptions(_highs_options())
+    solver = _highs_solver()
+    solver.clearSolver()
     solver.passModel(lp)
     solver.run()
     if solver.getModelStatus() != highs.HighsModelStatus.kOptimal:
@@ -293,12 +339,19 @@ def _min_sum_weight(n2t: np.ndarray) -> np.ndarray | None:
 
 def _snap_rational(l: np.ndarray, n2_cols: list[tuple[int, ...]], equality: bool) -> np.ndarray:
     """``l`` scaled to ``min(l) = 1``: as nearby exact rationals if they keep
-    every ``l . nu_r`` zero (``equality``) or non-negative, else as floats."""
+    every ``l . nu_r`` zero (``equality``) or non-negative, else as floats.
+
+    The rationals are integer numerators over one common denominator, so
+    the signs of ``l . nu_r`` are those of integer dot products, and each
+    ``v / min`` is one correctly rounded integer division.
+    """
     snapped = [Fraction(v).limit_denominator(10**6) for v in l]
-    lo = min(snapped)
-    dots = (sum(c * v for c, v in zip(col, snapped)) for col in n2_cols)
+    den = math.lcm(*(v.denominator for v in snapped))
+    nums = [v.numerator * (den // v.denominator) for v in snapped]
+    lo = min(nums)
+    dots = (sum(c * v for c, v in zip(col, nums)) for col in n2_cols)
     if lo > 0 and all(d == 0 if equality else d >= 0 for d in dots):
-        return np.array([float(v / lo) for v in snapped])
+        return np.array([v / lo for v in nums])
     return l / l.min()
 
 
@@ -417,19 +470,18 @@ def _pairs(net: ReactionNetwork) -> dict:
     dimer's linear correction ``-k x_n`` adds ``+k nu e_n^T``.
 
     Raises:
-        RateOverflow: at the first reaction after which a column sum or an
-            entry of the linear part is not finite.
+        RateOverflow: at the first reaction after which a column sum, an
+            entry of the linear part or its logarithmic norm is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rows = tuple(_contribution(rxn) for rxn in net.reactions)
-        out, lin_part = _column_sums(net.reactions, rows, net.n_species)
-        if not _sums_finite(out, lin_part):
+        out = _column_sums(net.reactions, rows, net.n_species)
+        if not _finite(out):
             _raise_first_overflow(
                 net.reactions,
-                lambda s: _sums_finite(*_column_sums(net.reactions[s], rows[s], net.n_species)),
+                lambda s: _finite(_column_sums(net.reactions[s], rows[s], net.n_species)),
             )
     out["M_special_sum"] = out["M"]
-    out["M_combined"] = float(log_norm(lin_part)) if net.n_species else 0.0
     out["M"] = min(out["M_special_sum"], out["M_combined"])
     out["per_reaction"] = rows
     return out
@@ -437,9 +489,10 @@ def _pairs(net: ReactionNetwork) -> dict:
 
 def _column_sums(
     reactions: Sequence[Reaction], rows: Sequence[ReactionContribution], dim: int
-) -> tuple[dict, np.ndarray]:
-    """The six pair fields summed over ``rows``, and the drift's linear part
-    of ``reactions``; overflow reads inf (and warns unless under errstate)."""
+) -> dict:
+    """The six pair fields summed over ``rows``, and ``M_combined``, the
+    logarithmic norm of the drift's linear part of ``reactions``; overflow
+    reads inf (and warns unless under errstate)."""
     lin_part = np.zeros((dim, dim))
     for rxn in reactions:
         prop = rxn.propensity
@@ -450,11 +503,12 @@ def _column_sums(
         name: float(sum(getattr(row, name) for row in rows))
         for name in ("M", "mu", "L", "lam", "Gamma", "gamma")
     }
-    return sums, lin_part
+    sums["M_combined"] = log_norm(lin_part) if np.isfinite(lin_part).all() else math.inf
+    return sums
 
 
-def _sums_finite(sums: dict, lin_part: np.ndarray) -> bool:
-    return bool(np.isfinite(lin_part).all()) and all(map(math.isfinite, sums.values()))
+def _finite(sums: dict) -> bool:
+    return all(map(math.isfinite, sums.values()))
 
 
 def one_sided_constants(net: ReactionNetwork) -> tuple[float, float]:

@@ -79,15 +79,26 @@ def _envelope_at(x0_pow: float, b_const: float, beta: float, t: float) -> float:
     ``expm1`` are numpy's, on the same float64 inputs, and each result is a
     float at once.
     A second-order series keeps ~1e-10 accuracy where ``|z| <= 1e-12``.  A
-    term with coefficient 0 is dropped, so an overflow reads inf, never NaN.
+    term with coefficient 0 is dropped, so an overflow reads inf, never NaN:
+    at t = 0 the value is ``x0_pow`` whatever beta and B are, and for t > 0
+    an infinite beta makes every remaining term inf.  A NaN beta, the
+    inf - inf of a sum whose terms overflow both ways, counts as inf: the
+    envelope grows with beta, so it stays a bound.
     """
-    x0_pow, b_const, t = float(x0_pow), float(b_const), float(t)
-    z = max(float(beta), 0.0) * t
+    x0_pow, b_const, t, beta = float(x0_pow), float(b_const), float(t), float(beta)
+    if t == 0.0:
+        return x0_pow or 0.0  # a zero x0_pow reads +0.0, as the sum of no terms
+    z = math.inf if math.isnan(beta) else max(beta, 0.0) * t
     out = 0.0
     if x0_pow:
         out = out + x0_pow * _float_of(np.exp, z)
     if b_const:
-        phi = _float_of(np.expm1, z) / z if abs(z) > 1e-12 else 1.0 + z / 2.0 + z * z / 6.0
+        if z == math.inf:
+            phi = math.inf  # (exp(z) - 1) / z would be inf / inf
+        elif abs(z) > 1e-12:
+            phi = _float_of(np.expm1, z) / z
+        else:
+            phi = 1.0 + z / 2.0 + z * z / 6.0
         out = out + b_const * t * phi
     return out
 
@@ -101,6 +112,19 @@ def _float_of(ufunc, z: float) -> float:
         return math.inf
     with np.errstate(over="ignore"):
         return float(ufunc(z))
+
+
+def _pow(x: float, p: int) -> float:
+    """``x ** p`` for x >= 0, inf where it overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def _times(a: float, b: float) -> float:
+    """``a * b`` for a, b >= 0, with a zero factor giving 0 even beside inf."""
+    return a * b if a and b else 0.0
 
 
 def _check_x0_norm(x0_norm: float) -> None:
@@ -141,7 +165,7 @@ def _second_moment_consts(report: StabilityReport):
     """
     s2 = report.norm_1tN_sq
     s2_gamma, two_alpha = s2 * report.gamma, 2.0 * report.alpha
-    s2_big_gamma, a_sq = s2 * report.Gamma, report.A**2
+    s2_big_gamma, a_sq = s2 * report.Gamma, _pow(report.A, 2)
 
     def consts(eps: float) -> tuple[float, float]:
         return s2_gamma + eps + two_alpha, s2_big_gamma + (a_sq / eps if eps > 0 else 0.0)
@@ -182,7 +206,7 @@ def second_moment_curve(
         else:
             t_mid = 0.5 * (float(grid[0]) + float(grid[-1]))
             t_mid = max(t_mid, 1e-12)
-            x0_sq = x0_norm**2
+            x0_sq = _pow(x0_norm, 2)
 
             def val(e: float) -> float:
                 beta, b_const = consts(e)
@@ -190,7 +214,7 @@ def second_moment_curve(
 
             eps = _golden_min(val, 1e-9, 1e3)
     beta, b_const = consts(eps)
-    values = _envelope(x0_norm**2, b_const, beta, grid)
+    values = _envelope(_pow(x0_norm, 2), b_const, beta, grid)
     return BoundCurve(
         grid,
         values,
@@ -242,12 +266,12 @@ def pth_moment_curve(
         raise ValueError("p must be an integer > 2; use the first/second moment curves")
     grid = _check_grid(grid)
     _check_x0_norm(x0_norm)
-    npow = report.norm_1tN**p
-    beta = (p - 1 + p * report.alpha) + (report.Gamma + report.gamma) * (
-        2**p - 2 - p
-    ) * npow
-    b_const = report.A**p + report.Gamma * npow
-    values = _envelope(x0_norm**p, b_const, beta, grid)
+    npow = _pow(report.norm_1tN, p)
+    beta = (p - 1 + p * report.alpha) + _times(
+        _times(report.Gamma + report.gamma, _pow(2.0, p) - 2 - p), npow
+    )
+    b_const = _pow(report.A, p) + _times(report.Gamma, npow)
+    values = _envelope(_pow(x0_norm, p), b_const, beta, grid)
     return BoundCurve(
         grid,
         values,

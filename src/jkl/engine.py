@@ -620,9 +620,10 @@ _CHUNK = 256  # fixed reduction granularity: results never depend on workers
 def _check_grid(grid: Sequence[float]) -> np.ndarray:
     """The grid as a float array; rejects any grid that is not a time axis."""
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+    times = grid.tolist()
+    if grid.ndim != 1 or not times or not all(map(math.isfinite, times)):
         raise ValueError("grid must be a non-empty 1-D sequence of finite times")
-    if grid[0] < 0 or (np.diff(grid) <= 0).any():
+    if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("grid must be non-negative and strictly increasing")
     return grid
 

@@ -216,7 +216,7 @@ def test_lp_skipped_without_a_positive_entry(monkeypatch, name):
     def fail(*args, **kwargs):
         raise AssertionError("the inequality LP ran on a column with no positive entry")
 
-    monkeypatch.setattr(highs, "_Highs", fail)
+    monkeypatch.setattr(analyzer, "_highs_solver", fail)
     text, obstructions = NO_POSITIVE_ENTRY[name]
     with pytest.raises(WeightVectorNotFound) as exc:
         find_weight_vector(parse_model(text))
@@ -252,24 +252,76 @@ def _linprog_weight(n2t: np.ndarray) -> np.ndarray | None:
     return np.asarray(res.x, dtype=float) if res.status == 0 else None
 
 
-class TestDirectLp:
-    """The weight-vector LP called on HiGHS directly gives linprog's bits."""
+def _searched(name: str, seed: int) -> list:
+    """``(n2t, result)`` of every call of ``analyzer.<name>`` that
+    ``find_weight_vector`` makes on 200 seeded random superlinear networks."""
+    calls = []
+    real = getattr(analyzer, name)
 
-    def test_every_lp_of_seeded_networks_matches_linprog(self, monkeypatch):
-        lps = []
-        real = analyzer._min_sum_weight
+    def spy(n2t):
+        calls.append((n2t.copy(), real(n2t)))
+        return calls[-1][1]
 
-        def spy(n2t):
-            lps.append((n2t.copy(), real(n2t)))
-            return lps[-1][1]
-
-        monkeypatch.setattr(analyzer, "_min_sum_weight", spy)
-        rng = np.random.default_rng(21)
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, name, spy)
         for _ in range(200):
             try:
                 find_weight_vector(parse_model(_random_superlinear(rng)))
             except WeightVectorNotFound:
                 pass
+    return calls
+
+
+def _minimize_min_norm(n2t: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The exact weight-vector search as ``minimize(method="SLSQP")`` runs it."""
+    dim = n2t.shape[1]
+    res = scipy.optimize.minimize(
+        lambda l: l @ l,
+        x0=np.ones(dim),
+        jac=lambda l: 2 * l,
+        bounds=[(1.0, None)] * dim,
+        constraints=[{"type": "eq", "fun": lambda l: n2t @ l, "jac": lambda l: n2t}],
+        method="SLSQP",
+        options={"maxiter": 200, "ftol": 1e-14},
+    )
+    return np.asarray(res.x, dtype=float), bool(res.success)
+
+
+class TestDirectSlsqp:
+    """SLSQP's core loop called directly gives minimize's bits."""
+
+    def test_every_slsqp_problem_of_seeded_networks_matches_minimize(self):
+        problems = _searched("_slsqp_min_norm", 22)
+        failed = 0
+        for n2t, (x, success) in problems:
+            want_x, want_success = _minimize_min_norm(n2t)
+            assert success == want_success, n2t.tolist()
+            assert x.tobytes() == want_x.tobytes(), n2t.tolist()
+            failed += not success
+        # infeasible problems, where SLSQP reports failure, are compared too
+        assert len(problems) >= 30 and failed >= 5
+
+
+def _fresh_highs_weight(n2t: np.ndarray) -> np.ndarray | None:
+    """:func:`analyzer._min_sum_weight` on a newly built HiGHS solver with
+    the reused solver's options."""
+    solver = highs._Highs()
+    solver.passOptions(analyzer._highs_solver().getOptions())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyzer, "_highs_solver", lambda: solver)
+        return analyzer._min_sum_weight(n2t)
+
+
+def _bits(l: np.ndarray | None) -> bytes | None:
+    return None if l is None else l.tobytes()
+
+
+class TestDirectLp:
+    """The weight-vector LP called on HiGHS directly gives linprog's bits."""
+
+    def test_every_lp_of_seeded_networks_matches_linprog(self):
+        lps = _searched("_min_sum_weight", 21)
         found = non_unique = 0
         for n2t, got in lps:
             want = _linprog_weight(n2t)
@@ -283,6 +335,43 @@ class TestDirectLp:
             non_unique += bool(np.abs(other[::-1] - want).max() > 1e-6)
         assert len(lps) >= 100 and len(lps) - found >= 5 and non_unique >= 3
 
+    def test_reused_solver_matches_a_fresh_one_in_either_order(self):
+        # the LPs of the seeded networks, once forward and once reversed, on
+        # this thread's one solver: what a previous LP left in it changes no bit
+        n2ts = [n2t for n2t, _ in _searched("_min_sum_weight", 23)]
+        assert analyzer._highs_solver() is analyzer._highs_solver()
+        fresh = [_bits(_fresh_highs_weight(n2t)) for n2t in n2ts]
+        assert len(n2ts) >= 100 and fresh.count(None) >= 5
+        assert [_bits(analyzer._min_sum_weight(n2t)) for n2t in n2ts] == fresh
+        assert [_bits(analyzer._min_sum_weight(n2t)) for n2t in n2ts[::-1]] == fresh[::-1]
+
+    def test_two_threads_match_a_serial_run(self):
+        import threading
+
+        n2ts = [n2t for n2t, _ in _searched("_min_sum_weight", 24)]
+        serial = [_bits(analyzer._min_sum_weight(n2t)) for n2t in n2ts]
+        results, solvers = {}, {}
+        barrier = threading.Barrier(2)
+
+        def work(name, order):
+            solvers[name] = analyzer._highs_solver()
+            barrier.wait(timeout=60)
+            results[name] = {i: _bits(analyzer._min_sum_weight(n2ts[i])) for i in order}
+
+        order = list(range(len(n2ts)))
+        threads = [threading.Thread(target=work, args=(name, seq))
+                   for name, seq in (("forward", order), ("reversed", order[::-1]))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        # each thread solved on a solver of its own, and got the serial bits
+        assert solvers["forward"] is not solvers["reversed"]
+        assert solvers["forward"] is not analyzer._highs_solver()
+        for name in ("forward", "reversed"):
+            assert [results[name][i] for i in order] == serial, name
+
     def test_infeasible_lp_is_rejected(self):
         # l_A >= 2 l_B and l_B >= 2 l_A have no solution with l >= 1
         n2t = np.array([[1.0, -2.0], [-2.0, 1.0]])
@@ -290,6 +379,34 @@ class TestDirectLp:
         net = parse_model("species A B\nR1: 2 A -> A + 2 B @ 1\nR2: 2 B -> 2 A + B @ 1")
         with pytest.raises(WeightVectorNotFound, match="R1, R2"):
             find_weight_vector(net)
+
+
+def _fraction_snap(l: np.ndarray, cols: list, equality: bool) -> np.ndarray:
+    """The snap in ``Fraction`` arithmetic throughout."""
+    snapped = [Fraction(v).limit_denominator(10**6) for v in l]
+    lo = min(snapped)
+    dots = (sum(c * v for c, v in zip(col, snapped)) for col in cols)
+    if lo > 0 and all(d == 0 if equality else d >= 0 for d in dots):
+        return np.array([float(v / lo) for v in snapped])
+    return l / l.min()
+
+
+def test_integer_snap_matches_the_fraction_snap():
+    # rational vectors with small denominators, as the solvers return them up
+    # to rounding, against columns that the snap keeps or breaks
+    rng = np.random.default_rng(31)
+    kept = 0
+    for _ in range(2000):
+        dim = int(rng.integers(2, 7))
+        l = rng.integers(1, 40, size=dim) / rng.integers(1, 12, size=dim)
+        l = l * (1.0 + rng.choice([0.0, 1e-13, -1e-13, 1e-4], size=dim))
+        cols = [tuple(int(c) for c in rng.integers(-3, 4, size=dim))
+                for _ in range(int(rng.integers(1, 4)))]
+        for equality in (True, False):
+            got = analyzer._snap_rational(l, cols, equality)
+            assert got.tobytes() == _fraction_snap(l, cols, equality).tobytes()
+            kept += got.tobytes() != (l / l.min()).tobytes()
+    assert kept >= 500
 
 
 def test_snap_falls_back_to_floats_when_no_rational_keeps_the_constraint():
@@ -504,6 +621,11 @@ SUM_OVERFLOWS = {
 }
 
 
+# two finite linear-part entries whose sum passes DBL_MAX (every row, column
+# sum, A and alpha finite)
+LOG_NORM_SUM_OVERFLOWS = "species A B\nR1: A -> 3 B @ 5e307\nR2: B -> 3 A @ 5e307\n"
+
+
 class TestAnalyze:
     def test_enzyme_report(self):
         report = analyze(ENZYME)
@@ -555,11 +677,13 @@ class TestAnalyze:
             "species A\nR0: 0 -> A @ 1.0\nR1: A -> 3 A @ 1e308",  # every linear row term
             "species A B\nR1: A + B -> 5 A @ 1e308",  # the bilinear mu alone
             "species A B\nR0: B -> 0 @ 2.0\nR1: A -> 3 B @ 1e308",  # the linear part alone
+            # an entry 3k of the linear part, with alpha = 2k and every row finite
+            "species A B\nR0: B -> 0 @ 2.0\nR1: A -> 3 B @ 7e307",
         ],
-        ids=["linear", "bilinear", "linear-part"],
+        ids=["linear", "bilinear", "linear-part", "linear-part-entry"],
     )
     def test_overflowing_rate_names_its_reaction(self, text):
-        with np.errstate(all="raise"), pytest.raises(RateOverflow, match="R1 with rate 1e[+]308"):
+        with np.errstate(all="raise"), pytest.raises(RateOverflow, match="R1 with rate [17]e[+]30[78]"):
             analyze(parse_model(text))
 
     @pytest.mark.parametrize(
@@ -582,6 +706,26 @@ class TestAnalyze:
             f"reaction {reaction} with rate 1e+308 overflows its stability constants: the "
             "sum of the constants over the reactions up to it is not a finite float"
         )
+
+    def test_linear_part_halved_before_it_is_summed(self):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            report = analyze(parse_model(LOG_NORM_SUM_OVERFLOWS))
+        # symmetric part [[-5e307, 1.5e308], [1.5e308, -5e307]]
+        assert report.M_combined == 1e308
+        assert report.M == min(report.M_special_sum, report.M_combined)
+
+    def test_nonfinite_log_norm_names_the_reaction(self, monkeypatch):
+        # the log norm of a finite matrix can still round past DBL_MAX; then
+        # the first reaction whose linear part makes it so is named
+        def log_norm_of(mtx):
+            return math.inf if np.abs(mtx).max() > 0.75 else 0.0
+
+        monkeypatch.setattr(analyzer, "log_norm", log_norm_of)
+        text = "species A B\nR1: A -> B @ 0.5\nR2: B -> 0 @ 1.0\nR3: A -> 2 B @ 3.0\n"
+        with pytest.raises(RateOverflow) as exc:
+            analyze(parse_model(text))
+        assert exc.value.reaction == "R2"
 
     def test_drift_constants_checks_its_sums(self):
         with pytest.raises(RateOverflow, match="R5"):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jkl.analyzer import analyze
+from jkl.analyzer import RateOverflow, analyze
 from jkl.bounds import (
     _envelope,
     _envelope_at,
@@ -84,6 +84,88 @@ class TestOverflow:
         ):
             assert np.isfinite(curve.values[:2]).all()
             assert curve.values[2] == math.inf
+
+
+# networks whose constants are finite but whose moment curves overflowed:
+# A**2 raised OverflowError in the second-moment curve ("A-squared"); gamma =
+# 1.7e308 made beta inf, so the third-moment curve read NaN at every time
+# ("beta-inf"); and A itself overflows, which analyze rejects ("A-inf")
+EXTREME_RATES = {
+    "A-squared": "species S0 S1 S2\nR1: 0 -> S1 + S2 @ 1e+300\nR2: S0 + S0 -> S2 @ 1e+150\n"
+    "R3: 0 -> S0 @ 1.7e+308\nR4: S2 -> S0 + S1 + S2 @ 1e+300\nR5: S2 + S0 -> S1 @ 1e-300\n",
+    "beta-inf": "species S0\nR1: 0 -> 0 @ 1e10\nR2: S0 -> S0 + S0 @ 1e-300\n"
+    "R3: S0 + S0 -> S0 + S0 @ 1.7e+308\n",
+    "A-inf": "species S0 S1 S2\nR1: 0 -> S1 + S1 + S0 @ 1.7e+308\nR2: S2 -> 0 @ 0.0\n",
+    # alpha = -1.7e308 beside gamma = 1.7e308: 2 alpha and p alpha overflow to
+    # -inf and the gamma terms to inf, so beta is inf - inf
+    "beta-nan": "species S0\nR1: S0 -> 0 @ 1.7e+308\nR2: S0 -> S0 + S0 + S0 @ 1e150\n"
+    "R3: S0 -> S0 @ 1\nR4: 0 -> 0 @ 1e-10\nR5: 0 -> S0 + S0 + S0 @ 1e10\n",
+}
+
+
+class TestExtremeRates:
+    """Curves under extreme rates are |x0|^p at t = 0 and inf where they
+    overflow: never NaN, never OverflowError, and no warning."""
+
+    GRID = [0.0, 0.5, 1.0]
+
+    def _curves(self, name):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            report = analyze(parse_model(EXTREME_RATES[name]), weight="auto")
+            x0_norm = float(sum(report.l))
+            return x0_norm, [
+                first_moment_curve(report, x0_norm, self.GRID),
+                second_moment_curve(report, x0_norm, self.GRID),
+                *(pth_moment_curve(report, x0_norm, p, self.GRID) for p in (3, 4, 2000)),
+            ]
+
+    def test_second_moment_of_an_overflowing_a_squared(self):
+        x0_norm, curves = self._curves("A-squared")
+        assert x0_norm == 3.0
+        # 3^2000 overflows too
+        for curve, at_zero in zip(curves, (3.0, 9.0, 27.0, 81.0, math.inf)):
+            assert curve.values.tolist() == [at_zero, math.inf, math.inf], curve.inputs
+        assert curves[1].inputs["B"] == math.inf
+
+    def test_pth_moment_of_an_infinite_beta(self):
+        x0_norm, curves = self._curves("beta-inf")
+        assert x0_norm == 1.0
+        assert curves[0].values.tolist() == [1.0, 1.0, 1.0]
+        for curve in curves[1:]:
+            assert curve.values.tolist() == [1.0, math.inf, math.inf]
+        assert curves[2].inputs["beta"] == math.inf
+
+    def test_beta_of_inf_minus_inf(self):
+        x0_norm, curves = self._curves("beta-nan")
+        assert x0_norm == 1.0
+        for curve in curves[1:]:
+            assert math.isnan(curve.inputs["beta"])
+            assert curve.values.tolist() == [1.0, math.inf, math.inf]
+
+    def test_an_infinite_a_is_rejected(self):
+        with pytest.raises(RateOverflow, match="R1"):
+            self._curves("A-inf")
+
+    def test_order_past_the_float_range_without_inflow(self):
+        # Gamma = 0 beside |1^T N|^2000 = 2^2000 = inf: the Gamma term of B is
+        # 0, not 0 * inf
+        report = analyze(parse_model("species A B\nR1: A -> 3 B @ 1\n"))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            curve = pth_moment_curve(report, 1.0, 2000, self.GRID)
+        assert (curve.inputs["beta"], curve.inputs["B"]) == (math.inf, 0.0)
+        assert curve.values.tolist() == [1.0, math.inf, math.inf]
+
+    def test_envelope_at_infinite_constants(self):
+        inf = math.inf
+        assert _envelope_at(2.0, inf, 1.0, 0.0) == 2.0
+        assert _envelope_at(2.0, 1.0, inf, 0.0) == 2.0
+        assert _envelope_at(0.0, inf, inf, 0.0).hex() == (0.0).hex()
+        assert _envelope_at(0.0, 1.0, inf, 1e-300) == inf
+        assert _envelope_at(2.0, 0.0, inf, 1e-300) == inf
+        # a term with coefficient 0 stays dropped
+        assert _envelope_at(0.0, 0.0, inf, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("x0_norm", [math.nan, math.inf, -5.0])
@@ -185,11 +267,17 @@ class TestEnvelopeAt:
                 want = float(_envelope_reference(x0_pow, b_const, beta, np.array([t]))[0])
                 got = _envelope_at(x0_pow, b_const, beta, t)
                 assert type(got) is float
+                if math.isnan(want):
+                    # the array formula's inf * 0 at t = 0 and inf / inf where
+                    # z = beta t is inf: the envelope is x0_pow at t = 0 and
+                    # inf after
+                    want = (x0_pow or 0.0) if t == 0.0 else math.inf
+                    seen.add("nan in the array formula")
                 assert got.hex() == want.hex(), (x0_pow, b_const, beta, t)
                 z = max(beta, 0.0) * t
                 seen.add("series" if abs(z) <= 1e-12 else "expm1")
-                seen.add("inf" if got == math.inf else "nan" if math.isnan(got) else "finite")
-        assert seen == {"series", "expm1", "inf", "nan", "finite"}
+                seen.add("inf" if got == math.inf else "finite")
+        assert seen == {"series", "expm1", "inf", "finite", "nan in the array formula"}
 
     def test_no_warning_escapes(self):
         # z from 709 to 710 is where exp and expm1 overflow: the only numpy

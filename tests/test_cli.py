@@ -12,7 +12,8 @@ from jkl.cli import build_parser, main
 from jkl.cme import enumerate_states
 from jkl.demos import DEMO_NAMES
 from jkl.presets import get_preset
-from test_analyzer import SUM_OVERFLOWS
+from test_analyzer import LOG_NORM_SUM_OVERFLOWS, SUM_OVERFLOWS
+from test_bounds import EXTREME_RATES
 from test_golden import CLI_CSV_GOLDEN
 
 
@@ -114,6 +115,17 @@ class TestAnalyze:
         assert err == f"error: reaction {reaction} with rate 1e+308 overflows its stability " \
             "constants: the sum of the constants over the reactions up to it is not a finite " \
             "float\n"
+
+    def test_linear_part_sum_past_dbl_max_is_finite(self, capsys, tmp_path):
+        # two finite linear-part entries that sum past DBL_MAX: halved first,
+        # the combined logarithmic norm is finite and nothing warns
+        path = tmp_path / "m.txt"
+        path.write_text(LOG_NORM_SUM_OVERFLOWS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "analyze", "--model", str(path), "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["M_combined"] == 1e308
 
     def test_weight_file(self, capsys, tmp_path):
         path = tmp_path / "w.txt"
@@ -326,6 +338,32 @@ class TestBounds:
                                "--kind", kind, "--p", "3", "--t-end", "1", "--grid", "3")
             assert code == 0
             assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(x0_norm**p)
+
+    @pytest.mark.parametrize(
+        "name, argv, values",
+        [
+            ("A-squared", ("--kind", "second", "--x0", "1,1,1"), ["9.0", "inf", "inf", "inf"]),
+            ("beta-inf", ("--kind", "pth", "--p", "3", "--x0", "1"), ["1.0", "inf", "inf", "inf"]),
+        ],
+        ids=["A-squared", "beta-inf"],
+    )
+    def test_extreme_rates_give_inf_not_nan(self, capsys, tmp_path, name, argv, values):
+        path = tmp_path / "m.txt"
+        path.write_text(EXTREME_RATES[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bounds", "--model", str(path), *argv,
+                                 "--t-end", "1", "--grid", "3")
+        assert code == 0 and err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == values
+
+    def test_extreme_rate_a_rejected(self, capsys, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text(EXTREME_RATES["A-inf"])
+        code, out, err = run(capsys, "bounds", "--model", str(path), "--kind", "second",
+                             "--x0", "1,1,1", "--t-end", "1", "--grid", "3")
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: reaction R1 ")
 
     @pytest.mark.parametrize("p", ["0", "-1"])
     def test_asymptotic_order_below_one_rejected(self, capsys, p):
