@@ -320,6 +320,17 @@ def ode_divergence_bound(
     )
 
 
+def _exp_at(rate: float, t: float) -> float:
+    """``exp(rate t)`` at one time t >= 0, as the array formula computes it;
+    1 at t = 0 whatever the rate, so an infinite rate never meets ``inf * 0``."""
+    return 1.0 if t == 0.0 else _float_of(np.exp, rate * t)
+
+
+def _growth_rate(rate: float) -> float:
+    """A NaN rate (an inf - inf sum) counts as inf: every envelope grows with it."""
+    return math.inf if math.isnan(rate) else rate
+
+
 def initial_perturbation_curve(
     report: StabilityReport,
     x0: Sequence[float],
@@ -332,21 +343,30 @@ def initial_perturbation_curve(
     R(t) = int_0^t (L' + lam' S0) exp(-(M + mu S0) s) ds and
     S0 = |X0 + Y0|_1; the O(s^1/2) remainder inside R carries no
     constant and is dropped, so domination holds on small windows only.
+    R is a trapezoid sum on the grid.  Each time is computed on floats
+    in the order of the array formula; the value is |X0-Y0| at t = 0, a
+    zero factor gives 0 beside inf, and an overflowing term reads inf.
     """
     grid = _check_grid(grid)
     x0 = _check_real_state(x0, len(report.l))
     y0 = _check_real_state(y0, len(report.l))
     sigma0 = float(x0.sum() + y0.sum())
-    rate = report.M + report.mu * sigma0
+    rate = report.M + _times(report.mu, sigma0)
+    growth = _growth_rate(rate)
     d0 = float(np.linalg.norm(x0 - y0))
     same = bool(np.array_equal(x0, y0))
-    integrand = (report.L_prime + report.lam_prime * sigma0) * np.exp(-rate * grid)
-    r_vals = _cumulative_trapezoid(integrand, grid)
-    indicator = 0.0 if same else 1.0
-    values = np.exp(rate * grid) * (d0 + indicator * r_vals / 2.0)
+    coeff = report.L_prime + _times(report.lam_prime, sigma0)
+    times = grid.tolist()
+    integrand = [_times(coeff, _exp_at(-growth, t)) for t in times]
+    values, r_val = [], 0.0
+    for i, t in enumerate(times):
+        if i:
+            r_val = r_val + 0.5 * (integrand[i] + integrand[i - 1]) * (t - times[i - 1])
+        bracket = d0 if same else d0 + r_val / 2.0
+        values.append(math.inf if bracket == math.inf else _times(_exp_at(growth, t), bracket))
     return BoundCurve(
         grid,
-        values,
+        np.array(values),
         "initial-perturbation-leading",
         inputs={
             "M": report.M,
@@ -380,26 +400,38 @@ def coefficient_perturbation_curve(
       [(delta' W0)^(1/2) t^(1/2) + (delta_F W0 + L'/2 + lam' |X0|_1) t]
       -- smaller exponent, but keeps the Lipschitz terms.
 
-    O(t^3/2) remainders are dropped.
+    O(t^3/2) remainders are dropped.  Each time is computed on floats in
+    the order of the array formula; the value is 0 at t = 0, a zero factor
+    gives 0 beside inf, and an overflowing term reads inf.
     """
     grid = _check_grid(grid)
     x0 = _check_real_state(x0, len(report.l))
     x_norm = float(x0.sum())
-    w0 = report.Gamma + report.gamma * x_norm**2
-    delta_prime = report.norm_1tN2 * delta
-    sqrt_term = math.sqrt(delta_prime * w0) * np.sqrt(grid)
+    w0 = report.Gamma + _times(report.gamma, _pow(x_norm, 2))
+    delta_prime = _times(report.norm_1tN2, delta)
+    sqrt_coeff = math.sqrt(_times(delta_prime, w0))
     if variant == "small-time":
-        rate = report.M + report.L_prime / 2.0 + (2.0 * report.mu + report.lam_prime) * x_norm
-        linear = delta_f * w0 * grid
+        rate = (
+            report.M
+            + report.L_prime / 2.0
+            + _times(2.0 * report.mu + report.lam_prime, x_norm)
+        )
+        lin_coeff = _times(delta_f, w0)
     elif variant == "large-time":
-        rate = report.M + 2.0 * report.mu * x_norm
-        linear = (delta_f * w0 + report.L_prime / 2.0 + report.lam_prime * x_norm) * grid
+        rate = report.M + _times(2.0 * report.mu, x_norm)
+        lin_coeff = (
+            _times(delta_f, w0) + report.L_prime / 2.0 + _times(report.lam_prime, x_norm)
+        )
     else:
         raise ValueError(f"unknown variant {variant!r} (small-time or large-time)")
-    values = exp_plus(rate * grid) * (sqrt_term + linear)
+    growth = max(_growth_rate(rate), 0.0)
+    values = [
+        _times(_exp_at(growth, t), _times(sqrt_coeff, math.sqrt(t)) + _times(lin_coeff, t))
+        for t in grid.tolist()
+    ]
     return BoundCurve(
         grid,
-        values,
+        np.array(values),
         f"coeff-perturbation-{variant}",
         inputs={
             "delta": delta,

@@ -66,16 +66,16 @@ class Propensity:
 
     def __post_init__(self):
         reactants = tuple(sorted(self.reactants))
-        object.__setattr__(self, "reactants", reactants)
-        species = [s for s, _ in reactants]
+        species, mults = zip(*reactants) if reactants else ((), ())
         if len(set(species)) != len(species):
             raise ValueError("reactant species must be distinct")
-        if any(m <= 0 for _, m in reactants):
+        if mults and min(mults) <= 0:
             raise ValueError("reactant multiplicities must be positive")
-        if self.order > MAX_ORDER:
-            raise ValueError(f"mass-action order {self.order} exceeds {MAX_ORDER}")
-        kind = _KINDS.get(tuple(m for _, m in reactants), "mass-action")
-        object.__setattr__(self, "kind", kind)
+        order = sum(mults)
+        if order > MAX_ORDER:
+            raise ValueError(f"mass-action order {order} exceeds {MAX_ORDER}")
+        object.__setattr__(self, "reactants", reactants)
+        object.__setattr__(self, "kind", _KINDS.get(mults, "mass-action"))
         object.__setattr__(self, "rate_text", repr(float(self.rate)))
 
     @property
@@ -247,7 +247,8 @@ class Diagnostic:
 
 
 def validate_network(net: ReactionNetwork) -> list[Diagnostic]:
-    """Check lattice conservation and rate sanity; returns diagnostics.
+    """Check lattice conservation, rate sanity and that every stoichiometric
+    entry fits int64; returns diagnostics.
 
     A reaction conserves the non-negative lattice iff every species it
     consumes (positive stoichiometric entry) appears in its reactant
@@ -263,7 +264,15 @@ def validate_network(net: ReactionNetwork) -> list[Diagnostic]:
             issues.append(Diagnostic(f"rate constant is negative ({k})", rxn.label))
         required = dict(rxn.propensity.reactants)
         for s, change in enumerate(rxn.nu):
-            if change > 0 and required.get(s, 0) < change:
+            if not -(2**63) <= change < 2**63:
+                issues.append(
+                    Diagnostic(
+                        f"stoichiometric entry {change} of {net.species[s]} "
+                        "does not fit a 64-bit integer",
+                        rxn.label,
+                    )
+                )
+            elif change > 0 and required.get(s, 0) < change:
                 issues.append(
                     Diagnostic(
                         f"consumes {change} of {net.species[s]} but the propensity "

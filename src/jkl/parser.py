@@ -127,8 +127,93 @@ def _parse_side(cur: _Cursor, what: str) -> list[tuple[int, str, int]]:
         return terms
 
 
+# A well-formed line matches _LINE once, and its groups split it where
+# _TOKEN does: a coefficient is a whole digit run that no exponent
+# follows (in "2e5A" the tokenizer reads the number 2e5), of at most 18
+# digits, below int()'s digit limit and 2**63.  A line that starts with
+# the word "species" is a species list or nothing.
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+_TERM = rf"(?:\d{{1,18}}(?![eE][+-]?\d)\s*)?{_IDENT}"
+_SIDE = rf"0|{_TERM}(?:\s*\+\s*{_TERM})*"
+_NUMBER = r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
+_NOT_SPECIES = r"(?!species(?![A-Za-z_0-9]))"
+_LINE = re.compile(
+    rf"""\s*(?:
+        {_NOT_SPECIES}(?:(?P<label>{_IDENT})\s*:\s*)?(?P<lhs>{_SIDE})\s*->\s*(?P<rhs>{_SIDE})
+        \s*@\s*(?:(?P<rate>{_NUMBER})|(?P<rate_name>{_IDENT}))
+      | species(?P<names>(?:\s+{_IDENT})+)
+      | {_NOT_SPECIES}(?P<param>{_IDENT})\s*=\s*(?P<value>{_NUMBER})
+      |
+    )\s*(?:\#.*)?""",
+    re.VERBOSE,
+)
+_TERMS = re.compile(rf"(\d*)\s*({_IDENT})")
+
+
+def _parse_lines(text: str) -> ReactionNetwork | None:
+    """The network of ``text`` when every line is well formed, else None.
+
+    Never raises: any text that :func:`_parse_tokens` would reject, and any
+    line outside :data:`_LINE`, returns None, so the token parser runs and
+    writes the diagnostic.
+    """
+    species: list[str] = []
+    parameters: dict[str, float] = {}
+    pending = []
+    for raw in text.splitlines():
+        m = _LINE.fullmatch(raw)
+        if m is None:
+            return None
+        label, lhs, rhs, rate, rate_name, names, param, value = m.groups()
+        if lhs is not None:
+            pending.append((label, lhs, rhs, rate, rate_name))
+        elif names is not None:
+            species += names.split()
+        elif param is not None:
+            if param in parameters:
+                return None
+            parameters[param] = float(value)
+    index = {name: i for i, name in enumerate(species)}
+    if len(index) != len(species):
+        return None
+
+    reactions: list[Reaction] = []
+    labels: set[str] = set()
+    for label, lhs, rhs, rate, rate_name in pending:
+        if rate_name is None:
+            rate = float(rate)
+        elif rate_name in parameters:
+            rate = parameters[rate_name]
+        else:
+            return None
+        nu = [0] * len(species)
+        react: dict[int, int] = {}
+        for side, sign in ((lhs, 1), (rhs, -1)):
+            for coeff, name in _TERMS.findall(side):
+                s = index.get(name)
+                c = int(coeff) if coeff else 1
+                if s is None or c == 0:
+                    return None
+                nu[s] += sign * c
+                if sign > 0:
+                    react[s] = react.get(s, 0) + c
+        if sum(react.values()) > MAX_ORDER:
+            return None
+        label = label or f"R{len(reactions) + 1}"
+        if label in labels:
+            return None
+        labels.add(label)
+        prop = Propensity(rate, tuple(react.items()))
+        reactions.append(Reaction(label, tuple(nu), prop, rate_name))
+    return ReactionNetwork(tuple(species), tuple(reactions), parameters)
+
+
 def parse_model(text: str | bytes) -> ReactionNetwork:
     """Parse model text into a :class:`ReactionNetwork`.
+
+    A text whose lines are all well formed is read by :func:`_parse_lines`;
+    any other text goes through :func:`_parse_tokens`, which writes every
+    diagnostic.
 
     Raises:
         ModelError: on any syntax or reference problem, with line/column.
@@ -138,7 +223,13 @@ def parse_model(text: str | bytes) -> ReactionNetwork:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelError(f"input is not valid UTF-8 ({exc.reason})") from None
+    net = _parse_lines(text)
+    return net if net is not None else _parse_tokens(text)
 
+
+def _parse_tokens(text: str) -> ReactionNetwork:
+    """Parse ``text`` token by token; the reference parser and the only one
+    that raises :class:`ModelError`."""
     species: list[str] = []
     parameters: dict[str, float] = {}
     # reaction lines are resolved in a second pass, once all species are known

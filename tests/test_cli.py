@@ -73,6 +73,28 @@ def test_invalid_network_exits_2_everywhere(capsys, tmp_path, argv):
     ]
 
 
+# a product coefficient whose net entry 1 - 10**20 does not fit int64
+BIG_COEFFICIENT = "species A\nR1: A -> 100000000000000000000 A @ 1\n"
+SAMPLING = {
+    "ensemble": ["ensemble", "--x0", "1", "--t-end", "1", "--samples", "2"],
+    "couple": ["couple", "--x0", "1", "--t-end", "1", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [*VALIDATING.values(), *SAMPLING.values()], ids=[*VALIDATING, *SAMPLING]
+)
+def test_stoichiometry_past_int64_exits_2_everywhere(capsys, tmp_path, argv):
+    path = tmp_path / "big.rxn"
+    path.write_text(BIG_COEFFICIENT)
+    code, out, err = run(capsys, *argv, "--model", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: network fails validation: stoichiometric entry -99999999999999999999 of A "
+        "does not fit a 64-bit integer [reaction R1]"
+    ]
+
+
 class TestAnalyze:
     def test_table_and_json_agree(self, capsys):
         code, out_json, _ = run(capsys, "analyze", "--preset", "enzyme", "--json")
@@ -354,6 +376,29 @@ class TestBounds:
             warnings.simplefilter("error")
             code, out, err = run(capsys, "bounds", "--model", str(path), *argv,
                                  "--t-end", "1", "--grid", "3")
+        assert code == 0 and err == ""
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == values
+
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (("--kind", "coeff", "--perturb", "k=0.1"), ["0.0", "inf", "inf"]),
+            (("--kind", "coeff", "--perturb", "k=0.1", "--variant", "large-time"),
+             ["0.0", "inf", "inf"]),
+            (("--kind", "initial", "--y0", "2,1"), ["1.0", "inf", "inf"]),
+            (("--kind", "initial"), ["0.0", "0.0", "0.0"]),
+        ],
+        ids=["coeff-small-time", "coeff-large-time", "initial", "initial-same-state"],
+    )
+    def test_perturbation_curves_of_a_rate_at_dbl_max(self, capsys, tmp_path, argv, values):
+        # W0 = Gamma + gamma |x0|^2 is inf: the curves read their t = 0 value at
+        # t = 0 and inf or 0 after, where inf * 0 used to print nan
+        path = tmp_path / "m.txt"
+        path.write_text("species S0 S1\nk = 1.7e+308\nR1: S1 -> 0 @ k\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "bounds", "--model", str(path), *argv,
+                                 "--x0", "1,1", "--t-end", "1", "--grid", "2")
         assert code == 0 and err == ""
         assert [line.split(",")[1] for line in out.splitlines()[1:]] == values
 

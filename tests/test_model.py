@@ -163,6 +163,17 @@ class TestValidateNetwork:
         )
         assert any("finite" in d.message for d in validate_network(bad))
 
+    @pytest.mark.parametrize("entry,fits", [(-(2**63), True), (2**63 - 1, True),
+                                            (-(2**63) - 1, False), (2**63, False)])
+    def test_stoichiometric_entry_past_int64_flagged(self, entry, fits):
+        net = ReactionNetwork(
+            ("A", "B"), (Reaction("R1", (0, entry), Propensity(1.0, ((1, 3),))),), {}
+        )
+        issues = [d for d in validate_network(net) if "64-bit" in d.message]
+        assert not issues if fits else [d.reaction for d in issues] == ["R1"]
+        if fits:
+            assert net.stoichiometry[1, 0] == entry
+
     def test_underconsuming_propensity_flagged(self):
         # consumes two copies but the propensity only vanishes below one
         bad = ReactionNetwork(("A",), (Reaction("R1", (2,), Propensity(1.0, ((0, 1),))),), {})

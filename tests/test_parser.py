@@ -1,10 +1,13 @@
 """Parser: grammar, kind inference, diagnostics, round-trips, fuzz safety."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_golden import MIXED, WEIGHTED, _random_order2
 
-from jkl.parser import ModelError, parse_model, serialize_model
+from jkl.parser import ModelError, _parse_lines, _parse_tokens, parse_model, serialize_model
 from jkl.presets import PRESETS
 
 
@@ -192,3 +195,115 @@ class TestProperties:
             parse_model(text)
         except ModelError:
             pass
+
+
+def _outcome(parse, text):
+    """The network with its rate and parameter texts, or the diagnostic."""
+    try:
+        net = parse(text)
+    except ModelError as exc:
+        d = exc.diagnostic
+        return d.message, d.line, d.column
+    rates = [r.propensity.rate_text for r in net.reactions]
+    return net, rates, [(k, repr(v)) for k, v in net.parameters.items()]
+
+
+def _assert_same_as_tokens(text):
+    assert _outcome(parse_model, text) == _outcome(_parse_tokens, text)
+
+
+# a valid document with a line of every kind; the unlabelled reaction is R3
+_LINES = [
+    "species A B C",
+    "k1 = 1.0",
+    "k2 = -2.5e-3",
+    "R1: 0 -> A @ k1",
+    "R2: A + B -> 2 C @ 0.7",
+    "2 A -> B @ k2  # dimer",
+    "R5: C -> 0 @ 1e2",
+    "R4: A+B->C@3",
+]
+_MUTATION_CHARS = " \t0123456789.eE+-:=@#>AB_s\u0662"
+
+
+class TestDifferential:
+    """parse_model gives the token parser's network or its exact diagnostic."""
+
+    @given(random_network_text())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_models(self, text):
+        _assert_same_as_tokens(text)
+
+    def test_seeded_edits_of_valid_lines(self):
+        rng = random.Random(20121)
+        for _ in range(3000):
+            lines = list(_LINES)
+            i = rng.randrange(len(lines))
+            line = lines[i]
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randint(0, len(line))
+                if line and rng.random() < 0.5:
+                    line = line[:pos] + line[pos + 1 :]
+                else:
+                    line = line[:pos] + rng.choice(_MUTATION_CHARS) + line[pos:]
+            lines[i] = line
+            _assert_same_as_tokens("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "species species A\nspecies -> A @ 1",
+            "species species A\nR1: species -> A @ 1",
+            "species A B\nspecies: A -> B @ 1",
+            "species A\nspecies = 1",
+            "species A B\nR1: A -> " + "1" * 5000 + " B @ 1",
+            "species A B\nR1: A -> 100000000000000000000 B @ 1",
+            "species A B\nR1: A -> 02 B @ 1",
+            "species A B e e5A\nR1: 2e5A -> B @ 1",
+            "species A B e\nR1: B -> 2e+5A @ 1",
+            "species A eA\nR1: 2eA -> A @ 1",
+            "species A B\nR1: 2.A -> B @ 1",
+            "species A B\nR1: 2A -> B @ 1",
+            "species A B\nR1: 0 A -> B @ 1",
+            "species A B\nR1: A + 0 -> B @ 1",
+            "species A B\nR1: A -> B + 0 @ 1",
+            "species A B\nR1: A -> B @ \u0662.\u0665",
+            "species A B\nR1: \u0662 A -> B @ 1",
+        ],
+        ids=[
+            "species-as-reactant-line",
+            "species-as-species-name",
+            "species-as-label",
+            "species-as-parameter",
+            "coefficient-5000-digits",
+            "coefficient-21-digits",
+            "leading-zero",
+            "exponent-coefficient",
+            "signed-exponent-coefficient",
+            "e-species",
+            "dot-coefficient",
+            "adjacent-coefficient",
+            "zero-term",
+            "plus-zero",
+            "product-plus-zero",
+            "unicode-digit-rate",
+            "unicode-digit-coefficient",
+        ],
+    )
+    def test_traps(self, text):
+        _assert_same_as_tokens(text)
+
+
+class TestLinePathCoverage:
+    """Every text the repository parses in bulk is read by one match per line."""
+
+    def test_presets_and_golden_texts(self):
+        texts = [p.text for p in PRESETS.values()] + [MIXED, *WEIGHTED.values()]
+        for text in texts:
+            assert _parse_lines(text) is not None, text
+
+    def test_random_order2_texts(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            text = _random_order2(rng)[0]
+            assert _parse_lines(text) is not None, text
