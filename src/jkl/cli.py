@@ -71,15 +71,18 @@ def _perturbed_state(args, net, x0):
 def _grid(args) -> np.ndarray:
     """Time grid from --t-end and --grid (point count or explicit times)."""
     spec = args.grid
-    if spec and ("," in spec or "." in spec):
-        try:
+    times = None
+    try:
+        if spec and ("," in spec or "." in spec):
             times = np.array([float(v) for v in spec.split(",")], dtype=float)
-        except ValueError:
-            raise CliError(f"--grid must be a count or comma-separated times, got {spec!r}") from None
+        else:
+            count = int(spec) if spec else 50
+    except ValueError:
+        raise CliError(f"--grid must be a count or comma-separated times, got {spec!r}") from None
+    if times is not None:
         return eng._check_grid(times)
     if args.t_end is None:
         raise CliError("--t-end is required")
-    count = int(spec) if spec else 50
     if count < 1:
         raise CliError("--grid count must be positive")
     return np.linspace(0.0, args.t_end, count + 1)

@@ -17,8 +17,12 @@ full reactant multiset.  Reaction labels are unique: an unlabelled
 reaction is named ``R<n>`` after its position, and a name used twice is
 an error at its second occurrence.
 
-All failures raise :class:`ModelError` carrying a diagnostic with line
-and column; arbitrary byte input never raises anything else.
+Every line is read by one match of a line pattern, and the rules on
+what a line means (declared names, unique labels, the order cap) act on
+that match.  A line holding a syntax error is walked token by token only
+to write its diagnostic.  All failures raise :class:`ModelError`
+carrying a diagnostic with line and column; arbitrary byte input never
+raises anything else.
 """
 
 from __future__ import annotations
@@ -127,13 +131,14 @@ def _parse_side(cur: _Cursor, what: str) -> list[tuple[int, str, int]]:
         return terms
 
 
-# A well-formed line matches _LINE once, and its groups split it where
-# _TOKEN does: a coefficient is a whole digit run that no exponent
-# follows (in "2e5A" the tokenizer reads the number 2e5), of at most 18
-# digits, below int()'s digit limit and 2**63.  A line that starts with
-# the word "species" is a species list or nothing.
+# Every line is read by one _LINE.fullmatch, whose groups split it where
+# _TOKEN does: a coefficient is a whole digit run that no exponent follows
+# (in "2e5A" the tokenizer reads the number 2e5), and a line that starts
+# with the word "species" is a species list or nothing.  A line outside
+# the pattern, or a reaction whose coefficient reads 0 or is too long for
+# int(), holds a syntax error, and only the token walk locates it.
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
-_TERM = rf"(?:\d{{1,18}}(?![eE][+-]?\d)\s*)?{_IDENT}"
+_TERM = rf"(?:\d+(?![eE][+-]?\d)\s*)?{_IDENT}"
 _SIDE = rf"0|{_TERM}(?:\s*\+\s*{_TERM})*"
 _NUMBER = r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
 _NOT_SPECIES = r"(?!species(?![A-Za-z_0-9]))"
@@ -148,72 +153,43 @@ _LINE = re.compile(
     re.VERBOSE,
 )
 _TERMS = re.compile(rf"(\d*)\s*({_IDENT})")
+_IDENTS = re.compile(_IDENT)
 
 
-def _parse_lines(text: str) -> ReactionNetwork | None:
-    """The network of ``text`` when every line is well formed, else None.
+def _declare(index: dict[str, int], names: list[str], raw: str, lineno: int) -> None:
+    """Add a species line's names to ``index``; a name already there is an
+    error at its column (the k-th name is the line's (k+1)-th identifier)."""
+    for k, name in enumerate(names):
+        if name in index:
+            column = [m.start() for m in _IDENTS.finditer(raw)][k + 1] + 1
+            raise ModelError(f"duplicate species {name!r}", lineno, column)
+        index[name] = len(index)
 
-    Never raises: any text that :func:`_parse_tokens` would reject, and any
-    line outside :data:`_LINE`, returns None, so the token parser runs and
-    writes the diagnostic.
-    """
-    species: list[str] = []
-    parameters: dict[str, float] = {}
-    pending = []
-    for raw in text.splitlines():
-        m = _LINE.fullmatch(raw)
-        if m is None:
-            return None
-        label, lhs, rhs, rate, rate_name, names, param, value = m.groups()
-        if lhs is not None:
-            pending.append((label, lhs, rhs, rate, rate_name))
-        elif names is not None:
-            species += names.split()
-        elif param is not None:
-            if param in parameters:
-                return None
-            parameters[param] = float(value)
-    index = {name: i for i, name in enumerate(species)}
-    if len(index) != len(species):
-        return None
 
-    reactions: list[Reaction] = []
-    labels: set[str] = set()
-    for label, lhs, rhs, rate, rate_name in pending:
-        if rate_name is None:
-            rate = float(rate)
-        elif rate_name in parameters:
-            rate = parameters[rate_name]
-        else:
-            return None
-        nu = [0] * len(species)
-        react: dict[int, int] = {}
-        for side, sign in ((lhs, 1), (rhs, -1)):
-            for coeff, name in _TERMS.findall(side):
-                s = index.get(name)
-                c = int(coeff) if coeff else 1
-                if s is None or c == 0:
-                    return None
-                nu[s] += sign * c
-                if sign > 0:
-                    react[s] = react.get(s, 0) + c
-        if sum(react.values()) > MAX_ORDER:
-            return None
-        label = label or f"R{len(reactions) + 1}"
-        if label in labels:
-            return None
-        labels.add(label)
-        prop = Propensity(rate, tuple(react.items()))
-        reactions.append(Reaction(label, tuple(nu), prop, rate_name))
-    return ReactionNetwork(tuple(species), tuple(reactions), parameters)
+def _reaction_syntax(tokens: list[tuple[str, str, int]], lineno: int) -> None:
+    """Raise the syntax error of a reaction line, walking its tokens."""
+    cur = _Cursor(tokens, lineno)
+    if len(tokens) >= 2 and tokens[0][0] == "ident" and tokens[1][:2] == ("sym", ":"):
+        cur.next()
+        cur.next()
+    _parse_side(cur, "reactant")
+    cur.next("arrow", "'->'")
+    _parse_side(cur, "product")
+    at = cur.next("sym", "'@'")
+    if at[1] != "@":
+        raise ModelError(f"expected '@', got {at[1]!r}", lineno, at[2])
+    rate_tok = cur.next(what="rate constant or parameter name")
+    cur.done()
+    if rate_tok[0] not in ("number", "ident"):
+        raise ModelError(
+            f"expected rate constant or parameter name, got {rate_tok[1]!r}",
+            lineno,
+            rate_tok[2],
+        )
 
 
 def parse_model(text: str | bytes) -> ReactionNetwork:
     """Parse model text into a :class:`ReactionNetwork`.
-
-    A text whose lines are all well formed is read by :func:`_parse_lines`;
-    any other text goes through :func:`_parse_tokens`, which writes every
-    diagnostic.
 
     Raises:
         ModelError: on any syntax or reference problem, with line/column.
@@ -223,102 +199,91 @@ def parse_model(text: str | bytes) -> ReactionNetwork:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelError(f"input is not valid UTF-8 ({exc.reason})") from None
-    net = _parse_lines(text)
-    return net if net is not None else _parse_tokens(text)
-
-
-def _parse_tokens(text: str) -> ReactionNetwork:
-    """Parse ``text`` token by token; the reference parser and the only one
-    that raises :class:`ModelError`."""
-    species: list[str] = []
+    index: dict[str, int] = {}
     parameters: dict[str, float] = {}
-    # reaction lines are resolved in a second pass, once all species are known
-    pending: list[tuple[int, list]] = []
-
+    # Reaction lines are resolved in a second pass, once all species are
+    # known.  A line the pattern rejects is tokenized in this pass, where its
+    # characters are checked; the first such reaction line ends the second
+    # pass with its syntax error, after the reaction lines before it.
+    pending = []
+    broken = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens:
+        m = _LINE.fullmatch(raw)
+        if m is not None:
+            label, lhs, rhs, rate, rate_name, names, param, value = m.groups()
+            if lhs is not None:
+                if broken is None:
+                    pending.append((lineno, m, label, lhs, rhs, rate, rate_name))
+            elif names is not None:
+                _declare(index, names.split(), raw, lineno)
+            elif param is not None:
+                if param in parameters:
+                    raise ModelError(f"duplicate parameter {param!r}", lineno, m.start("param") + 1)
+                parameters[param] = float(value)
             continue
+        tokens = _tokenize(raw, lineno)
         kind, word, col = tokens[0]
         if kind == "ident" and word == "species":
-            if len(tokens) == 1:
-                raise ModelError("species line declares no names", lineno, col)
-            for tkind, name, tcol in tokens[1:]:
+            for k, (tkind, name, tcol) in enumerate(tokens[1:], start=1):
                 if tkind != "ident":
+                    _declare(index, [t[1] for t in tokens[1:k]], raw, lineno)
                     raise ModelError(f"expected species name, got {name!r}", lineno, tcol)
-                if name in species:
-                    raise ModelError(f"duplicate species {name!r}", lineno, tcol)
-                species.append(name)
-        elif len(tokens) >= 2 and kind == "ident" and tokens[1][:2] == ("sym", "="):
+            raise ModelError("species line declares no names", lineno, col)
+        if len(tokens) >= 2 and kind == "ident" and tokens[1][:2] == ("sym", "="):
             cur = _Cursor(tokens, lineno)
             cur.next()
             cur.next()
-            val_tok = cur.next("number", "parameter value")
+            cur.next("number", "parameter value")
             cur.done()
-            if word in parameters:
-                raise ModelError(f"duplicate parameter {word!r}", lineno, col)
-            parameters[word] = float(val_tok[1])
-        else:
-            pending.append((lineno, tokens))
+        if broken is None:
+            broken = tokens, lineno
 
     reactions: list[Reaction] = []
     labels: set[str] = set()
-    index = {name: i for i, name in enumerate(species)}
-    for lineno, tokens in pending:
-        cur = _Cursor(tokens, lineno)
-        label = None
-        label_col = tokens[0][2]
-        if (
-            len(tokens) >= 2
-            and tokens[0][0] == "ident"
-            and tokens[1][:2] == ("sym", ":")
-        ):
-            label = cur.next()[1]
-            cur.next()
-        lhs = _parse_side(cur, "reactant")
-        cur.next("arrow", "'->'")
-        rhs = _parse_side(cur, "product")
-        at = cur.next("sym", "'@'")
-        if at[1] != "@":
-            raise ModelError(f"expected '@', got {at[1]!r}", lineno, at[2])
-        rate_tok = cur.next(what="rate constant or parameter name")
-        cur.done()
-
-        if rate_tok[0] == "number":
-            rate, rate_name = float(rate_tok[1]), None
-        elif rate_tok[0] == "ident":
-            if rate_tok[1] not in parameters:
-                raise ModelError(f"unknown parameter {rate_tok[1]!r}", lineno, rate_tok[2])
-            rate, rate_name = parameters[rate_tok[1]], rate_tok[1]
-        else:
-            raise ModelError(
-                f"expected rate constant or parameter name, got {rate_tok[1]!r}",
-                lineno,
-                rate_tok[2],
-            )
-
+    for lineno, m, label, lhs, rhs, rate, rate_name in pending:
+        nu = [0] * len(index)
         react: dict[int, int] = {}
-        prod: dict[int, int] = {}
-        for side, counts in ((lhs, react), (rhs, prod)):
-            for coeff, name, col in side:
-                if name not in index:
-                    raise ModelError(f"unknown species {name!r}", lineno, col)
-                counts[index[name]] = counts.get(index[name], 0) + coeff
+        unknown = None  # (side, name) of the first term naming an undeclared species
+        try:
+            for side, terms, sign in (("lhs", lhs, 1), ("rhs", rhs, -1)):
+                for coeff, name in _TERMS.findall(terms):
+                    c = int(coeff) if coeff else 1
+                    if c == 0:
+                        raise ValueError(coeff)
+                    s = index.get(name)
+                    if s is None:
+                        unknown = unknown or (side, name)
+                        continue
+                    nu[s] += sign * c
+                    if sign > 0:
+                        react[s] = react.get(s, 0) + c
+        except ValueError:  # a coefficient that reads 0 or is past int()'s digit limit
+            _reaction_syntax(_tokenize(m.string, lineno), lineno)
+        if rate_name is None:
+            rate = float(rate)
+        elif rate_name in parameters:
+            rate = parameters[rate_name]
+        else:
+            raise ModelError(f"unknown parameter {rate_name!r}", lineno, m.start("rate_name") + 1)
+        if unknown is not None:
+            side, name = unknown
+            found = _TERMS.finditer(m.string, m.start(side), m.end(side))
+            column = next(t.start(2) for t in found if t[2] == name) + 1
+            raise ModelError(f"unknown species {name!r}", lineno, column)
         order = sum(react.values())
         if order > MAX_ORDER:
-            raise ModelError(
-                f"reactant order {order} exceeds {MAX_ORDER}", lineno
-            )
-
+            raise ModelError(f"reactant order {order} exceeds {MAX_ORDER}", lineno)
         if label is None:
             label = f"R{len(reactions) + 1}"
         if label in labels:
-            raise ModelError(f"duplicate reaction label {label!r}", lineno, label_col)
+            column = m.start("label" if m["label"] else "lhs") + 1
+            raise ModelError(f"duplicate reaction label {label!r}", lineno, column)
         labels.add(label)
-        nu = tuple(react.get(s, 0) - prod.get(s, 0) for s in range(len(species)))
-        reactions.append(Reaction(label, nu, Propensity(rate, tuple(react.items())), rate_name))
-
-    return ReactionNetwork(tuple(species), tuple(reactions), parameters)
+        prop = Propensity(rate, tuple(react.items()))
+        reactions.append(Reaction(label, tuple(nu), prop, rate_name))
+    if broken is not None:
+        _reaction_syntax(*broken)
+    return ReactionNetwork(tuple(index), tuple(reactions), parameters)
 
 
 def _format_side(counts: dict[str, int]) -> str:

@@ -324,6 +324,17 @@ class TestPthMoment:
         assert curve.values[0] == pytest.approx(8.0)
         assert curve.values[1] == pytest.approx(8.0 * math.exp(2.0))
 
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_constants_from_the_report_fields(self, p):
+        # bimol has Gamma > 0, so each Gamma term moves B and beta
+        r = R_BIMOL
+        assert r.Gamma > 0
+        curve = pth_moment_curve(r, 1.0, p, np.array([0.0, 1.0]))
+        npow = r.norm_1tN**p
+        assert curve.inputs["B"] == r.A**p + r.Gamma * npow
+        beta = (p - 1 + p * r.alpha) + (r.Gamma + r.gamma) * (2.0**p - 2 - p) * npow
+        assert curve.inputs["beta"] == beta
+
     def test_finite_on_enzyme(self):
         # the exponent beta is ~1e5 here, so stay within float range in t
         rep = analyze(get_preset("enzyme").network)

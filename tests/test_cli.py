@@ -319,6 +319,13 @@ class TestBounds:
         assert code == 0 and err == ""
         assert out
 
+    @pytest.mark.parametrize("grid", ["1e3", "abc"])
+    def test_grid_that_is_not_a_count_names_the_flag(self, capsys, grid):
+        code, out, err = run(capsys, "bounds", "--preset", "bimol", "--kind", "first",
+                             "--t-end", "1", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: --grid must be a count or comma-separated times, got '{grid}'\n"
+
     def test_cubic_kind_rejects_another_network(self, capsys):
         code, out, err = run(capsys, "bounds", "--preset", "bimol", "--kind", "cubic",
                              "--t-end", "0.1", "--grid", "2")

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_golden import MIXED, WEIGHTED, _random_order2
 
-from jkl.parser import ModelError, _parse_lines, _parse_tokens, parse_model, serialize_model
+from jkl import parser
+from jkl.model import MAX_ORDER, Propensity, Reaction, ReactionNetwork
+from jkl.parser import (
+    ModelError,
+    _Cursor,
+    _parse_side,
+    _tokenize,
+    parse_model,
+    serialize_model,
+)
 from jkl.presets import PRESETS
 
 
@@ -197,6 +206,100 @@ class TestProperties:
             pass
 
 
+def _parse_tokens(text: str) -> ReactionNetwork:
+    """Parse ``text`` token by token: the reference that ``parse_model``
+    must match, network for network and diagnostic for diagnostic."""
+    species: list[str] = []
+    parameters: dict[str, float] = {}
+    # reaction lines are resolved in a second pass, once all species are known
+    pending: list[tuple[int, list]] = []
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = _tokenize(raw, lineno)
+        if not tokens:
+            continue
+        kind, word, col = tokens[0]
+        if kind == "ident" and word == "species":
+            if len(tokens) == 1:
+                raise ModelError("species line declares no names", lineno, col)
+            for tkind, name, tcol in tokens[1:]:
+                if tkind != "ident":
+                    raise ModelError(f"expected species name, got {name!r}", lineno, tcol)
+                if name in species:
+                    raise ModelError(f"duplicate species {name!r}", lineno, tcol)
+                species.append(name)
+        elif len(tokens) >= 2 and kind == "ident" and tokens[1][:2] == ("sym", "="):
+            cur = _Cursor(tokens, lineno)
+            cur.next()
+            cur.next()
+            val_tok = cur.next("number", "parameter value")
+            cur.done()
+            if word in parameters:
+                raise ModelError(f"duplicate parameter {word!r}", lineno, col)
+            parameters[word] = float(val_tok[1])
+        else:
+            pending.append((lineno, tokens))
+
+    reactions: list[Reaction] = []
+    labels: set[str] = set()
+    index = {name: i for i, name in enumerate(species)}
+    for lineno, tokens in pending:
+        cur = _Cursor(tokens, lineno)
+        label = None
+        label_col = tokens[0][2]
+        if (
+            len(tokens) >= 2
+            and tokens[0][0] == "ident"
+            and tokens[1][:2] == ("sym", ":")
+        ):
+            label = cur.next()[1]
+            cur.next()
+        lhs = _parse_side(cur, "reactant")
+        cur.next("arrow", "'->'")
+        rhs = _parse_side(cur, "product")
+        at = cur.next("sym", "'@'")
+        if at[1] != "@":
+            raise ModelError(f"expected '@', got {at[1]!r}", lineno, at[2])
+        rate_tok = cur.next(what="rate constant or parameter name")
+        cur.done()
+
+        if rate_tok[0] == "number":
+            rate, rate_name = float(rate_tok[1]), None
+        elif rate_tok[0] == "ident":
+            if rate_tok[1] not in parameters:
+                raise ModelError(f"unknown parameter {rate_tok[1]!r}", lineno, rate_tok[2])
+            rate, rate_name = parameters[rate_tok[1]], rate_tok[1]
+        else:
+            raise ModelError(
+                f"expected rate constant or parameter name, got {rate_tok[1]!r}",
+                lineno,
+                rate_tok[2],
+            )
+
+        react: dict[int, int] = {}
+        prod: dict[int, int] = {}
+        for side, counts in ((lhs, react), (rhs, prod)):
+            for coeff, name, col in side:
+                if name not in index:
+                    raise ModelError(f"unknown species {name!r}", lineno, col)
+                counts[index[name]] = counts.get(index[name], 0) + coeff
+        order = sum(react.values())
+        if order > MAX_ORDER:
+            raise ModelError(
+                f"reactant order {order} exceeds {MAX_ORDER}", lineno
+            )
+
+        if label is None:
+            label = f"R{len(reactions) + 1}"
+        if label in labels:
+            raise ModelError(f"duplicate reaction label {label!r}", lineno, label_col)
+        labels.add(label)
+        nu = tuple(react.get(s, 0) - prod.get(s, 0) for s in range(len(species)))
+        reactions.append(Reaction(label, nu, Propensity(rate, tuple(react.items())), rate_name))
+
+    return ReactionNetwork(tuple(species), tuple(reactions), parameters)
+
+
 def _outcome(parse, text):
     """The network with its rate and parameter texts, or the diagnostic."""
     try:
@@ -269,6 +372,20 @@ class TestDifferential:
             "species A B\nR1: A -> B + 0 @ 1",
             "species A B\nR1: A -> B @ \u0662.\u0665",
             "species A B\nR1: \u0662 A -> B @ 1",
+            "species A B\nR1: A -> " + "1" * 4300 + " B @ 1",
+            "species A B\nR1: A -> " + "1" * 4301 + " B @ 1",
+            "species A B\nR1: 00 A -> B @ 1",
+            "species A B\nR1: \u0660 A -> B @ 1",
+            "species A B\nR1: A + \u0660 B -> A @ 1",
+            "species A B\nR1: A -> C @ 1\nR2: B -> A @ 1\nR3: A -> B @ 1 $",
+            "species A\nR1: A -> C @ 1\nspecies B A",
+            "species A B\nR1: C -> A + 0 B @ 1",
+            "species A B\nR1: A -> B @\nR2: A -> C @ 1",
+            "species A\nR1: B -> A @ k",
+            "species A\nR1: A -> B + 2 C @ 1",
+            "species A B A 1",
+            "species A\nR1: A -> @ 1\nR2: A -> A @",
+            "species A\nk = 1\n  k = 2",
         ],
         ids=[
             "species-as-reactant-line",
@@ -288,6 +405,20 @@ class TestDifferential:
             "product-plus-zero",
             "unicode-digit-rate",
             "unicode-digit-coefficient",
+            "coefficient-4300-digits",
+            "coefficient-4301-digits",
+            "double-zero-coefficient",
+            "unicode-zero-coefficient",
+            "plus-unicode-zero-term",
+            "unknown-species-then-bad-character",
+            "unknown-species-then-duplicate-species",
+            "unknown-species-then-zero-coefficient",
+            "syntax-error-then-unknown-species",
+            "unknown-species-and-parameter",
+            "two-unknown-species",
+            "duplicate-species-then-bad-name",
+            "two-syntax-errors",
+            "duplicate-parameter",
         ],
     )
     def test_traps(self, text):
@@ -297,13 +428,24 @@ class TestDifferential:
 class TestLinePathCoverage:
     """Every text the repository parses in bulk is read by one match per line."""
 
+    @pytest.fixture(autouse=True)
+    def _no_token_walk(self, monkeypatch):
+        # every token walk starts by tokenizing its line
+        def walk(line, lineno):
+            pytest.fail(f"line {lineno} went to the token walk: {line!r}")
+
+        monkeypatch.setattr(parser, "_tokenize", walk)
+
+    def test_the_walk_is_watched(self):
+        with pytest.raises(pytest.fail.Exception, match="line 2"):
+            parse_model("species A\nR1: 0 A -> A @ 1")
+
     def test_presets_and_golden_texts(self):
         texts = [p.text for p in PRESETS.values()] + [MIXED, *WEIGHTED.values()]
         for text in texts:
-            assert _parse_lines(text) is not None, text
+            parse_model(text)
 
     def test_random_order2_texts(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            text = _random_order2(rng)[0]
-            assert _parse_lines(text) is not None, text
+            parse_model(_random_order2(rng)[0])
