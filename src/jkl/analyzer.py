@@ -643,7 +643,8 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
 
     Raises:
         InvalidNetworkError (a ValueError), CubicUnsupported,
-        QuadraticObstruction, WeightVectorNotFound.
+        QuadraticObstruction, WeightVectorNotFound, RateOverflow (a rate
+        whose constants or their running sums are not finite).
     """
     _check_network(net)
     if isinstance(weight, str):

@@ -10,12 +10,16 @@ coefficient bounds) with no computable constants, so those terms are
 dropped and each curve is tagged ``leading_order``.  Domination of
 empirical estimates is therefore only claimed on small-time windows.
 
-``exp_plus`` is the positive-part exponential ``exp(max(z, 0))``, a
-majorant of ``exp(z)`` that is also >= 1.
+Every curve but the cubic bound is computed per grid time on Python
+floats, which never warn, with each edge rule in one helper: a NaN rate
+counts as inf (``_growth_rate``), a zero factor gives 0 even beside inf
+(``_times``), an overflow reads inf (``_float_of``, ``_pow``) and exp is
+1 at t = 0 (``_exp_at``).  So no value is NaN.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -63,7 +67,7 @@ class BoundCurve:
 
 
 def exp_plus(z: np.ndarray | float) -> np.ndarray | float:
-    """Positive-part exponential exp(max(z, 0))."""
+    """Positive-part exponential exp(max(z, 0)): a majorant of exp(z) that is >= 1."""
     return np.exp(np.maximum(z, 0.0))
 
 
@@ -75,27 +79,21 @@ def _envelope(x0_pow: float, b_const: float, beta: float, grid: np.ndarray) -> n
 def _envelope_at(x0_pow: float, b_const: float, beta: float, t: float) -> float:
     """``x0_pow exp(z) + b_const t (exp(z) - 1) / z`` at one time, ``z = max(beta, 0) t``.
 
-    The arithmetic is on Python floats, which never warn; only ``exp`` and
-    ``expm1`` are numpy's, on the same float64 inputs, and each result is a
-    float at once.
-    A second-order series keeps ~1e-10 accuracy where ``|z| <= 1e-12``.  A
-    term with coefficient 0 is dropped, so an overflow reads inf, never NaN:
-    at t = 0 the value is ``x0_pow`` whatever beta and B are, and for t > 0
-    an infinite beta makes every remaining term inf.  A NaN beta, the
-    inf - inf of a sum whose terms overflow both ways, counts as inf: the
-    envelope grows with beta, so it stays a bound.
+    ``exp`` and ``expm1`` are numpy's, each result a float at once.  A
+    second-order series keeps ~1e-10 accuracy where ``z <= 1e-12``.  At
+    t = 0 the value is ``x0_pow`` whatever beta and B are; for t > 0 an
+    infinite (or NaN) beta makes every term with a nonzero coefficient inf.
     """
     x0_pow, b_const, t, beta = float(x0_pow), float(b_const), float(t), float(beta)
     if t == 0.0:
         return x0_pow or 0.0  # a zero x0_pow reads +0.0, as the sum of no terms
-    z = math.inf if math.isnan(beta) else max(beta, 0.0) * t
-    out = 0.0
-    if x0_pow:
-        out = out + x0_pow * _float_of(np.exp, z)
+    growth = _growth_rate(beta)
+    z = growth * t if growth > 0.0 else 0.0
+    out = _times(x0_pow, _float_of(np.exp, z))
     if b_const:
         if z == math.inf:
             phi = math.inf  # (exp(z) - 1) / z would be inf / inf
-        elif abs(z) > 1e-12:
+        elif z > 1e-12:
             phi = _float_of(np.expm1, z) / z
         else:
             phi = 1.0 + z / 2.0 + z * z / 6.0
@@ -133,9 +131,21 @@ def _check_x0_norm(x0_norm: float) -> None:
         raise ValueError(f"x0_norm must be finite and >= 0, got {x0_norm!r}")
 
 
-def _cumulative_trapezoid(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """int_0^t values ds at every grid time, by the trapezoid rule on the grid."""
-    return np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(grid))])
+def _exp_at(rate: float, t: float) -> float:
+    """``exp(rate t)`` at one time t >= 0, as the array formula computes it;
+    1 at t = 0 whatever the rate, so an infinite rate never meets ``inf * 0``."""
+    return 1.0 if t == 0.0 else _float_of(np.exp, rate * t)
+
+
+def _growth_rate(rate: float) -> float:
+    """A NaN rate (an inf - inf sum) counts as inf: every envelope grows with it."""
+    return math.inf if math.isnan(rate) else rate
+
+
+def _trapezoid(values: list[float], times: list[float]) -> list[float]:
+    """int_0^t values ds at every grid time, by the trapezoid rule summed in grid order."""
+    steps = (0.5 * (v + u) * (t - s) for u, v, s, t in zip(values, values[1:], times, times[1:]))
+    return list(itertools.accumulate(steps, initial=0.0))
 
 
 def first_moment_curve(
@@ -302,33 +312,27 @@ def ode_divergence_bound(
 
     Both trajectories are integrated numerically; the exponent is a
     trapezoid quadrature on the output grid (refine the grid to refine
-    the quadrature).
+    the quadrature).  The value is 0 when x0 = y0, even where the
+    exponent overflows.
+
+    Raises:
+        ValueError: for an invalid network, grid or initial state.
+        AnalyzerError: for an order-3 or overflowing reaction, from M and mu.
+        SimulationError: when either rate-equation solve fails.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid)
     m, mu = one_sided_constants(net)
     sol_x = integrate_rre(net, x0, grid, ODE_TOL)
     sol_y = integrate_rre(net, y0, grid, ODE_TOL)
     sigma = sol_x.states.sum(axis=1) + sol_y.states.sum(axis=1)
-    c_vals = m + mu * sigma
-    integral = _cumulative_trapezoid(c_vals, grid)
+    integrals = _trapezoid([m + _times(mu, s) for s in sigma.tolist()], grid.tolist())
     d0 = float(np.linalg.norm(np.asarray(x0, dtype=float) - np.asarray(y0, dtype=float)))
     return BoundCurve(
         grid,
-        d0 * np.exp(integral),
+        np.array([_times(d0, _float_of(np.exp, r)) for r in integrals]),
         "ode-divergence",
         inputs={"M": m, "mu": mu, "d0": d0, "tol": ODE_TOL},
     )
-
-
-def _exp_at(rate: float, t: float) -> float:
-    """``exp(rate t)`` at one time t >= 0, as the array formula computes it;
-    1 at t = 0 whatever the rate, so an infinite rate never meets ``inf * 0``."""
-    return 1.0 if t == 0.0 else _float_of(np.exp, rate * t)
-
-
-def _growth_rate(rate: float) -> float:
-    """A NaN rate (an inf - inf sum) counts as inf: every envelope grows with it."""
-    return math.inf if math.isnan(rate) else rate
 
 
 def initial_perturbation_curve(
@@ -343,9 +347,7 @@ def initial_perturbation_curve(
     R(t) = int_0^t (L' + lam' S0) exp(-(M + mu S0) s) ds and
     S0 = |X0 + Y0|_1; the O(s^1/2) remainder inside R carries no
     constant and is dropped, so domination holds on small windows only.
-    R is a trapezoid sum on the grid.  Each time is computed on floats
-    in the order of the array formula; the value is |X0-Y0| at t = 0, a
-    zero factor gives 0 beside inf, and an overflowing term reads inf.
+    R is a trapezoid sum on the grid, and the value is |X0-Y0| at t = 0.
     """
     grid = _check_grid(grid)
     x0 = _check_real_state(x0, len(report.l))
@@ -357,11 +359,9 @@ def initial_perturbation_curve(
     same = bool(np.array_equal(x0, y0))
     coeff = report.L_prime + _times(report.lam_prime, sigma0)
     times = grid.tolist()
-    integrand = [_times(coeff, _exp_at(-growth, t)) for t in times]
-    values, r_val = [], 0.0
-    for i, t in enumerate(times):
-        if i:
-            r_val = r_val + 0.5 * (integrand[i] + integrand[i - 1]) * (t - times[i - 1])
+    integrals = _trapezoid([_times(coeff, _exp_at(-growth, t)) for t in times], times)
+    values = []
+    for t, r_val in zip(times, integrals):
         bracket = d0 if same else d0 + r_val / 2.0
         values.append(math.inf if bracket == math.inf else _times(_exp_at(growth, t), bracket))
     return BoundCurve(
@@ -400,9 +400,7 @@ def coefficient_perturbation_curve(
       [(delta' W0)^(1/2) t^(1/2) + (delta_F W0 + L'/2 + lam' |X0|_1) t]
       -- smaller exponent, but keeps the Lipschitz terms.
 
-    O(t^3/2) remainders are dropped.  Each time is computed on floats in
-    the order of the array formula; the value is 0 at t = 0, a zero factor
-    gives 0 beside inf, and an overflowing term reads inf.
+    O(t^3/2) remainders are dropped.  The value is 0 at t = 0.
     """
     grid = _check_grid(grid)
     x0 = _check_real_state(x0, len(report.l))

@@ -50,6 +50,8 @@ def _parse_vector(text: str, dim: int, what: str) -> np.ndarray:
         vec = np.array([int(v) for v in text.split(",")], dtype=np.int64)
     except ValueError:
         raise CliError(f"{what} must be comma-separated integers, got {text!r}") from None
+    except OverflowError:
+        raise CliError(f"{what} entries must fit a 64-bit integer, got {text!r}") from None
     if len(vec) != dim:
         raise CliError(f"{what} has {len(vec)} entries, expected {dim}")
     return vec
@@ -134,7 +136,11 @@ def cmd_analyze(args) -> int:
     weight = args.weight
     if weight not in ("auto", "ones"):
         with open(weight, "r", encoding="utf-8") as fh:
-            weight = np.array([float(v) for v in fh.read().replace(",", " ").split()])
+            fields = fh.read().replace(",", " ").split()
+        try:
+            weight = np.array([float(v) for v in fields])
+        except ValueError as exc:
+            raise CliError(f"--weight file {weight}: {exc}") from None
     report = analyze(net, weight=weight)
     if args.json:
         _emit(args, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -257,11 +263,11 @@ def cmd_cme(args) -> int:
     net, default_x0 = _load_network(args)
     x0 = _initial_state(args, net, default_x0)
     caps = args.caps or "200"
-    caps_vec = (
-        _parse_vector(caps, net.n_species, "--caps") if "," in caps else int(caps)
-    )
+    per_species = "," in caps  # else one cap for every species
+    caps_vec = _parse_vector(caps, net.n_species if per_species else 1, "--caps")
     grid = _grid(args)
-    idx = cme.enumerate_states(net, x0, caps_vec, max_states=args.max_states)
+    caps_arg = caps_vec if per_species else caps_vec[0]
+    idx = cme.enumerate_states(net, x0, caps_arg, max_states=args.max_states)
     gen = cme.build_generator(net, idx)
     sol = cme.integrate_cme(gen, cme.point_mass(idx, x0), grid)
     rows = []

@@ -70,7 +70,7 @@ class StateIndex:
         """Dense index of ``state``.
 
         Raises:
-            ValueError: for a fractional or non-finite entry.
+            ValueError: for a fractional, non-finite or non-int64 entry.
             KeyError: if the state is not in the truncated set.
         """
         key = tuple(_counts(state, "state"))

@@ -459,12 +459,17 @@ def _counts(values: Sequence[int], what: str) -> list[int]:
     """values as ints.
 
     Integral floats such as ``2.0`` pass; a fractional or non-finite
-    entry raises ValueError, never truncated.
+    entry raises ValueError, never truncated, and so does an entry
+    outside int64, the dtype every state array is built with.
     """
     bad = [v for v in values if not (isinstance(v, numbers.Integral) or float(v).is_integer())]
     if bad:
         raise ValueError(f"{what} must hold integer counts, got {float(bad[0])!r}")
-    return [int(v) for v in values]
+    counts = [int(v) for v in values]
+    wide = [v for v in counts if not -(2**63) <= v < 2**63]
+    if wide:
+        raise ValueError(f"{what} must hold counts that fit a 64-bit integer, got {wide[0]}")
+    return counts
 
 
 def _check_state(x0: Sequence[int], dim: int) -> list[int]:

@@ -29,7 +29,8 @@ from jkl.analyzer import (
 )
 from jkl.model import drift_eval, propensity_eval
 from jkl.parser import parse_model
-from jkl.presets import get_preset
+from jkl.presets import PRESETS, get_preset
+from test_golden import _random_order2
 
 SQ2, SQ3, SQ5 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0)
 
@@ -103,6 +104,42 @@ class TestLogNorm:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             log_norm(np.array([[np.inf]]))
+
+
+def _rank1_terms():
+    """(D, M, reference, |a|) for each linear and dimer reaction of the presets and
+    300 seeded random order-2 networks: the M term ``analyze`` sums, and the
+    logarithmic norm of the rank-1 Jacobian part it stands for, -k nu e_n^T
+    for a linear reaction and +k nu e_n^T (the -x_n part of x_n (x_n - 1))
+    for a dimer, with a = -k nu or k nu, whose norm is the matrix's."""
+    rng = np.random.default_rng(2012)
+    nets = [get_preset(name).network for name in PRESETS]
+    nets += [parse_model(_random_order2(rng)[0]) for _ in range(300)]
+    terms = []
+    for net in nets:
+        for rxn in net.reactions:
+            kind, k = rxn.propensity.kind, rxn.propensity.rate
+            if kind not in ("linear", "dimer"):
+                continue
+            ((n, _),) = rxn.propensity.reactants
+            a = (-k if kind == "linear" else k) * np.array(rxn.nu, dtype=float)
+            reference = log_norm(np.outer(a, np.eye(net.n_species)[n]))
+            m_r = analyzer._contribution(rxn).M
+            terms.append((net.n_species, m_r, reference, float(np.linalg.norm(a))))
+    return terms
+
+
+def test_contribution_M_is_the_rank1_log_norm():
+    # the per-kind M terms of _contribution, not log_norm_rank1, reach analyze
+    counts = Counter()
+    for dim, m_r, reference, scale in _rank1_terms():
+        if dim == 1:  # no zero eigenvalue: (a + |a|) / 2 bounds a from above
+            assert m_r >= reference, (m_r, reference)
+            counts["bound"] += 1
+        else:
+            assert math.isclose(m_r, reference, rel_tol=1e-12, abs_tol=1e-12 * scale)
+            counts["equal"] += 1
+    assert counts["equal"] >= 400 and counts["bound"] >= 2, counts
 
 
 class TestWeightVector:

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from jkl.analyzer import RateOverflow, analyze
+from jkl.analyzer import RateOverflow, analyze, one_sided_constants
 from jkl.bounds import (
+    ODE_TOL,
     _envelope,
     _envelope_at,
     asymptotic_check,
@@ -20,7 +21,7 @@ from jkl.bounds import (
     pth_moment_curve,
     second_moment_curve,
 )
-from jkl.engine import PerturbationSpec
+from jkl.engine import PerturbationSpec, integrate_rre
 from jkl.parser import parse_model
 from jkl.presets import get_preset
 
@@ -387,14 +388,30 @@ class TestOdeDivergence:
         assert np.allclose(curve.values, expect, rtol=1e-6)
 
     def test_dominates_actual_ode_difference(self):
-        from jkl.engine import integrate_rre
-
         grid = np.linspace(0.0, 1.0, 201)
         curve = ode_divergence_bound(BIMOL, [10.0, 10.0], [11.0, 10.0], grid)
         sx = integrate_rre(BIMOL, [10.0, 10.0], grid, tol=1e-10)
         sy = integrate_rre(BIMOL, [11.0, 10.0], grid, tol=1e-10)
         diff = np.linalg.norm(sx.states - sy.states, axis=1)
         assert (diff <= curve.values + 1e-8).all()
+
+    @pytest.mark.parametrize(
+        "name", ["bimol", "reversible", "reversible-open", "extended-bimol", "enzyme-linear"]
+    )
+    def test_finite_values_are_the_array_formula_bytes(self, name):
+        # reference: the numpy array formula the per-time float path replaced
+        net = get_preset(name).network
+        x0 = np.array(get_preset(name).x0, dtype=float) + 1.0
+        y0 = x0 + np.eye(len(x0))[0]
+        grid = np.linspace(0.0, 2.0, 9)
+        m, mu = one_sided_constants(net)
+        sigma = sum(integrate_rre(net, s, grid, ODE_TOL).states.sum(axis=1) for s in (x0, y0))
+        c_vals = m + mu * sigma
+        steps = 0.5 * (c_vals[1:] + c_vals[:-1]) * np.diff(grid)
+        integral = np.concatenate([[0.0], np.cumsum(steps)])
+        want = np.linalg.norm(x0 - y0) * np.exp(integral)
+        assert np.isfinite(want).all()
+        assert ode_divergence_bound(net, x0, y0, grid).values.tobytes() == want.tobytes()
 
 
 class TestInitialPerturbation:
@@ -487,7 +504,7 @@ class TestCubicLowerBound:
     @pytest.mark.parametrize(
         "x0, message",
         [(-4, "non-negative"), (-1, "non-negative"), (3.5, "integer counts"),
-         (math.nan, "integer counts")],
+         (math.nan, "integer counts"), (2**63, "fit a 64-bit integer")],
     )
     def test_x0_must_be_a_count(self, x0, message):
         with pytest.raises(ValueError, match=message):

@@ -95,6 +95,24 @@ def test_stoichiometry_past_int64_exits_2_everywhere(capsys, tmp_path, argv):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--x0", "100000000000000000000,0"], "--x0"),
+        (["ensemble", "--x0", "0,-9223372036854775809", "--samples", "2"], "--x0"),
+        (["bounds", "--kind", "initial", "--y0", "9223372036854775808,0"], "--y0"),
+        (["cme", "--caps", "100000000000000000000"], "--caps"),
+        (["cme", "--caps", "5,100000000000000000000"], "--caps"),
+    ],
+    ids=["simulate-x0", "ensemble-x0", "bounds-y0", "cme-caps", "cme-caps-vector"],
+)
+def test_counts_past_int64_exit_2_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, "--preset", "bimol", "--t-end", "1")
+    assert code == 2 and out == ""
+    value = argv[argv.index(flag) + 1]
+    assert err == f"error: {flag} entries must fit a 64-bit integer, got '{value}'\n"
+
+
 class TestAnalyze:
     def test_table_and_json_agree(self, capsys):
         code, out_json, _ = run(capsys, "analyze", "--preset", "enzyme", "--json")
@@ -158,6 +176,17 @@ class TestAnalyze:
         rep = json.loads(out)
         assert rep["l"] == [1.0, 1.0, 2.0]
         assert rep["alpha"] == 0.0  # the conserved weight kills the drift
+
+    @pytest.mark.parametrize("text, field", [("1 x\n", "x"), ("1 2;3\n", "2;3"),
+                                             ("1,1e400e\n", "1e400e")])
+    def test_weight_file_that_is_not_numbers_names_the_flag(self, capsys, tmp_path, text, field):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--preset", "bimol", "--weight", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: --weight file {path}: could not convert string to float: '{field}'\n"
+        )
 
     @pytest.mark.parametrize(
         "flags",
@@ -483,6 +512,13 @@ class TestCme:
                              "--max-states", "5")
         assert code == 4 and out == ""
         assert err == "error: state set exceeds 5 states; tighten the caps\n"
+
+    @pytest.mark.parametrize("caps", ["abc", "1.5", "5,x", "5,"])
+    def test_caps_that_are_not_integers_name_the_flag(self, capsys, caps):
+        code, out, err = run(capsys, "cme", "--preset", "bimol", "--t-end", "1",
+                             "--caps", caps)
+        assert code == 2 and out == ""
+        assert err == f"error: --caps must be comma-separated integers, got '{caps}'\n"
 
     def test_infinite_grid_time_rejected(self, capsys):
         code, _, err = run(capsys, "cme", "--preset", "bimol", "--caps", "5",

@@ -174,6 +174,21 @@ class TestEnumeration:
         assert idx.caps.tolist() == [2, 2]
         assert idx.states.tolist() == enumerate_states(BIMOL, [0, 0], 2).states.tolist()
 
+    @pytest.mark.parametrize(
+        "x0, caps, what",
+        [([2**63, 0], 3, "initial state"), ([0, 0], 2**63, "caps"), ([0, 0], [3, 10**20], "caps")],
+    )
+    def test_counts_past_int64_rejected(self, x0, caps, what):
+        with pytest.raises(ValueError, match=f"{what} must hold counts that fit a 64-bit"):
+            enumerate_states(BIMOL, x0, caps)
+
+    def test_state_lookup_past_int64_rejected(self):
+        idx = enumerate_states(BIMOL, [1, 0], 3)
+        with pytest.raises(ValueError, match="state must hold counts that fit a 64-bit"):
+            idx.index_of([2**63, 0])
+        with pytest.raises(KeyError):  # the largest int64 passes the rule and is looked up
+            idx.index_of([2**63 - 1, 0])
+
     @pytest.mark.parametrize("caps", [[2, 3, 4], [[2, 3]]])
     def test_caps_shape_rejected(self, caps):
         with pytest.raises(ValueError, match="scalar or one per species"):

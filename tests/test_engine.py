@@ -272,6 +272,28 @@ class TestEntryValidation:
             ENTRY_POINTS[name](BIRTH, [x0])
 
     @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("x0", [2**63, -(2**63) - 1, 10**20, 2.0**63])
+    def test_initial_state_past_int64_rejected(self, name, x0):
+        # the int64 rule of _counts, never an OverflowError from an int64 array
+        with pytest.raises(ValueError, match="fit a 64-bit integer, got "):
+            ENTRY_POINTS[name](BIRTH, [x0])
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_initial_state_at_int64_max_accepted(self, name):
+        # a zero rate fires nothing, so the state never leaves int64
+        still = parse_model("species A\nR: A -> 0 @ 0.0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ENTRY_POINTS[name](still, [2**63 - 1])
+
+    def test_counts_boundaries(self):
+        assert engine._counts([2**63 - 1, -(2**63), 3.0], "x") == [2**63 - 1, -(2**63), 3]
+        for bad in (2**63, -(2**63) - 1):
+            message = f"x must hold counts that fit a 64-bit integer, got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                engine._counts([0, bad], "x")
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
     def test_integral_float_initial_state_accepted(self, name):
         got = ENTRY_POINTS[name](BIRTH, [np.float64(2.0)])
         assert pickle.dumps(got) == pickle.dumps(ENTRY_POINTS[name](BIRTH, [2]))
