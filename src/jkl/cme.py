@@ -56,11 +56,14 @@ class CmeError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateIndex:
-    """Bijection between truncated lattice states and dense indices."""
+    """Bijection between truncated lattice states and dense indices, with their transitions."""
 
     states: np.ndarray  # (n, D) int64
     lookup: dict
     caps: np.ndarray  # per-species caps (int64)
+    rates: np.ndarray  # (n, R) channel rates at each state
+    targets: np.ndarray  # (n, R) int64 target indices; n (defect) for rate 0 or off the caps
+    reactions: tuple  # the net.reactions the index was enumerated for
 
     @property
     def n_states(self) -> int:
@@ -107,7 +110,7 @@ def enumerate_states(
     """Breadth-first reachable set from x0 within per-species caps.
 
     Exploring only reachable states keeps closed systems on their
-    conservation slice automatically.
+    conservation slice automatically.  Each state's rates and targets are kept.
     """
     _check_network(net)
     dim = net.n_species
@@ -121,16 +124,24 @@ def enumerate_states(
 
     lookup = {start: 0}
     frontier = np.array([start], dtype=np.int64)
+    blocks = []  # each frontier's (rates, targets); -1 marks the defect row until n is known
     while len(frontier):
         w, nxt, inside = _successors(net, frontier, caps_arr)
         # targets outside the caps are not explored: they become defect flow
-        seen = dict.fromkeys(map(tuple, nxt[(w > 0) & inside].tolist()))
-        fresh = [key for key in seen if key not in lookup]
+        moves = (w > 0) & inside
+        keys = list(map(tuple, nxt[moves].tolist()))
+        fresh = [key for key in dict.fromkeys(keys) if key not in lookup]
         lookup.update(zip(fresh, range(len(lookup), len(lookup) + len(fresh))))
         if len(lookup) > max_states:
             raise CmeError(f"state set exceeds {max_states} states; tighten the caps")
+        targets = np.full(w.shape, -1, dtype=np.int64)
+        targets[moves] = list(map(lookup.__getitem__, keys))
+        blocks.append((w, targets))
         frontier = np.array(fresh, dtype=np.int64).reshape(-1, dim)
-    return StateIndex(np.array(list(lookup), dtype=np.int64), lookup, caps_arr)
+    rates, targets = map(np.concatenate, zip(*blocks))
+    targets[targets < 0] = len(lookup)
+    states = np.array(list(lookup), dtype=np.int64)
+    return StateIndex(states, lookup, caps_arr, rates, targets, net.reactions)
 
 
 @dataclass(frozen=True)
@@ -155,18 +166,18 @@ class GeneratorMatrix:
 
 
 def build_generator(net: ReactionNetwork, idx: StateIndex) -> GeneratorMatrix:
+    """Q from the rates and targets in ``idx``; ValueError for another network's index."""
     import scipy.sparse
 
     _check_network(net)
+    if net.reactions != idx.reactions:
+        raise ValueError("the state index was enumerated for another network")
     n = idx.n_states
-    w, nxt, inside = _successors(net, idx.states, idx.caps)
+    w = idx.rates
     total = w.sum(axis=1)
-    targets = np.full(w.shape, n, dtype=np.int64)  # default: the defect row
-    moves = (w > 0) & inside
-    targets[moves] = [idx.lookup.get(key, n) for key in map(tuple, nxt[moves].tolist())]
     # (n, 1+R) triplets in C order: each state's diagonal, then its channels
     # in index order; tocsr sums any duplicates in this order
-    rows = np.column_stack([np.arange(n), targets])
+    rows = np.column_stack([np.arange(n), idx.targets])
     cols = np.broadcast_to(np.arange(n)[:, None], rows.shape)
     vals = np.column_stack([-total, w])
     keep = np.column_stack([total > 0, w > 0])
@@ -291,13 +302,17 @@ def integrate_cme(
     below ``tol``.
 
     Raises:
-        ValueError: if the grid is not a finite, non-negative, increasing axis.
+        ValueError: if the grid is not a finite, non-negative, increasing
+            axis, ``tol`` is not in (0, 1), or ``p0`` is not a probability
+            vector on the index.
         CmeError: if a Poisson series cannot reach its share of ``tol``.
     """
     import scipy.sparse
     from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr_matrix @ v
 
     grid = _check_grid(grid)
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     n = gen.n_states
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n,):

@@ -303,16 +303,21 @@ class PerturbationSpec:
 
 # Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
 # is the direct method's stream, or the RTC sampler's list of channel clocks,
-# each a zero-argument callable returning the channel's next uniform.
+# each a zero-argument callable returning the channel's next uniform.  The
+# cap test heads the loop, so a start above the cap stops at t = 0.
 _SKELETON = """\
 def step(x, draws, t_end, max_events, state_cap, grid=None):
     [{xs}] = x
     norm = {norm}
+    state_cap = min(state_cap, {limit})
     t = 0.0
     n = 0
     status = 't_end'
 {start}
     while True:
+        if norm > state_cap:
+            status = 'state_cap'
+            break
         if n >= max_events:
             status = 'max_events'
             break
@@ -329,9 +334,6 @@ def step(x, draws, t_end, max_events, state_cap, grid=None):
         t = t_next
         n += 1
 {after}
-        if norm > state_cap:
-            status = 'state_cap'
-            break
 {stop}
 """
 
@@ -439,6 +441,8 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
     source = _SKELETON.format(
         xs=", ".join(xs),
         norm=" + ".join(xs) or "0",
+        # no event from a norm within the cap lifts a count past int64
+        limit=2**63 - 1 - max([0, *(-sum(rxn.nu) for rxn in reactions)]),
         **{name: "\n".join(lines) for name, lines in slots.items()},
     )
     return "".join(line for line in source.splitlines(keepends=True) if line.strip())
@@ -855,9 +859,10 @@ def batch_states(
 
     Returns ``(states, cap_time)`` with ``states[g, i]`` the state of
     trajectory i at ``grid[g]`` and ``cap_time[i]`` the time trajectory i
-    hit a cap (inf if it never did; states past the cap are frozen and
-    should be masked by the caller).  Memory: a (D, G, n) record, its
-    C-ordered (G, n, D) copy (none when D = 1) and O((R + D) n) work rows.
+    hit a cap (inf if it never did, 0 from a start above ``state_cap``;
+    states past the cap are frozen and should be masked by the caller).
+    Memory: a (D, G, n) record, its C-ordered (G, n, D) copy (none when
+    D = 1) and O((R + D) n) work rows.
 
     Exact per trajectory; the draw order (one exponential and one
     uniform per trajectory per step, full width) is fixed by ``seed``
@@ -872,6 +877,8 @@ def batch_states(
         raise ValueError("batch needs n >= 1")
     seed = _seed(seed)
     dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
+    if sum(x_init) > state_cap:  # stopped at t = 0, as a stepper stops: no draws
+        return np.full((n_g, n, dim), x_init, dtype=float), np.zeros(n)
     rng = np.random.Generator(np.random.PCG64(mix64(seed, _BATCH_TAG)))
     rates = _rates(net.reactions, dim, True)
 

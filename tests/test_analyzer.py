@@ -491,6 +491,13 @@ class TestDriftConstants:
         with pytest.raises(CubicUnsupported):
             drift_constants(get_preset("cubic").network)
 
+    @pytest.mark.parametrize("weight", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_weight_of_wrong_dimension_rejected(self, weight):
+        with pytest.raises(ValueError, match="weight vector has wrong dimension"):
+            drift_constants(BIMOL, weight)
+        with pytest.raises(ValueError, match="weight vector has wrong dimension"):
+            analyze(BIMOL, weight=weight)
+
     def test_certifies_inequality(self):
         rng = np.random.default_rng(5)
         for net, l in ((BIMOL, None), (OPEN, None), (EXTENDED, None), (ENZYME, None)):
@@ -648,6 +655,15 @@ class TestRayDiagnostic:
         table = ray_diagnostic(BIMOL, [0.0, 0.0], 4)
         assert np.allclose(table.norm1, 0.0)
         assert np.allclose(table.x_dot_F, 0.0)
+
+    @pytest.mark.parametrize("direction", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_direction_of_wrong_dimension_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction has wrong dimension"):
+            ray_diagnostic(BIMOL, direction, 4)
+
+    def test_negative_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction must be non-negative"):
+            ray_diagnostic(BIMOL, [1.0, -0.5], 4)
 
 
 # networks whose rows are finite but whose sums over reactions overflow

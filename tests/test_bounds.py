@@ -354,6 +354,11 @@ class TestAsymptotic:
         assert asymptotic_check(rep, 2) == pytest.approx(1.0)
         assert asymptotic_check(rep, 3) is None  # margin hits zero
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_order_below_one_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be a positive integer"):
+            asymptotic_check(R_BIMOL, p)
+
     def test_pure_decay_with_inflow_first_moment(self):
         # kappa_1 = -2 alpha never involves gamma
         rep = analyze(get_preset("extended-bimol").network)

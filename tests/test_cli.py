@@ -234,6 +234,16 @@ class TestSimulate:
         assert code == 0 and out.startswith("time,A,B\n")
         assert err == "note: run stopped early (state_cap)\n"
 
+    @pytest.mark.parametrize("method", ["direct", "rtc"])
+    def test_start_above_the_cap_stops_at_time_zero(self, capsys, tmp_path, method):
+        # the start fits int64 but its first event would not
+        path = tmp_path / "b.rxn"
+        path.write_text("species A\nR1: 0 -> A @ 5\n")
+        code, out, err = run(capsys, "simulate", "--model", str(path), "--x0",
+                             "9223372036854775807", "--t-end", "1", "--method", method)
+        assert code == 0 and out == "time,A\n0.0,9223372036854775807\n"
+        assert err == "note: run stopped early (state_cap)\n"
+
     def test_propensity_overflow_exits_4(self, capsys, tmp_path):
         path = tmp_path / "overflow.rxn"  # propensities overflow from A = 10
         path.write_text("species A\nR1: 0 -> A @ 1e305\nR2: 3 A -> 4 A @ 1e305\n")

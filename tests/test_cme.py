@@ -21,7 +21,7 @@ from jkl.cme import (
 )
 from jkl.model import ReactionNetwork, propensity_eval
 from jkl.parser import parse_model
-from jkl.presets import get_preset
+from jkl.presets import PRESETS, get_preset
 from test_golden import MIXED, _random_order2
 
 REVERSIBLE = get_preset("reversible").network
@@ -112,11 +112,34 @@ def _reference_generator(net, idx):
     return q, lam
 
 
-def _box_index(caps):
-    """Every lattice point of the box [0, caps], reachable or not."""
+def _box_index(net, caps):
+    """Every lattice point of the box [0, caps], reachable or not, with its transitions."""
     states = np.array(list(itertools.product(*(range(c + 1) for c in caps))), dtype=np.int64)
     lookup = {tuple(int(v) for v in s): i for i, s in enumerate(states)}
-    return StateIndex(states, lookup, np.array(caps, dtype=np.int64))
+    n = len(states)
+    rates = np.zeros((n, net.n_reactions))
+    targets = np.full((n, net.n_reactions), n, dtype=np.int64)
+    for j, state in enumerate(states):
+        rates[j] = propensity_eval(net, state)
+        for r, rxn in enumerate(net.reactions):
+            key = tuple(int(v) for v in state - np.array(rxn.nu, dtype=np.int64))
+            if rates[j, r] > 0 and key in lookup:  # the box holds every in-caps point
+                targets[j, r] = lookup[key]
+    return StateIndex(states, lookup, np.array(caps, dtype=np.int64), rates, targets, net.reactions)
+
+
+def _generator_cases():
+    """Named networks, the presets and 100 seeded random order-2 networks at small caps."""
+    yield pytest.param(parse_model(MIXED), [20, 20], 30, 7, id="mixed")
+    yield pytest.param(WIDE, [2, 2, 2], 7, 7, id="wide")
+    yield pytest.param(BIMOL, [0, 0], 25, 7, id="bimol")
+    for name in sorted(PRESETS):
+        preset = get_preset(name)
+        yield pytest.param(preset.network, preset.x0, max(20, *preset.x0), 5, id=name)
+    rng = np.random.default_rng(27)
+    for i in range(100):
+        text, x0 = _random_order2(rng)
+        yield pytest.param(parse_model(text), [min(v, 3) for v in x0], 3, 2, id=f"random-{i}")
 
 
 class TestEnumeration:
@@ -217,18 +240,14 @@ class TestEnumeration:
 
 
 class TestGenerator:
-    @pytest.mark.parametrize(
-        "net, x0, caps",
-        [(parse_model(MIXED), [20, 20], 30), (WIDE, [2, 2, 2], 7), (BIMOL, [0, 0], 25)],
-        ids=["mixed", "wide", "bimol"],
-    )
-    def test_matches_per_state_reference(self, net, x0, caps):
+    @pytest.mark.parametrize("net, x0, caps, side", _generator_cases())
+    def test_matches_per_state_reference(self, net, x0, caps, side):
         idx = enumerate_states(net, x0, caps)
         states, lookup = _reference_enumerate(net, x0, caps)
         assert idx.states.dtype == states.dtype and idx.states.shape == states.shape
         assert idx.states.tobytes() == states.tobytes()
         assert list(idx.lookup.items()) == list(lookup.items())
-        box = _box_index([7] * net.n_species)
+        box = _box_index(net, [side] * net.n_species)
         for index in (idx, box):
             gen = build_generator(net, index)
             q, lam = _reference_generator(net, index)
@@ -241,6 +260,19 @@ class TestGenerator:
         idx = enumerate_states(BIRTH, [0], 5)
         with pytest.raises(ValueError, match="negative"):
             build_generator(NEGATIVE, idx)
+
+    def test_index_of_another_network_rejected(self):
+        # the index fixes the chain: a network with other rates or channels
+        # on the same lattice must not borrow its transitions
+        idx = enumerate_states(BIMOL, [0, 0], 5)
+        scaled = BIMOL.with_scaled_rates({0: 2.0})
+        for other in (scaled, get_preset("extended-bimol").network):
+            assert other.n_species == BIMOL.n_species
+            with pytest.raises(ValueError, match="enumerated for another network"):
+                build_generator(other, idx)
+        twin = get_preset("bimol").network  # parsed again: equal reactions, another object
+        assert twin is not BIMOL
+        assert build_generator(twin, idx).q.nnz == build_generator(BIMOL, idx).q.nnz
 
     def test_single_state_zero_matrix(self):
         net = ReactionNetwork(("A",), (), {})
@@ -351,7 +383,7 @@ class TestIntegration:
         # conservation-law slice (reachable set) vs a bounding box
         grid = np.array([0.5, 1.5])
         idx_a = enumerate_states(REVERSIBLE, [2, 2, 0], 10)
-        idx_b = _box_index((4, 4, 4))
+        idx_b = _box_index(REVERSIBLE, (4, 4, 4))
         assert (idx_a.n_states, idx_b.n_states) == (3, 125)
         for idx in (idx_a, idx_b):
             gen = build_generator(REVERSIBLE, idx)
@@ -392,6 +424,22 @@ class TestIntegration:
         gen = build_generator(BIRTH, idx)
         with pytest.raises(ValueError):
             integrate_cme(gen, np.ones(idx.n_states), np.array([1.0]))
+
+    def test_p0_of_wrong_length_rejected(self):
+        idx = enumerate_states(BIRTH, [0], 4)
+        gen = build_generator(BIRTH, idx)
+        for p0 in (np.array([1.0]), np.concatenate([point_mass(idx, [0]), [0.0]])):
+            with pytest.raises(ValueError, match="p0 must have length 5"):
+                integrate_cme(gen, p0, np.array([1.0]))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3, 1.0, 2.0])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        # a series run to such a tol stops at once (nan, inf, 1, 2), losing the mass
+        # while marked reliable, or runs to its term limit (tol <= 0)
+        idx = enumerate_states(BIMOL, [0, 0], 5)
+        gen = build_generator(BIMOL, idx)
+        with pytest.raises(ValueError, match=r"tol must lie strictly between 0 and 1, got "):
+            integrate_cme(gen, point_mass(idx, [0, 0]), [0.5, 1.0], tol=tol)
 
     def test_nan_in_p0_rejected(self):
         # the sum and sign checks both pass a NaN entry

@@ -345,6 +345,23 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="seed must be an integer"):
             SEEDED[name](seed)
 
+    @pytest.mark.parametrize("name", ["ensemble_moments", "coupled_rms"])
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_ensemble_below_two_samples_rejected(self, name, n):
+        calls = {
+            "ensemble_moments": lambda: ensemble_moments(BIRTH, [0], [0.0, 1.0], 1, n, seed=1),
+            "coupled_rms": lambda: coupled_rms(
+                BIRTH, [0], [0], PerturbationSpec(), [0.0, 1.0], n, seed=1
+            ),
+        }
+        with pytest.raises(ValueError, match="ensemble needs n >= 2"):
+            calls[name]()
+
+    @pytest.mark.parametrize("p_max", [0, -1])
+    def test_moment_order_below_one_rejected(self, p_max):
+        with pytest.raises(ValueError, match="p_max must be >= 1"):
+            ensemble_moments(BIRTH, [0], [0.0, 1.0], p_max, 4, seed=1)
+
     def test_batch_negative_initial_state_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             batch_states(BIRTH, [-5], [1.0], 4, seed=1)
@@ -373,6 +390,55 @@ class TestEntryValidation:
     def test_bad_grid_rejected(self, name, grid):
         with pytest.raises(ValueError, match="grid"):
             GRID_ENTRY_POINTS[name](BAD_GRIDS[grid])
+
+
+class TestStartAboveCap:
+    """A start above state_cap stops at t = 0, and no path leaves int64."""
+
+    CFG = SimConfig(t_end=1.0, seed=3, state_cap=10)
+
+    @pytest.mark.parametrize("sim", [simulate_direct, simulate_rtc])
+    def test_path_stops_at_time_zero(self, sim):
+        # the cap is tested before the first firing too
+        traj = sim(BIMOL, [50, 50], self.CFG)
+        assert traj.status == "state_cap" and traj.n_events == 0 and traj.cap_time == 0.0
+        assert traj.times.tolist() == [0.0] and traj.states.tolist() == [[50, 50]]
+
+    def test_coupled_legs_stop_at_time_zero(self):
+        legs = simulate_coupled(BIMOL, [50, 50], [0, 0], PerturbationSpec({"k2": 0.1}), self.CFG)
+        assert legs[0].status == "state_cap" and legs[0].n_events == 0
+        assert legs[1].status == "t_end" and legs[1].n_events > 0
+
+    def test_ensembles_have_no_valid_sample(self):
+        grid = [0.0, 0.5, 1.0]
+        table = ensemble_moments(BIMOL, [50, 50], grid, 2, 6, seed=1, workers=1, state_cap=10)
+        assert table.n_valid.tolist() == [0, 0, 0] and table.n_excluded.tolist() == [6, 6, 6]
+        rms = coupled_rms(
+            BIMOL, [50, 50], [0, 0], PerturbationSpec(), grid, 6, seed=1, workers=1, state_cap=10
+        )
+        assert rms.n_valid.tolist() == [0, 0, 0]
+
+    def test_batch_returns_the_start_without_draws(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a stopped batch drew")
+
+        monkeypatch.setattr(np.random, "PCG64", no_draws)
+        states, cap_time = batch_states(BIMOL, [50, 50], [0.0, 0.5, 1.0], 4, seed=1, state_cap=10)
+        assert states.shape == (3, 4, 2) and states.dtype == float and states.flags.c_contiguous
+        assert (states == [50.0, 50.0]).all() and cap_time.tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("sampler", ["direct", "rtc"])
+    @pytest.mark.parametrize("gain", [1, 3])
+    def test_path_stops_inside_int64(self, sampler, gain):
+        # the cap is clamped to 2^63 - 1 - gain, so the last event lands in int64
+        net = parse_model(f"species A\nR1: 0 -> {gain} A @ 5")
+        top = 2**63 - 1
+        cfg = SimConfig(t_end=50.0, seed=2, state_cap=math.inf)
+        sim = simulate_direct if sampler == "direct" else simulate_rtc
+        traj = sim(net, [top - 4 * gain], cfg)
+        assert traj.status == "state_cap" and traj.states.dtype == np.int64
+        assert top - gain < int(traj.final_state[0]) <= top
+        assert sim(net, [top], cfg).n_events == 0
 
 
 class TestPerturbation:
