@@ -24,8 +24,8 @@ plain 1-norm, so constants stated against ``|.|_1`` stay valid.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -268,20 +268,14 @@ def _slsqp_min_norm(n2t: np.ndarray) -> tuple[np.ndarray, bool]:
             return x, state["mode"] == 0
 
 
-@functools.cache
-def _thread_solvers():
-    """Per-thread storage of the HiGHS solver, made on first use."""
-    import threading
-
-    return threading.local()
+_solvers = threading.local()  # each thread's HiGHS solver, made on first use
 
 
 def _highs_solver():
     """This thread's HiGHS solver, built once with the options
     ``linprog(method="highs")`` sets: presolve on, no debug checks, no log,
     dual simplex."""
-    local = _thread_solvers()
-    solver = getattr(local, "solver", None)
+    solver = getattr(_solvers, "solver", None)
     if solver is None:
         from scipy.optimize._highspy import _core as highs
 
@@ -291,7 +285,7 @@ def _highs_solver():
         opts.log_to_console = False
         opts.output_flag = False
         opts.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-        solver = local.solver = highs._Highs()
+        solver = _solvers.solver = highs._Highs()
         solver.passOptions(opts)
     return solver
 
@@ -661,21 +655,14 @@ def analyze(net: ReactionNetwork, weight="auto") -> StabilityReport:
         lv = find_weight_vector(net)
         a, alpha = drift_constants(net, lv)
 
-    if net.n_reactions:
-        nmat = net.stoichiometry.astype(float)
-        colsums = lv @ nmat
-        norm_1tn = float(np.abs(colsums).max())
-        norm_1tn_sq = float((colsums**2).max())
-        norm_1tn2 = float((nmat**2).sum(axis=0).max())
-    else:
-        norm_1tn = norm_1tn_sq = norm_1tn2 = 0.0
-
+    nmat = net.stoichiometry.astype(float)
+    colsums = lv @ nmat
     return StabilityReport(
         A=a,
         alpha=alpha,
-        norm_1tN=norm_1tn,
-        norm_1tN_sq=norm_1tn_sq,
-        norm_1tN2=norm_1tn2,
+        norm_1tN=float(np.abs(colsums).max(initial=0.0)),
+        norm_1tN_sq=float((colsums**2).max(initial=0.0)),
+        norm_1tN2=float((nmat**2).sum(axis=0).max(initial=0.0)),
         l=tuple(float(v) for v in lv),
         **_pairs(net),
     )

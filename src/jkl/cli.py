@@ -111,6 +111,14 @@ def _perturbation(args) -> eng.PerturbationSpec:
     return eng.PerturbationSpec(deltas)
 
 
+def _note_empty(n_valid: np.ndarray) -> None:
+    """Say how many grid times have no valid sample: their rows print 0.0 beside n 0."""
+    empty = int(np.count_nonzero(n_valid == 0))
+    if empty:
+        print(f"note: {empty} of {len(n_valid)} grid times have no valid sample (n 0); "
+              "their rows print 0.0, which is no estimate", file=sys.stderr)
+
+
 def _sim_config(args, t_end: float) -> eng.SimConfig:
     return eng.SimConfig(
         t_end=t_end,
@@ -182,6 +190,7 @@ def cmd_ensemble(args) -> int:
         max_events=args.max_events, state_cap=args.state_cap,
     )
     _emit(args, table.to_csv())
+    _note_empty(table.n_valid)
     return EXIT_OK
 
 
@@ -208,6 +217,7 @@ def cmd_couple(args) -> int:
         max_events=args.max_events, state_cap=args.state_cap,
     )
     _emit(args, curve.to_csv(species=net.species))
+    _note_empty(curve.n_valid)
     return EXIT_OK
 
 
@@ -311,8 +321,8 @@ def _add_grid_args(p):
 def _add_sim_args(p, seed_default=0):
     _add_grid_args(p)
     p.add_argument("--seed", type=int, default=seed_default)
-    p.add_argument("--max-events", type=int, default=10**8)
-    p.add_argument("--state-cap", type=float, default=1e9)
+    p.add_argument("--max-events", type=int, default=eng.SimConfig.max_events)
+    p.add_argument("--state-cap", type=float, default=eng.SimConfig.state_cap)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -251,6 +251,8 @@ def demo_bimol_walk(
     for i in range(samples):
         cfg = eng.SimConfig(t_end=t_end, seed=eng.mix64(seed, i))
         traj = eng.simulate_direct(net, preset.x0, cfg)
+        if i == 0:
+            _write(out_dir, "sample_path.csv", traj.to_csv(net.species))
         a, b = traj.final_state
         diffs[i] = float(a - b)
     var = float(diffs.var(ddof=1))
@@ -260,8 +262,6 @@ def demo_bimol_walk(
     vals, counts = np.unique(diffs.astype(int), return_counts=True)
     rows = zip(vals.tolist(), counts.tolist())
     _write(out_dir, "difference_histogram.csv", eng._csv(["difference", "count"], rows))
-    traj = eng.simulate_direct(net, preset.x0, eng.SimConfig(t_end=t_end, seed=eng.mix64(seed, 0)))
-    _write(out_dir, "sample_path.csv", traj.to_csv(net.species))
 
     summary = {
         "n": samples,

@@ -189,14 +189,14 @@ class SimConfig:
     def __post_init__(self):
         if not 0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
-        _check_caps(self.max_events, self.state_cap)
+        if not self.max_events > 0 or not self.state_cap > 0:  # NaN included
+            raise ValueError("caps must be positive")
         object.__setattr__(self, "seed", _seed(self.seed))
 
 
-def _check_caps(max_events, state_cap) -> None:
-    """Reject an event cap below 1 and a state cap that is not positive (NaN included)."""
-    if not max_events > 0 or not state_cap > 0:
-        raise ValueError("caps must be positive")
+def _grid_config(grid: np.ndarray, **controls) -> SimConfig:
+    """The run controls of a sampler that records on ``grid``; a [0.0] grid needs no events."""
+    return SimConfig(t_end=max(float(grid[-1]), math.ulp(0.0)), **controls)
 
 
 @dataclass(frozen=True)
@@ -301,6 +301,14 @@ class PerturbationSpec:
 # generated per-network steppers
 
 
+_RATE_LIMIT = 1e300  # both direct samplers raise at a total intensity this high (or NaN)
+
+
+def _cap_limit(reactions, top: int) -> int:
+    """The largest norm from which no event lifts a count past ``top``, where rows stay exact."""
+    return top - max([0, *(-sum(rxn.nu) for rxn in reactions)])
+
+
 # Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
 # is the direct method's stream, or the RTC sampler's list of channel clocks,
 # each a zero-argument callable returning the channel's next uniform.  The
@@ -322,7 +330,7 @@ def step(x, draws, t_end, max_events, state_cap, grid=None):
             status = 'max_events'
             break
 {rates}
-        if not total < 1e300:
+        if not total < {rate_limit}:
             raise SimulationError(f'propensity overflow at state {{[{xs}]}}')
         if total <= 0.0:
             break
@@ -441,8 +449,8 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
     source = _SKELETON.format(
         xs=", ".join(xs),
         norm=" + ".join(xs) or "0",
-        # no event from a norm within the cap lifts a count past int64
-        limit=2**63 - 1 - max([0, *(-sum(rxn.nu) for rxn in reactions)]),
+        limit=_cap_limit(reactions, 2**63 - 1),
+        rate_limit=_RATE_LIMIT,
         **{name: "\n".join(lines) for name, lines in slots.items()},
     )
     return "".join(line for line in source.splitlines(keepends=True) if line.strip())
@@ -680,14 +688,10 @@ def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
     if n < 2:
         raise ValueError("ensemble needs n >= 2")
     grid = _check_grid(grid)
-    seed = _seed(seed)
-    # the run controls shared by every sample (each has its own seed); a
-    # [0.0] grid needs no events
-    cfg = SimConfig(
-        t_end=max(float(grid[-1]), math.ulp(0.0)), max_events=max_events, state_cap=state_cap
-    )
+    # the run controls shared by every sample (each has its own seed)
+    cfg = _grid_config(grid, seed=seed, max_events=max_events, state_cap=state_cap)
     jobs = [
-        (terms, targs, grid, seed, start, min(start + _CHUNK, n), cfg)
+        (terms, targs, grid, cfg.seed, start, min(start + _CHUNK, n), cfg)
         for start in range(0, n, _CHUNK)
     ]
     parts = _pool_map(_chunk, jobs, worker_count(workers))
@@ -724,8 +728,8 @@ def ensemble_moments(
     n: int,
     seed: int,
     workers: int | None = None,
-    max_events: int = 10**8,
-    state_cap: float = 1e9,
+    max_events: int = SimConfig.max_events,
+    state_cap: float = SimConfig.state_cap,
 ) -> MomentTable:
     """Moments of |X_t|_1 up to order p_max over n independent runs.
 
@@ -812,8 +816,8 @@ def coupled_rms(
     n: int,
     seed: int,
     workers: int | None = None,
-    max_events: int = 10**8,
-    state_cap: float = 1e9,
+    max_events: int = SimConfig.max_events,
+    state_cap: float = SimConfig.state_cap,
 ) -> RmsCurve:
     """(E |X_t - Y_t|^2)^(1/2) over n coupled pairs, with standard errors."""
     pert_net = pert.apply(net)
@@ -852,8 +856,8 @@ def batch_states(
     grid: Sequence[float],
     n: int,
     seed: int,
-    state_cap: float = 1e9,
-    max_events_per_traj: int = 10**8,
+    state_cap: float = SimConfig.state_cap,
+    max_events_per_traj: int = SimConfig.max_events,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Direct-method sampling of n trajectories in numpy lockstep.
 
@@ -861,25 +865,26 @@ def batch_states(
     trajectory i at ``grid[g]`` and ``cap_time[i]`` the time trajectory i
     hit a cap (inf if it never did, 0 from a start above ``state_cap``;
     states past the cap are frozen and should be masked by the caller).
-    Memory: a (D, G, n) record, its C-ordered (G, n, D) copy (none when
+    The steppers' stop rule holds, with ``state_cap`` clamped to keep the
+    float rows' counts within 2**53.  Memory: a (D, G, n) record, its C-ordered (G, n, D) copy (none when
     D = 1) and O((R + D) n) work rows.
 
     Exact per trajectory; the draw order (one exponential and one
     uniform per trajectory per step, full width) is fixed by ``seed``
     and ``n``, independent of anything else.  Raises ``ValueError`` for
-    ``n < 1`` and for caps that :class:`SimConfig` rejects.
+    ``n < 1`` and for caps or a seed that :class:`SimConfig` rejects.
     """
     grid = _check_grid(grid)
     _check_network(net)
     x_init = _check_state(x0, net.n_species)
-    _check_caps(max_events_per_traj, state_cap)
+    cfg = _grid_config(grid, seed=seed, max_events=max_events_per_traj, state_cap=state_cap)
     if n < 1:
         raise ValueError("batch needs n >= 1")
-    seed = _seed(seed)
+    state_cap = min(cfg.state_cap, _cap_limit(net.reactions, 2**53))
     dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
     if sum(x_init) > state_cap:  # stopped at t = 0, as a stepper stops: no draws
         return np.full((n_g, n, dim), x_init, dtype=float), np.zeros(n)
-    rng = np.random.Generator(np.random.PCG64(mix64(seed, _BATCH_TAG)))
+    rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, _BATCH_TAG)))
     rates = _rates(net.reactions, dim, True)
 
     # species-major rows; column R of the decrement table is the zero step
@@ -907,8 +912,8 @@ def batch_states(
             for j in range(1, n_r):  # c_j = c_{j-1} + w_j, in place
                 np.add(w[j - 1], w[j], out=w[j])
             total = w[-1]
-            if not np.isfinite(total).all():
-                if not np.isfinite(total[(tg < np.inf) & (t < np.inf)]).all():
+            if not (total < _RATE_LIMIT).all():
+                if not (total[(tg < np.inf) & (t < np.inf)] < _RATE_LIMIT).all():
                     raise SimulationError("propensity overflow in batch run")
             # the draws stay full width, so each trajectory reads its own column
             rng.standard_exponential(out=e)  # the bits of rng.exponential(size=n)
@@ -940,7 +945,7 @@ def batch_states(
                 x[s] -= nu[s].take(sel)
             t = t_new
             events += 1
-            capped = fire if events >= max_events_per_traj else fire & (x.sum(axis=0) > state_cap)
+            capped = fire if events >= cfg.max_events else fire & (x.sum(axis=0) > state_cap)
             if capped.any():
                 cap_time[capped if lane is None else lane[capped]] = t[capped]
                 t[capped] = np.inf

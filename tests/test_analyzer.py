@@ -154,6 +154,17 @@ class TestWeightVector:
         assert np.allclose(l, [1.5, 1.5, 1.0])
         assert l @ np.array(net.reactions[0].nu) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "l", [[1.0, 1.0, 1.0], [0.5, 0.5, 1.0]], ids=["off-the-null-space", "below-one"]
+    )
+    def test_exact_search_result_failing_its_check_falls_back(self, monkeypatch, l):
+        # a converged SLSQP result is still checked: l . nu_r = 0 within
+        # tolerance and l >= 1, else the inequality LP decides
+        monkeypatch.setattr(analyzer, "_slsqp_min_norm", lambda n2t: (np.array(l), True))
+        n2t = np.array([REVERSIBLE.reactions[0].nu], dtype=float)
+        assert analyzer._min_norm_positive(n2t) is None
+        assert find_weight_vector(REVERSIBLE).tolist() == [1.0, 1.0, 1.0]
+
     def test_explosive_not_found(self):
         net = parse_model("species A\nR: 2 A -> 3 A @ 1.0")
         with pytest.raises(WeightVectorNotFound) as err:
@@ -409,6 +420,38 @@ class TestDirectLp:
         for name in ("forward", "reversed"):
             assert [results[name][i] for i in order] == serial, name
 
+    @pytest.mark.parametrize(
+        "col_value, row_value",
+        [([0.5, 1.0], [0.0]), ([1.0, 1.0], [1.0]), ([float("nan"), 1.0], [0.0])],
+        ids=["l-below-one", "negative-slack", "nan"],
+    )
+    def test_optimal_status_with_a_failing_solution_is_rejected(
+        self, monkeypatch, col_value, row_value
+    ):
+        # linprog's acceptance check, not HiGHS's status, decides
+        class Solution:
+            pass
+
+        class Solver:
+            clearSolver = passModel = run = lambda self, *args: None
+
+            def getModelStatus(self):
+                return highs.HighsModelStatus.kOptimal
+
+            def getSolution(self):
+                solution = Solution()
+                solution.col_value, solution.row_value = col_value, row_value
+                return solution
+
+        monkeypatch.setattr(analyzer, "_highs_solver", Solver)
+        n2t = np.array([ENZYME.reactions[4].nu], dtype=float)
+        assert analyzer._min_sum_weight(n2t) is None
+        with pytest.raises(WeightVectorNotFound, match=(
+            r"^no strictly positive weight vector l satisfies l \. nu_r >= 0 on every "
+            r"superlinear column; obstructing reactions: \(none identified\)$"
+        )):
+            find_weight_vector(ENZYME)
+
     def test_infeasible_lp_is_rejected(self):
         # l_A >= 2 l_B and l_B >= 2 l_A have no solution with l >= 1
         n2t = np.array([[1.0, -2.0], [-2.0, 1.0]])
@@ -529,6 +572,12 @@ class TestOneSidedConstants:
         row = report.per_reaction[0]
         assert row.M == pytest.approx(m_want, abs=1e-12)
         assert row.mu == pytest.approx(mu_want, abs=1e-12)
+
+    def test_cubic_rejected(self):
+        with pytest.raises(CubicUnsupported, match=(
+            "^reaction R1 has an order-3 propensity; the stability analysis requires"
+        )):
+            one_sided_constants(get_preset("cubic").network)
 
     def test_bimol_pair(self):
         m, mu = one_sided_constants(BIMOL)

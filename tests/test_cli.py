@@ -301,6 +301,25 @@ class TestEnsembleCouple:
             "note: perturbed run stopped early (state_cap)",
         ]
 
+    @pytest.mark.parametrize("command", ["ensemble", "couple"])
+    def test_grid_times_without_a_valid_sample_are_noted(self, capsys, command, monkeypatch):
+        # every sample starts above the cap: the CSV keeps its 0.0 cells
+        # beside n 0, and stderr says that they are no estimate
+        monkeypatch.setenv("JKL_THREADS", "1")
+        argv = [command, "--preset", "bimol", "--x0", "50,50", "--t-end", "1", "--grid", "2",
+                "--samples", "8"]
+        code, out, err = run(capsys, *argv, "--state-cap", "10")
+        header, *rows = (line.split(",") for line in out.splitlines())
+        n = header.index("n")
+        assert code == 0 and {row[n] for row in rows} == {"0"}
+        assert {cell for row in rows for cell in row[n - 2 : n]} == {"0.0"}  # value, stderr
+        assert err == (
+            "note: 3 of 3 grid times have no valid sample (n 0); "
+            "their rows print 0.0, which is no estimate\n"
+        )
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
     def test_bad_perturb_flag(self, capsys):
         code, _, err = run(capsys, "couple", "--preset", "bimol", "--t-end", "1",
                            "--samples", "4", "--perturb", "k2")
@@ -535,6 +554,41 @@ class TestCme:
                            "--grid", "1.0,inf")
         assert code == 2
         assert "grid" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--preset", "bimol", "--x0", "1", "--t-end", "1"],
+             "--x0 has 1 entries, expected 2"),
+            (["simulate", "--model", "{model}", "--t-end", "1"],
+             "--x0 is required for file models"),
+            (["ensemble", "--preset", "bimol", "--grid", "4"], "--t-end is required"),
+            (["ensemble", "--preset", "bimol", "--t-end", "1", "--grid", "0"],
+             "--grid count must be positive"),
+            (["couple", "--preset", "bimol", "--t-end", "1", "--perturb", "k2=abc"],
+             "--perturb delta must be a number, got 'abc'"),
+            (["bounds", "--preset", "bimol", "--kind", "pth", "--t-end", "1"],
+             "--p must be an integer > 2 for --kind pth"),
+        ],
+        ids=["x0-length", "file-model-x0", "count-grid-t-end", "grid-zero", "perturb-delta",
+             "pth-without-p"],
+    )
+    def test_rejected_with_its_message(self, capsys, tmp_path, argv, message):
+        model = tmp_path / "birth.rxn"
+        model.write_text("species A\nR1: 0 -> A @ 1\n")
+        code, out, err = run(capsys, *(a.format(model=model) for a in argv))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_unreliable_oracle_warns(self, capsys):
+        # caps of 3 leak more than the defect threshold by t = 2
+        code, out, err = run(capsys, "cme", "--preset", "bimol", "--caps", "3", "--t-end", "2",
+                             "--grid", "2")
+        assert code == 0 and out.startswith("time,p,estimate,upper,defect\n")
+        assert float(out.splitlines()[-1].split(",")[-1]) > 0.05
+        assert err == "warning: mass defect exceeded threshold; result unreliable\n"
 
 
 class TestSamplerFlags:

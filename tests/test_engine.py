@@ -286,6 +286,11 @@ class TestEntryValidation:
             warnings.simplefilter("error")
             ENTRY_POINTS[name](still, [2**63 - 1])
 
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_initial_state_of_wrong_dimension_rejected(self, name):
+        with pytest.raises(ValueError, match="^state has dimension 2, expected 1$"):
+            ENTRY_POINTS[name](BIRTH, [0, 0])
+
     def test_counts_boundaries(self):
         assert engine._counts([2**63 - 1, -(2**63), 3.0], "x") == [2**63 - 1, -(2**63), 3]
         for bad in (2**63, -(2**63) - 1):
@@ -439,6 +444,48 @@ class TestStartAboveCap:
         assert traj.status == "state_cap" and traj.states.dtype == np.int64
         assert top - gain < int(traj.final_state[0]) <= top
         assert sim(net, [top], cfg).n_events == 0
+
+
+class TestStopRule:
+    """Both direct samplers stop on one rule: a total intensity at the overflow
+    limit raises, and the state cap is clamped below the top of the exact rows."""
+
+    SAMPLERS = {
+        "simulate_direct": lambda net, x0, cap: simulate_direct(
+            net, x0, SimConfig(t_end=10.0, seed=1, max_events=1000, state_cap=cap)
+        ),
+        "batch_states": lambda net, x0, cap: batch_states(
+            net, x0, [1.0, 10.0], 8, seed=1, state_cap=cap, max_events_per_traj=1000
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    @pytest.mark.parametrize("rate, raises", [(1e301, True), (1e300, True), (9.9e299, False)])
+    def test_overflow_at_the_same_total(self, name, rate, raises):
+        # below the limit the event cap stops every run
+        net = parse_model(f"species A\nR1: 0 -> A @ {rate!r}")
+        if raises:
+            with pytest.raises(SimulationError, match="propensity overflow"):
+                self.SAMPLERS[name](net, [0], math.inf)
+        else:
+            self.SAMPLERS[name](net, [0], math.inf)
+
+    def test_batch_start_past_the_float_top_stops_at_time_zero(self):
+        net = parse_model("species A\nR1: 0 -> A @ 5")
+        states, cap_time = self.SAMPLERS["batch_states"](net, [2**60], math.inf)
+        assert cap_time.tolist() == [0.0] * 8 and (states == 2.0**60).all()
+
+    @pytest.mark.parametrize("gain", [1, 3])
+    def test_batch_counts_stop_inside_the_float_top(self, gain):
+        # the cap is clamped to 2^53 - gain, so the last event lands on an exact float
+        net = parse_model(f"species A\nR1: 0 -> {gain} A @ 5")
+        top = 2**53
+        states, cap_time = self.SAMPLERS["batch_states"](net, [top - 8], math.inf)
+        assert np.isfinite(cap_time).all() and (cap_time > 0).all()
+        final = states[1, :, 0]  # past every cap time: the state that hit the cap
+        assert (top - gain < final).all() and (final <= top).all()
+        path = self.SAMPLERS["simulate_direct"](net, [top - 8], 2**53 - gain)
+        assert path.status == "state_cap" and path.final_state[0] == final[0]
 
 
 class TestPerturbation:

@@ -18,7 +18,7 @@ from jkl.model import (
     validate_network,
 )
 from jkl.parser import parse_model
-from jkl.presets import get_preset
+from jkl.presets import PRESETS, get_preset
 
 BIMOL = get_preset("bimol").network
 REVERSIBLE = get_preset("reversible").network
@@ -110,6 +110,10 @@ class TestDriftEval:
         for x in [[0, 0], [3, 5], [10, 2]]:
             assert np.allclose(drift_eval(doubled, x), 2.0 * drift_eval(BIMOL, x))
 
+    def test_network_without_reactions_has_zero_drift(self):
+        f = drift_eval(ReactionNetwork(("A", "B"), (), {}), [3, 4])
+        assert f.tolist() == [0.0, 0.0] and f.dtype == float
+
 
 class TestApplyReaction:
     def test_reversible_forward(self):
@@ -200,6 +204,28 @@ class TestDomainTypes:
         rxn = Reaction("R1", (-1,), Propensity(1.0))
         with pytest.raises(ValueError, match="duplicate reaction label"):
             ReactionNetwork(("A",), (rxn, rxn), {})
+
+    @pytest.mark.parametrize("mult", [0, -1])
+    def test_reactant_multiplicity_must_be_positive(self, mult):
+        with pytest.raises(ValueError, match="^reactant multiplicities must be positive$"):
+            Propensity(1.0, ((0, mult),))
+
+    def test_stoichiometry_of_wrong_dimension_rejected(self):
+        rxn = Reaction("R1", (-1, 0), Propensity(1.0))
+        with pytest.raises(ValueError, match="^reaction R1: stoichiometry has wrong dimension$"):
+            ReactionNetwork(("A",), (rxn,), {})
+
+    @pytest.mark.parametrize("species", [1, -1])
+    def test_reactant_species_outside_the_network_rejected(self, species):
+        rxn = Reaction("R1", (1,), Propensity(1.0, ((species, 1),)))
+        with pytest.raises(ValueError, match=f"^reaction R1: invalid species index {species}$"):
+            ReactionNetwork(("A",), (rxn,), {})
+
+    def test_unknown_preset_names_the_available_ones(self):
+        with pytest.raises(KeyError) as info:
+            get_preset("nope")
+        known = ", ".join(sorted(PRESETS))
+        assert info.value.args[0] == f"unknown preset 'nope' (available: {known})"
 
     def test_kind_and_order_derived_from_reactants(self):
         prop = Propensity(1.5, ((2, 1), (0, 1)))

@@ -155,6 +155,15 @@ class TestRoundTrip:
         assert text.startswith("#")
         assert parse_model(text).n_species == 0
 
+    def test_negative_product_count_rejected(self):
+        # A -> 0 consuming two copies from a linear propensity: 1 - 2 = -1 products
+        net = ReactionNetwork(("A",), (Reaction("R1", (2,), Propensity(1.0, ((0, 1),))),), {})
+        with pytest.raises(ValueError, match=(
+            r"^reaction R1 implies a negative product count; "
+            r"serialize requires a lattice-conserving network$"
+        )):
+            serialize_model(net)
+
 
 @st.composite
 def random_network_text(draw):
