@@ -42,8 +42,10 @@ The lockstep batch sampler (:func:`batch_states`) runs species-major in
 numpy on one master-seeded vector stream: exact and deterministic, but
 its per-trajectory paths depend on the batch size.  Running sums of the
 rates give the total and the channel; one gather per species moves it.
+Every row is allocated once per call and each step writes into one.
 Once at most half of the trajectories still fire, the work rows shrink to
-those that do; the draws stay full width, so each keeps its own column.
+those that do, in their first lanes; the draws stay full width, so each
+keeps its own column.
 
 Every public sampler checks its network (raising
 :class:`~jkl.model.InvalidNetworkError`) and initial state once per call;
@@ -128,12 +130,12 @@ def _mix_lanes(z, parts) -> np.ndarray:
     return z
 
 
-def _seed(seed) -> int:
-    """``seed`` as a Python int; any integer type passes (numpy's too), anything else is rejected."""
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; any integer type passes (numpy's too), anything else is rejected."""
     try:
-        return operator.index(seed)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _csv(header: Sequence[str], rows) -> str:
@@ -191,7 +193,7 @@ class SimConfig:
             raise ValueError("t_end must be positive and finite")
         if not self.max_events > 0 or not self.state_cap > 0:  # NaN included
             raise ValueError("caps must be positive")
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
 
 def _grid_config(grid: np.ndarray, **controls) -> SimConfig:
@@ -304,9 +306,14 @@ class PerturbationSpec:
 _RATE_LIMIT = 1e300  # both direct samplers raise at a total intensity this high (or NaN)
 
 
+def _max_gain(reactions) -> int:
+    """The largest rise of the 1-norm in one event (0 when no event raises it)."""
+    return max([0, *(-sum(rxn.nu) for rxn in reactions)])
+
+
 def _cap_limit(reactions, top: int) -> int:
     """The largest norm from which no event lifts a count past ``top``, where rows stay exact."""
-    return top - max([0, *(-sum(rxn.nu) for rxn in reactions)])
+    return top - _max_gain(reactions)
 
 
 # Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
@@ -737,6 +744,7 @@ def ensemble_moments(
     reduced in fixed chunk order, so the table is bit-identical for any
     worker count (set ``workers`` or the JKL_THREADS variable).
     """
+    n = _integer(n, "n")
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     _check_network(net)
@@ -820,6 +828,7 @@ def coupled_rms(
     state_cap: float = SimConfig.state_cap,
 ) -> RmsCurve:
     """(E |X_t - Y_t|^2)^(1/2) over n coupled pairs, with standard errors."""
+    n = _integer(n, "n")
     pert_net = pert.apply(net)
     _check_network(net)
     _check_network(pert_net)
@@ -848,6 +857,8 @@ def coupled_rms(
 
 
 _BATCH_TAG = 0xBA7C4
+# lanes per recording block, so its index temporaries stay near 2.5 MiB
+_RECORD_BLOCK = 2**16
 
 
 def batch_states(
@@ -866,23 +877,34 @@ def batch_states(
     hit a cap (inf if it never did, 0 from a start above ``state_cap``;
     states past the cap are frozen and should be masked by the caller).
     The steppers' stop rule holds, with ``state_cap`` clamped to keep the
-    float rows' counts within 2**53.  Memory: a (D, G, n) record, its C-ordered (G, n, D) copy (none when
-    D = 1) and O((R + D) n) work rows.
+    float rows' counts within 2**53.  Memory: the (G, n, D) states and
+    the n cap times it returns, and rows of n allocated once: D state
+    rows, R running sums, the times t and t_new, the next grid times, one
+    draw row, a channel row of ``np.min_scalar_type(R)``, R - 1 bool rows
+    of the channel test and two bool rows.  Recording visits the lanes in
+    blocks of ``_RECORD_BLOCK``.
 
     Exact per trajectory; the draw order (one exponential and one
     uniform per trajectory per step, full width) is fixed by ``seed``
     and ``n``, independent of anything else.  Raises ``ValueError`` for
-    ``n < 1`` and for caps or a seed that :class:`SimConfig` rejects.
+    a non-integer ``n`` or ``n < 1``, for a count above 2**53 in ``x0``
+    and for caps or a seed that :class:`SimConfig` rejects.
     """
     grid = _check_grid(grid)
     _check_network(net)
     x_init = _check_state(x0, net.n_species)
     cfg = _grid_config(grid, seed=seed, max_events=max_events_per_traj, state_cap=state_cap)
+    n = _integer(n, "n")
     if n < 1:
         raise ValueError("batch needs n >= 1")
+    if max(x_init, default=0) > 2**53:
+        raise ValueError(
+            f"batch_states holds counts of at most 2**53 in float rows, got {max(x_init)}"
+        )
     state_cap = min(cfg.state_cap, _cap_limit(net.reactions, 2**53))
     dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
-    if sum(x_init) > state_cap:  # stopped at t = 0, as a stepper stops: no draws
+    norm, gain = sum(x_init), _max_gain(net.reactions)
+    if norm > state_cap:  # stopped at t = 0, as a stepper stops: no draws
         return np.full((n_g, n, dim), x_init, dtype=float), np.zeros(n)
     rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, _BATCH_TAG)))
     rates = _rates(net.reactions, dim, True)
@@ -893,15 +915,21 @@ def batch_states(
     nu = np.zeros((dim, n_r + 1))
     nu[:, :n_r] = net.stoichiometry
     t = np.zeros(n)  # inf once capped: the next pass records the rest of the grid
+    t_new = np.empty(n)
     tg = np.full(n, grid[0])  # the next grid time to record, inf once all are
     gnext = np.append(grid, np.inf)
-    cap_time = np.full(n, np.inf)
-    out = np.empty((dim, n_g, n))
+    draw = np.empty(n)
     w = np.zeros((max(n_r, 1), n))  # a network with no channel has total 0
-    e, u = np.empty(n), np.empty(n)
+    sel = np.empty(n, dtype=np.min_scalar_type(n_r))
+    below = np.empty((max(n_r - 1, 0), n), dtype=bool)
+    fire = np.empty(n, dtype=bool)
+    mask = np.empty(n, dtype=bool)  # each step's own bool row in turn
+    states = np.empty((n_g, n, dim))
+    cap_time = np.full(n, np.inf)
     # the work rows hold the trajectories ``lane`` (all n while it is None);
-    # once at most half of them fire, they shrink to those that do
-    lane = None
+    # once at most half of them fire, they shrink to views of the first m
+    # lanes, holding those that do
+    lane, m = None, n
     # a trajectory fires on every pass until its grid is recorded, so the
     # pass count is the event count of every trajectory that fires
     events = 0
@@ -912,44 +940,72 @@ def batch_states(
             for j in range(1, n_r):  # c_j = c_{j-1} + w_j, in place
                 np.add(w[j - 1], w[j], out=w[j])
             total = w[-1]
-            if not (total < _RATE_LIMIT).all():
+            if not total.max(initial=0.0) < _RATE_LIMIT:  # NaN fails it too
                 if not (total[(tg < np.inf) & (t < np.inf)] < _RATE_LIMIT).all():
                     raise SimulationError("propensity overflow in batch run")
-            # the draws stay full width, so each trajectory reads its own column
-            rng.standard_exponential(out=e)  # the bits of rng.exponential(size=n)
-            rng.random(out=u)
-            e_run, u_run = (e, u) if lane is None else (e[lane], u[lane])
-            t_new = t + np.where(total > 0, e_run / total, np.inf)
+            # the draws stay full width, so each trajectory reads its own
+            # column: the exponential (the bits of rng.exponential(size=n)),
+            # then the uniform, in one row
+            rng.standard_exponential(out=draw)
+            # mode "clip" gathers straight into ``out``; "raise" buffers it
+            e = draw if lane is None else draw.take(lane, out=t_new, mode="clip")
+            # t_new = t + (e / total where total > 0, else inf)
+            np.greater(total, 0.0, out=mask)
+            np.divide(e, total, out=t_new, where=mask)
+            np.copyto(t_new, np.inf, where=np.logical_not(mask, out=mask))
+            np.add(t, t_new, out=t_new)
+            rng.random(out=draw)
 
             # record the grid points strictly before the pending event (an
             # event on a grid point is recorded post-event, right-continuous)
-            rec = np.flatnonzero(t_new > tg)
-            if rec.size:
-                lo, hi = np.searchsorted(grid, [tg[rec], t_new[rec]])
+            np.greater(t_new, tg, out=mask)
+            for a in range(0, m, _RECORD_BLOCK):
+                rec = np.flatnonzero(mask[a : a + _RECORD_BLOCK])
+                if not rec.size:
+                    continue
+                rec += a
+                lo, hi = np.searchsorted(grid, tg[rec]), np.searchsorted(grid, t_new[rec])
                 for g in range(lo.min(), hi.max()):
                     k = rec[(lo <= g) & (g < hi)]
-                    out[:, g, k if lane is None else lane[k]] = x[:, k]
+                    states[g, k if lane is None else lane[k]] = x[:, k].T
                 tg[rec] = gnext[hi]
 
             # the rest fire: a pending event past t_end flushed the whole grid
-            fire = tg < np.inf
+            np.less(tg, np.inf, out=fire)
             n_fire = np.count_nonzero(fire)
             if not n_fire:
                 break
-            if 2 * n_fire <= fire.size:
+            if 2 * n_fire <= m:
                 lane = np.flatnonzero(fire) if lane is None else lane[fire]
-                x, w, t_new, tg, u_run = x[:, fire], w[:, fire], t_new[fire], tg[fire], u_run[fire]
-                total, fire = w[-1], fire[fire]
-            sel = np.where(fire, (w[:-1] <= u_run * total).sum(axis=0), n_r)
+                for row in (*x, *w, t_new, tg):
+                    row[:n_fire] = row[fire]
+                m = n_fire
+                x, w, t, t_new, tg = x[:, :m], w[:, :m], t[:m], t_new[:m], tg[:m]
+                below, sel, mask, fire = below[:, :m], sel[:m], mask[:m], fire[:m]
+                fire.fill(True)
+                total = w[-1]
+            # t is free until the swap below, so it holds the gathered uniforms
+            u = draw if lane is None else draw.take(lane, out=t, mode="clip")
+            np.multiply(u, total, out=u)
+            np.less_equal(w[:-1], u, out=below).sum(axis=0, out=sel)
+            if n_fire < m:
+                np.copyto(sel, n_r, where=np.logical_not(fire, out=mask))
+            step = draw[:m]
             for s in range(dim):
-                x[s] -= nu[s].take(sel)
-            t = t_new
+                x[s] -= nu[s].take(sel, out=step, mode="clip")
+            t, t_new = t_new, t
             events += 1
-            capped = fire if events >= cfg.max_events else fire & (x.sum(axis=0) > state_cap)
+            if events >= cfg.max_events:
+                capped = fire
+            elif norm + events * gain > state_cap:  # else no count can be past it yet
+                capped = np.greater(x.sum(axis=0, out=step), state_cap, out=mask)
+                capped &= fire
+            else:
+                continue
             if capped.any():
                 cap_time[capped if lane is None else lane[capped]] = t[capped]
                 t[capped] = np.inf
-    return np.ascontiguousarray(out.transpose(1, 2, 0)), cap_time
+    return states, cap_time
 
 
 # ---------------------------------------------------------------------------

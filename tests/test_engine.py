@@ -5,6 +5,7 @@ import os
 import pickle
 import random
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,17 @@ SEEDED = {
         BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), [0.0, 1.0], 300, seed, workers=1
     ),
     "batch_states": lambda seed: batch_states(BIMOL, [5, 5], [0.5, 1.0], 300, seed),
+}
+
+# each sampler that takes a sample count, on bimol at count n
+COUNTED = {
+    "ensemble_moments": lambda n: ensemble_moments(
+        BIMOL, [5, 5], [0.0, 1.0], 2, n, seed=1, workers=1
+    ),
+    "coupled_rms": lambda n: coupled_rms(
+        BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), [0.0, 1.0], n, seed=1, workers=1
+    ),
+    "batch_states": lambda n: batch_states(BIMOL, [5, 5], [0.5, 1.0], n, seed=1),
 }
 
 # each grid-taking sampler, called on a one-species birth process
@@ -278,7 +290,8 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="fit a 64-bit integer, got "):
             ENTRY_POINTS[name](BIRTH, [x0])
 
-    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    # batch_states holds counts in float rows: TestStopRule checks its top
+    @pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - {"batch_states"}))
     def test_initial_state_at_int64_max_accepted(self, name):
         # a zero rate fires nothing, so the state never leaves int64
         still = parse_model("species A\nR: A -> 0 @ 0.0")
@@ -349,6 +362,16 @@ class TestEntryValidation:
     def test_non_integer_seed_rejected(self, name, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    @pytest.mark.parametrize("n", [2.5, "3", None, np.float64(3.0)])
+    def test_non_integer_sample_count_rejected(self, name, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            COUNTED[name](n)
+
+    @pytest.mark.parametrize("name", sorted(COUNTED))
+    def test_numpy_integer_sample_count_gives_the_int_bytes(self, name):
+        assert pickle.dumps(COUNTED[name](np.int64(300))) == pickle.dumps(COUNTED[name](300))
 
     @pytest.mark.parametrize("name", ["ensemble_moments", "coupled_rms"])
     @pytest.mark.parametrize("n", [1, 0, -3])
@@ -470,10 +493,17 @@ class TestStopRule:
         else:
             self.SAMPLERS[name](net, [0], math.inf)
 
-    def test_batch_start_past_the_float_top_stops_at_time_zero(self):
+    @pytest.mark.parametrize("start", [2**53 + 1, 2**60, 2**63 - 1])
+    def test_batch_start_past_the_float_top_rejected(self, start):
+        # a float row cannot hold the count, so the start could not come back
         net = parse_model("species A\nR1: 0 -> A @ 5")
-        states, cap_time = self.SAMPLERS["batch_states"](net, [2**60], math.inf)
-        assert cap_time.tolist() == [0.0] * 8 and (states == 2.0**60).all()
+        with pytest.raises(ValueError, match=rf"at most 2\*\*53 in float rows, got {start}$"):
+            self.SAMPLERS["batch_states"](net, [start], math.inf)
+
+    def test_batch_start_at_the_float_top_stops_at_time_zero(self):
+        net = parse_model("species A\nR1: 0 -> A @ 5")
+        states, cap_time = self.SAMPLERS["batch_states"](net, [2**53], math.inf)
+        assert cap_time.tolist() == [0.0] * 8 and (states == 2.0**53).all()
 
     @pytest.mark.parametrize("gain", [1, 3])
     def test_batch_counts_stop_inside_the_float_top(self, gain):
@@ -1031,36 +1061,42 @@ GRID5 = np.linspace(0.0, 5.0, 5)
 ON_EVENT = np.random.Generator(np.random.PCG64(mix64(7, engine._BATCH_TAG))).standard_exponential()
 
 
+# (net, x0, grid, n, caps, which trajectories hit a cap)
+BATCH_CASES = {
+    "mixed": (parse_model(MIXED), [20, 20], GRID5, 2000, {}, "none"),
+    "mixed-max-events": (
+        parse_model(MIXED), [20, 20], GRID5, 2000, {"max_events_per_traj": 15}, "all"
+    ),
+    "cubic-state-cap": (CUBIC, [3], GRID5, 2000, {"state_cap": 30}, "some"),
+    "enzyme": (ENZYME, get_preset("enzyme").x0, np.linspace(0.0, 0.02, 5), 500, {}, "none"),
+    # a point at 0 and three more inside one gap between events
+    "zero-and-gap": (
+        parse_model(MIXED), [20, 20], [0.0, 0.01, 0.01 + 1e-7, 0.01 + 2e-7, 0.02, 1.0],
+        2000, {}, "none",
+    ),
+    # the total falls to 0, so the pending event is at inf
+    "absorbing": (parse_model("species A\nR: A -> 0 @ 1.0"), [5], GRID5, 2000, {}, "none"),
+    "n-one": (parse_model(MIXED), [20, 20], GRID5, 1, {}, "none"),
+    "event-on-grid": (BIRTH, [0], [ON_EVENT, ON_EVENT + 1.0], 4, {}, "none"),
+    # trajectories leave after 1 to 15 events, on both sides of the
+    # pass where at most half of them still fire
+    "birth-leaving": (BIRTH, [0], GRID5, 2000, {}, "none"),
+    # a third freeze at 1 or 2 after the first events and most of the
+    # rest pass the cap within three events
+    "cubic-early-cap": (CUBIC, [3], GRID5, 2000, {"state_cap": 5}, "some"),
+    # about half freeze at total 0 on the first event; the rest branch
+    "half-frozen": (
+        parse_model("species A\nR1: A -> 0 @ 1.0\nR2: A -> 2 A @ 1.0"), [1], GRID5,
+        2000, {}, "none",
+    ),
+    # more lanes than one recording block holds
+    "past-one-block": (BIRTH, [0], [0.5, 1.0], 2**16 + 5, {}, "none"),
+}
+
+
 class TestBatchSampler:
-    @pytest.mark.parametrize(
-        "case",
-        [
-            (parse_model(MIXED), [20, 20], GRID5, 2000, {}, "none"),
-            (parse_model(MIXED), [20, 20], GRID5, 2000, {"max_events_per_traj": 15}, "all"),
-            (CUBIC, [3], GRID5, 2000, {"state_cap": 30}, "some"),
-            (ENZYME, get_preset("enzyme").x0, np.linspace(0.0, 0.02, 5), 500, {}, "none"),
-            # a point at 0 and three more inside one gap between events
-            (parse_model(MIXED), [20, 20], [0.0, 0.01, 0.01 + 1e-7, 0.01 + 2e-7, 0.02, 1.0],
-             2000, {}, "none"),
-            # the total falls to 0, so the pending event is at inf
-            (parse_model("species A\nR: A -> 0 @ 1.0"), [5], GRID5, 2000, {}, "none"),
-            (parse_model(MIXED), [20, 20], GRID5, 1, {}, "none"),
-            (BIRTH, [0], [ON_EVENT, ON_EVENT + 1.0], 4, {}, "none"),
-            # trajectories leave after 1 to 15 events, on both sides of the
-            # pass where at most half of them still fire
-            (BIRTH, [0], GRID5, 2000, {}, "none"),
-            # a third freeze at 1 or 2 after the first events and most of the
-            # rest pass the cap within three events
-            (CUBIC, [3], GRID5, 2000, {"state_cap": 5}, "some"),
-            # about half freeze at total 0 on the first event; the rest branch
-            (parse_model("species A\nR1: A -> 0 @ 1.0\nR2: A -> 2 A @ 1.0"), [1], GRID5,
-             2000, {}, "none"),
-        ],
-        ids=["mixed", "mixed-max-events", "cubic-state-cap", "enzyme", "zero-and-gap",
-             "absorbing", "n-one", "event-on-grid", "birth-leaving", "cubic-early-cap",
-             "half-frozen"],
-    )
-    def test_bytes_match_the_reference_loop(self, case):
+    @staticmethod
+    def _check_bytes(case):
         # uncapped digests cannot see a reassociated rate; cap times can
         net, x0, grid, n, caps, capped = case
         states, cap_time = batch_states(net, x0, grid, n, seed=7, **caps)
@@ -1069,6 +1105,17 @@ class TestBatchSampler:
         assert cap_time.tobytes() == want_cap.tobytes()
         hit = np.isfinite(cap_time)
         assert {"none": not hit.any(), "all": hit.all(), "some": 0 < hit.sum() < n}[capped]
+
+    @pytest.mark.parametrize("case", list(BATCH_CASES.values()), ids=list(BATCH_CASES))
+    def test_bytes_match_the_reference_loop(self, case):
+        self._check_bytes(case)
+
+    @pytest.mark.parametrize("case", list(BATCH_CASES.values()), ids=list(BATCH_CASES))
+    def test_bytes_match_the_reference_loop_in_blocks_of_seven(self, monkeypatch, case):
+        # every case with n > 7 records across block ends, before and after
+        # the work rows shrink
+        monkeypatch.setattr(engine, "_RECORD_BLOCK", 7)
+        self._check_bytes(case)
 
     def test_matches_per_trajectory_law(self):
         grid = np.array([2.0, 5.0])
@@ -1099,6 +1146,35 @@ class TestBatchSampler:
         net = parse_model("species A\nR: 2 A -> A @ 1.0")
         states, _ = batch_states(net, [1], np.array([0.5, 1.0]), 10, seed=1)
         assert (states == 1).all()
+
+    @staticmethod
+    def _peak_beyond_output(*args, **kwargs):
+        """tracemalloc's peak over one call, less the bytes the call returns, and those bytes."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            states, cap_time = batch_states(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        out = states.nbytes + cap_time.nbytes
+        return peak - out, out
+
+    def test_cubic_batch_peak_within_twelve_rows(self):
+        # the short-paths benchmark batch at a quarter of its n: the work
+        # rows, the rate temporaries and a recording block's indices
+        n, m = 2**17, 10
+        grid = np.linspace(0.0, 0.5 / (3.0 * m * (m - 1) * (m - 2)), 6)[1:]
+        extra, _ = self._peak_beyond_output(CUBIC, [m], grid, n, seed=3, state_cap=1e6)
+        assert extra <= 12 * 8 * n
+
+    def test_enzyme_batch_peak_under_one_and_a_half_outputs(self):
+        # D = 2: the states are written in their returned (G, n, D) order,
+        # with no transposed copy of the record
+        enzyme = get_preset("enzyme")
+        grid = np.linspace(0.0, 0.02, 40)
+        extra, out = self._peak_beyond_output(ENZYME, enzyme.x0, grid, 2**13, seed=3)
+        assert extra + out < 1.5 * out
 
     def test_overflow_raises(self):
         net = parse_model("species A\nR: 0 -> A @ 1e305\nR2: 3 A -> 4 A @ 1e305")
