@@ -18,13 +18,17 @@ and schedule-independent:
   ``r`` of coupled pair ``i`` uses ``mix64(s_i, _CHANNEL_TAG, r)`` for
   both legs: each stream is seeded once per pair, and the perturbed leg
   replays the draws the nominal leg took from it, then continues it;
-* exponentials are inverse-CDF samples ``-log(1 - u)``;
+* exponentials are inverse-CDF samples ``-log(1 - u)``; the RTC
+  sampler's channel clocks deliver them as increments
+  (:func:`_increments`);
 * both ensemble estimators go through one reducer, :func:`_reduce`,
   which combines fixed-size chunk sums in index order, so serial and
   parallel runs produce identical bytes.  A chunk derives all its seeds
-  in one uint64 array pass (:func:`_mix_lanes`, the same chain) and
-  re-seeds one stream per channel for each sample, which leaves each
-  stream as a freshly seeded one.
+  in one uint64 array pass (:func:`_mix_lanes`, the same chain).  An
+  ``ensemble_moments`` chunk re-seeds one stream per sample, which leaves
+  it as a freshly seeded one; a ``coupled_rms`` chunk seeds each channel
+  stream of each pair once, and both legs read its draws, in stream
+  order, from one store.
 
 Both samplers run as generated code: for each network, sampler and
 record mode, :func:`_stepper_source` writes one straight-line Python
@@ -35,8 +39,11 @@ indices and stoichiometric integers are written into the source, never
 labels or names, and every propensity is the text that
 :func:`~jkl.model._expression` writes, so the generated code produces
 the same bytes as a plain loop would.  Path mode returns the whole path
-(the public :class:`Trajectory`); grid mode, which the ensembles use,
-records the state only at the grid times.
+(the public :class:`Trajectory`); grid mode, which ``ensemble_moments``
+uses, records the state only at the grid times.  ``coupled_rms`` runs
+the pairs of a chunk through :func:`jkl.lockstep.pair_states`, a numpy
+kernel that gives the grid-mode RTC stepper's bytes on every leg at once
+and hands the stepper the few legs that run long, or that overflow.
 
 The lockstep batch sampler (:func:`batch_states`) runs species-major in
 numpy on one master-seeded vector stream: exact and deterministic, but
@@ -66,6 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lockstep import pair_states
 from .model import ReactionNetwork, _check_network, _compile, _expression, _rates
 
 __all__ = [
@@ -318,8 +326,9 @@ def _cap_limit(reactions, top: int) -> int:
 
 # Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
 # is the direct method's stream, or the RTC sampler's list of channel clocks,
-# each a zero-argument callable returning the channel's next uniform.  The
-# cap test heads the loop, so a start above the cap stops at t = 0.
+# each a zero-argument callable returning the channel's next increment (see
+# _increments).  The cap test heads the loop, so a start above the cap stops
+# at t = 0.
 _SKELETON = """\
 def step(x, draws, t_end, max_events, state_cap, grid=None):
     [{xs}] = x
@@ -381,7 +390,7 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
         if sum(nu):
             out.append(f"{pad}norm {'-' if sum(nu) > 0 else '+'}= {abs(sum(nu))}")
         if rtc:
-            out[:0] = [f"{pad}s{j} = p{j}", f"{pad}p{j} += -log(1.0 - clock{j}())"]
+            out[:0] = [f"{pad}s{j} = p{j}", f"{pad}p{j} += clock{j}()"]
         if not grid:
             out.append(f"{pad}channels.append({j})")
         return out or [f"{pad}pass"]
@@ -389,7 +398,7 @@ def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
     if rtc:
         # p_j is channel j's next clock point, s_j its integrated intensity
         start = [f"    clock{j} = draws[{j}]" for j in range(n_r)]
-        start += [f"    p{j} = -log(1.0 - clock{j}())" for j in range(n_r)]
+        start += [f"    p{j} = clock{j}()" for j in range(n_r)]
         start += [f"    s{j} = 0.0" for j in range(n_r)]
         rates = [f"        w{j} = {expr}" for j, expr in enumerate(exprs)]
         rates.append(f"        total = {' + '.join(['0.0'] + [f'w{j}' for j in range(n_r)])}")
@@ -554,7 +563,7 @@ def simulate_rtc(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> Tra
     index.
     """
     _check_network(net)
-    clocks = [r.random for r in _channel_streams(cfg.seed, net.n_reactions)]
+    clocks = [_increments(r).__next__ for r in _channel_streams(cfg.seed, net.n_reactions)]
     return _path(net, "rtc", x0, cfg, clocks)
 
 
@@ -563,15 +572,22 @@ def _channel_streams(seed: int, n_r: int) -> list[random.Random]:
     return [random.Random(_mix(z, (r,))) for r in range(n_r)]
 
 
+def _increments(stream):
+    """The unit-exponential clock increments ``-log(1 - u)`` of ``stream``'s uniforms, in order."""
+    log, draw = math.log, stream.random
+    while True:
+        yield -log(1.0 - draw())
+
+
 def _coupled_clocks(streams: list[random.Random]) -> tuple[list, list]:
     """The channel clocks of a coupled pair's two legs, on one set of streams.
 
-    The first leg draws channel r from its stream through a ``tee``; the
-    second leg reads the draws the first one buffered, then continues the
-    same stream.  So each leg sees the stream's draws in stream order,
-    exactly as a leg with freshly seeded streams would.
+    The first leg draws channel r's increments from its stream through a
+    ``tee``; the second leg reads the ones the first buffered, then
+    continues the same stream.  So each leg sees the stream's draws in
+    stream order, exactly as a leg with freshly seeded streams would.
     """
-    legs = [itertools.tee(iter(r.random, None)) for r in streams]
+    legs = [itertools.tee(_increments(r)) for r in streams]
     return [x.__next__ for x, _ in legs], [y.__next__ for _, y in legs]
 
 
@@ -655,22 +671,21 @@ def _check_grid(grid: Sequence[float]) -> np.ndarray:
 def _chunk(terms, targs, grid, seed, start, stop, cfg):
     """Sums of the per-sample terms of samples start..stop-1 at their valid times.
 
-    ``terms(grid, cfg, *targs)`` looks up the compiled steppers once per
-    chunk and returns ``(samples, batch)``: ``samples(seeds)`` runs one
-    sample per stream seed of a uint64 array, in order, and yields each
-    one's grid rows and the time it hit a cap, and ``batch(rows)`` takes
-    the chunk's rows stacked as floats, one sample per leading index, and
-    returns its term arrays, shaped ``(S, G, k)``.  Sample i uses the seed
-    ``mix64(seed, i)``; the chunk's seeds come from one array pass.  The
-    sums run in sample order: numpy's cumsum, unlike its sum, is never
-    pairwise.
+    ``terms(grid, cfg, *targs)`` returns ``(samples, batch)``:
+    ``samples(seeds)`` runs one sample per stream seed of a uint64 array
+    and returns ``(rows, caps)``: the samples' grid rows as floats, one
+    sample per leading index, and the times they hit a cap.  ``batch(rows)``
+    returns the rows' term arrays, shaped ``(S, G, k)``.  Sample i uses
+    the seed ``mix64(seed, i)``; the chunk's seeds come from one array
+    pass.  The sums run in sample order: numpy's cumsum, unlike its sum,
+    is never pairwise.
     """
     samples, batch = terms(grid, cfg, *targs)
     seeds = _mix_lanes(mix64(seed), [np.arange(start, stop, dtype=np.uint64)])
-    rows, caps = zip(*samples(seeds))
-    ok = grid < np.array(caps)[:, None]
+    rows, caps = samples(seeds)
+    ok = grid < caps[:, None]
     okf = ok[:, :, None].astype(float)
-    sums = [np.cumsum(term * okf, axis=0)[-1] for term in batch(np.array(rows, dtype=float))]
+    sums = [np.cumsum(term * okf, axis=0)[-1] for term in batch(rows)]
     return sums, ok.sum(axis=0)
 
 
@@ -716,9 +731,13 @@ def _moment_terms(grid, cfg, net, x, p_max):
     def samples(seeds):
         # one stream, re-seeded per sample: seed(s) sets the state Random(s) starts in
         stream = random.Random()
+        rows, caps = [], []
         for s in seeds.tolist():
             stream.seed(s)
-            yield step(x, stream, *run)[:2]
+            sample_rows, cap_time, _ = step(x, stream, *run)
+            rows.append(sample_rows)
+            caps.append(cap_time)
+        return np.array(rows, dtype=float), np.array(caps)
 
     def batch(rows):
         powers = rows.sum(axis=2)[:, :, None] ** orders
@@ -790,22 +809,22 @@ class RmsCurve:
 
 
 def _rms_terms(grid, cfg, net, pert_net, x, y):
-    step_x = _stepper(net.reactions, net.n_species, "rtc", "grid")
-    step_y = _stepper(pert_net.reactions, net.n_species, "rtc", "grid")
-    run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
+    # the stop rule in exact ints: an integer norm exceeds state_cap iff it
+    # exceeds its floor
+    cap = _cap_limit(net.reactions, 2**63 - 1)
+    if cfg.state_cap < math.inf:
+        cap = min(cap, math.floor(cfg.state_cap))
+    rule = (max(cap, -1), _max_gain(net.reactions), _RATE_LIMIT)
     channels = np.arange(net.n_reactions, dtype=np.uint64)
+    # the legs a chunk runs again: those that overflow, and a few that run long
+    steppers = [_stepper(n.reactions, net.n_species, "rtc", "grid") for n in (net, pert_net)]
 
     def samples(seeds):
-        # one stream per channel, re-seeded once per pair with the seeds
-        # _channel_streams gives it; both legs run on the same clocks
-        streams = [random.Random() for _ in channels]
-        for pair in _mix_lanes(mix64(), (seeds[:, None], _CHANNEL_TAG, channels)).tolist():
-            for stream, s in zip(streams, pair):
-                stream.seed(s)
-            clocks_x, clocks_y = _coupled_clocks(streams)
-            rows_x, cap_x, _ = step_x(x, clocks_x, *run)
-            rows_y, cap_y, _ = step_y(y, clocks_y, *run)
-            yield (rows_x, rows_y), min(cap_x, cap_y)
+        # channel r of pair i reads the stream _channel_streams gives it; each
+        # is seeded once, pair after pair
+        pair_seeds = _mix_lanes(mix64(), (seeds[:, None], _CHANNEL_TAG, channels)).tolist()
+        streams = [[random.Random(s).random for s in pair] for pair in pair_seeds]
+        return pair_states((net, pert_net), (x, y), streams, grid, cfg, *rule, steppers)
 
     def batch(pairs):
         diff = pairs[:, 0] - pairs[:, 1]

@@ -1,10 +1,14 @@
 """Simulation engine: laws, determinism, coupling, ensembles, RRE."""
 
+import contextlib
+import dataclasses
+import itertools
 import math
 import os
 import pickle
 import random
 import re
+import signal
 import tracemalloc
 import warnings
 
@@ -12,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from jkl import cme, engine, model
+from jkl import cme, engine, lockstep, model
 from jkl.engine import (
     PerturbationSpec,
     SimConfig,
@@ -29,8 +33,8 @@ from jkl.engine import (
 )
 from jkl.model import propensity_eval
 from jkl.parser import parse_model
-from jkl.presets import get_preset
-from test_golden import MIXED
+from jkl.presets import PRESETS, get_preset
+from test_golden import MIXED, _random_order2
 
 BIMOL = get_preset("bimol").network
 REVERSIBLE = get_preset("reversible").network
@@ -637,18 +641,355 @@ class TestSharedStreams:
         grid = np.array([0.0, 0.5])
         cfg = SimConfig(t_end=0.5)
         samples, _ = engine._rms_terms(grid, cfg, BIMOL, pert.apply(BIMOL), [5, 5], [5, 5])
-        pairs = list(samples(np.array([mix64(2, i) for i in range(300)], dtype=np.uint64)))
-        # one unseeded stream per channel, then each re-seeded once per pair
+        rows, _ = samples(np.array([mix64(2, i) for i in range(300)], dtype=np.uint64))
+        # each channel stream of each pair is seeded once, pair after pair
         n_r, tag = BIMOL.n_reactions, engine._CHANNEL_TAG
-        want = [mix64(mix64(2, i), tag, r) for i in range(300) for r in range(n_r)]
-        assert seeds == [None] * n_r + want
+        assert seeds == [mix64(mix64(2, i), tag, r) for i in range(300) for r in range(n_r)]
         # and each pair is the coupled pair on the pair's seed
         for i in (0, 299):
             legs = simulate_coupled(BIMOL, [5, 5], [5, 5], pert, SimConfig(0.5, mix64(2, i)))
-            assert np.array_equal(pairs[i][0], [leg.sample(grid) for leg in legs])
+            assert np.array_equal(rows[i], [leg.sample(grid) for leg in legs])
         seeds.clear()
         simulate_coupled(BIMOL, [5, 5], [5, 5], pert, SimConfig(t_end=0.5, seed=2))
         assert seeds == [mix64(2, tag, r) for r in range(n_r)]
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the main thread after ``seconds``: a byte case
+    whose sampler stops advancing fails instead of hanging the suite (an
+    event cap cannot stop a loop that waits for every grid time)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the case ran past its {seconds} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+CASE_SECONDS = 10  # the slowest byte case takes about 1 s
+
+
+class _Scripted:
+    """A stream of uniforms whose increments are the script's, then 10.0 each."""
+
+    def __init__(self, increments):
+        self.uniforms = itertools.chain(
+            [-math.expm1(-e) for e in increments], itertools.repeat(-math.expm1(-10.0))
+        )
+
+    def random(self):
+        return next(self.uniforms)
+
+
+# A + B at 1e300 overflows as soon as both are present
+OVERFLOWING = parse_model(
+    "species A B C\nR1: 0 -> A @ 1.0\nR2: 0 -> B @ 1.0\n"
+    "R3: A + B -> A + B @ 1e300\nR4: 0 -> C @ 1.0"
+)
+
+
+def _preset_pair_case(name):
+    """Preset ``name`` from its own x0 with its first named rate up 30 %."""
+    preset = get_preset(name)
+    names = [rxn.rate_name for rxn in preset.network.reactions if rxn.rate_name]
+    pert = PerturbationSpec({names[0]: 0.3} if names else {})
+    t_end = 0.02 if "enzyme" in name else 1.0
+    caps = {"cubic": {"state_cap": 30, "max_events": 850}, "enzyme": {"max_events": 2400},
+            "enzyme-linear": {"max_events": 2400}, "reversible": {"max_events": 80}}
+    grid = np.linspace(0.0, t_end, 6)
+    return (preset.network, preset.x0, preset.x0, pert, grid, 64,
+            caps.get(name, {"max_events": 40}), "some" if name == "cubic" else "none")
+
+
+def _random_pair_cases():
+    """20 seeded random order-2 networks, the y leg one count up in the first species."""
+    rng = np.random.default_rng(20121030)
+    most = (7, 37, 3, 11, 10, 14, 30, 17, 5, 17, 20, 6, 46, 55, 7, 96, 51, 313, 114, 15)
+    cases = {}
+    for i, events in enumerate(most):  # the largest event count of either leg
+        text, x0 = _random_order2(rng)
+        caps = {"state_cap": 200, "max_events": 4 * events}
+        cases[f"random-{i}"] = (
+            parse_model(text), x0, [x0[0] + 1, *x0[1:]], PerturbationSpec(),
+            np.linspace(0.0, 0.5, 5), 32, caps, "some" if i == 15 else "none",
+        )
+    return cases
+
+
+# (net, x0, y0, perturbation, grid, n, caps, which pairs hit a cap); every
+# case has an event cap about four times the largest event count of its legs
+PAIR_CASES = {
+    **{f"preset-{name}": _preset_pair_case(name) for name in sorted(PRESETS)},
+    **_random_pair_cases(),
+    "y0-differs": (
+        BIMOL, [5, 5], [6, 4], PerturbationSpec({"k2": 0.1}), np.linspace(0.0, 2.0, 5), 64,
+        {"max_events": 70}, "none",
+    ),
+    "identical-legs": (
+        BIMOL, [5, 5], [5, 5], PerturbationSpec(), np.linspace(0.0, 2.0, 5), 64,
+        {"max_events": 70}, "none",
+    ),
+    # either leg may stop first, at the state cap or at the event cap
+    "state-cap": (
+        BIMOL, [3, 1], [3, 1], PerturbationSpec({"k1": 0.5}), np.linspace(0.0, 4.0, 5), 64,
+        {"state_cap": 6, "max_events": 130}, "some",
+    ),
+    "max-events": (
+        BIMOL, [3, 1], [3, 1], PerturbationSpec({"k1": -0.5}), np.linspace(0.0, 4.0, 5), 64,
+        {"max_events": 10}, "some",
+    ),
+    # most legs reach the event cap, the rest stop at t_end first and
+    # stay in the work rows: their cap times stay inf
+    "max-events-after-stops": (
+        NAMED_BIRTH, [0], [0], PerturbationSpec({"k": 0.2}), np.linspace(0.0, 6.0, 4), 64,
+        {"max_events": 5}, "some",
+    ),
+    # one leg starts above the cap: the pair's cap time is 0
+    "x-start-above-cap": (
+        BIMOL, [50, 50], [0, 0], PerturbationSpec(), np.linspace(0.0, 1.0, 3), 16,
+        {"state_cap": 10, "max_events": 30}, "all",
+    ),
+    "y-start-above-cap": (
+        BIMOL, [0, 0], [50, 50], PerturbationSpec(), np.linspace(0.0, 1.0, 3), 16,
+        {"state_cap": 10, "max_events": 30}, "all",
+    ),
+    # the total falls to 0, so the pending event is at inf
+    "absorbing": (
+        parse_model("species A\nR: A -> 0 @ 1.0"), [5], [3], PerturbationSpec(),
+        np.linspace(0.0, 5.0, 5), 64, {"max_events": 20}, "none",
+    ),
+    "zero-grid": (
+        BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), [0.0], 64, {"max_events": 4},
+        "none",
+    ),
+    # more pairs than a chunk, and not a multiple of one
+    "past-one-chunk": (
+        BIMOL, [5, 5], [5, 5], PerturbationSpec({"k2": 0.1}), np.linspace(0.0, 0.5, 3), 300,
+        {"max_events": 44}, "none",
+    ),
+}
+
+
+def _pairs(case, seed=7):
+    """The lockstep kernel's rows and cap times for ``case``, and the config it ran."""
+    net, x0, y0, pert, grid, n, caps, _ = case
+    grid = np.asarray(grid, dtype=float)
+    cfg = engine._grid_config(grid, **caps)
+    seeds = np.array([mix64(seed, i) for i in range(n)], dtype=np.uint64)
+    samples, _ = engine._rms_terms(grid, cfg, net, pert.apply(net), x0, y0)
+    return samples(seeds), seeds, cfg
+
+
+class TestPairKernel:
+    """The lockstep pairs of ``coupled_rms`` against ``simulate_coupled``, byte for byte."""
+
+    # streams that start with one draw, so legs read past their blocks, draw
+    # new ones and grow the store all the time, in lockstep to the end or
+    # handed to the steppers after two passes; and lockstep to the end
+    PHASES = {
+        "one-draw-blocks-lockstep": {"_FIRST_BLOCK": 1, "_TAIL": 0},
+        "one-draw-blocks-handed-over": {"_FIRST_BLOCK": 1, "_TAIL": 2**62},
+        "lockstep-only": {"_TAIL": 0},
+    }
+
+    @staticmethod
+    def _check_bytes(case):
+        net, x0, y0, pert, grid, n, _, capped = case
+        with _time_limit(CASE_SECONDS):
+            (rows, cap_time), seeds, cfg = _pairs(case)
+        want_rows, want_caps = [], []
+        for seed in seeds.tolist():
+            legs = simulate_coupled(net, x0, y0, pert, dataclasses.replace(cfg, seed=seed))
+            want_rows.append([leg.sample(grid) for leg in legs])
+            want_caps.append(min(leg.cap_time for leg in legs))
+        assert rows.tobytes() == np.array(want_rows, dtype=float).tobytes()
+        assert cap_time.tobytes() == np.array(want_caps).tobytes()
+        hit = np.isfinite(cap_time)
+        assert {"none": not hit.any(), "all": hit.all(), "some": 0 < hit.sum() < n}[capped]
+
+    @pytest.mark.parametrize("case", list(PAIR_CASES.values()), ids=list(PAIR_CASES))
+    def test_bytes_match_the_coupled_legs(self, case):
+        self._check_bytes(case)
+
+    @pytest.mark.parametrize("setting", list(PHASES.values()), ids=list(PHASES))
+    @pytest.mark.parametrize("case", list(PAIR_CASES.values()), ids=list(PAIR_CASES))
+    def test_bytes_match_the_coupled_legs_in_each_phase(self, monkeypatch, setting, case):
+        for name, value in setting.items():
+            monkeypatch.setattr(lockstep, name, value)
+        self._check_bytes(case)
+
+    def test_a_few_long_legs_go_to_the_stepper(self, monkeypatch):
+        # cubic from 3: most legs freeze below 3 or stop within a few hundred
+        # events, a few run on to the event cap; those finish in the stepper
+        runs = []
+        stepper = engine._stepper
+
+        def counting(*key):
+            step = stepper(*key)
+
+            def counted(*args):
+                runs.append(key[3])
+                return step(*args)
+
+            return counted
+
+        monkeypatch.setattr(engine, "_stepper", counting)
+        self._check_bytes(
+            (CUBIC, [3], [3], PerturbationSpec(), np.linspace(0.0, 1.0, 6), 64,
+             {"state_cap": 10**6, "max_events": 4000}, "some")
+        )
+        assert 0 < runs.count("grid") <= lockstep._TAIL
+
+    def test_curve_matches_the_coupled_legs_across_chunks(self, monkeypatch):
+        # 300 pairs: a full chunk and part of one, legs stopping at either cap
+        net, x0, y0, pert, grid, _, caps, _ = PAIR_CASES["state-cap"]
+        got = coupled_rms(net, x0, y0, pert, grid, 300, 7, workers=1, **caps)
+        terms = engine._rms_terms
+
+        def stepped(grid, cfg, net, pert_net, x, y):
+            def samples(seeds):
+                rows, cap_time = [], []
+                for seed in seeds.tolist():
+                    legs = simulate_coupled(net, x, y, pert, dataclasses.replace(cfg, seed=seed))
+                    rows.append([leg.sample(grid) for leg in legs])
+                    cap_time.append(min(leg.cap_time for leg in legs))
+                return np.array(rows, dtype=float), np.array(cap_time)
+
+            return samples, terms(grid, cfg, net, pert_net, x, y)[1]
+
+        monkeypatch.setattr(engine, "_rms_terms", stepped)
+        want = coupled_rms(net, x0, y0, pert, grid, 300, 7, workers=1, **caps)
+        for name in ("rms", "stderr", "mean_sq", "species_rms", "n_valid"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert 0 < got.n_valid.min() < 300
+
+    def test_equal_starts_and_no_perturbation_give_equal_legs(self):
+        (rows, _), _, _ = _pairs(PAIR_CASES["identical-legs"])
+        assert np.array_equal(rows[:, 0], rows[:, 1]) and len(np.unique(rows[:, 0, -1], axis=0)) > 1
+
+    def test_zero_draws_match_the_stepper(self, monkeypatch):
+        # every third uniform is 0.0: a first clock point -log(1.0) = -0.0
+        # equals its integrated intensity, and later points repeat, so the
+        # time to them is 0 and events pile up at one time
+        real = random.Random
+
+        class ZeroEveryThird:
+            def __init__(self, seed):
+                self.rng, self.k = real(seed), 0
+
+            def random(self):
+                self.k += 1
+                return 0.0 if self.k % 3 == 1 else self.rng.random()
+
+        net, x0, y0, pert, grid, n, caps, _ = PAIR_CASES["y0-differs"]
+        monkeypatch.setattr(random, "Random", ZeroEveryThird)
+        (rows, cap_time), seeds, cfg = _pairs(PAIR_CASES["y0-differs"])
+        run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
+        pert_net = pert.apply(net)
+        for i, seed in enumerate(seeds.tolist()):
+            legs = []
+            for leg_net, start in ((net, x0), (pert_net, y0)):
+                clocks = [engine._increments(ZeroEveryThird(s)).__next__ for s in
+                          (mix64(seed, engine._CHANNEL_TAG, r) for r in range(net.n_reactions))]
+                step = engine._stepper(leg_net.reactions, net.n_species, "rtc", "grid")
+                legs.append(step(start, clocks, *run))
+            assert np.array_equal(rows[i], [leg_rows for leg_rows, _, _ in legs])
+            assert cap_time[i] == min(cap for _, cap, _ in legs)
+        assert not np.isfinite(cap_time).any()
+
+    @pytest.mark.parametrize("late", [0, 1], ids=["handed-over-first", "lockstep-first"])
+    def test_overflows_in_both_phases_raise_the_first_pair(self, late):
+        # scripted increments: one pair fires C every 0.01 until A and B
+        # appear at 0.5, long after it is handed to the stepper, and
+        # overflows there at [1, 1, 50]; the other overflows on its third
+        # pass, in lockstep, at [1, 1, 0]; pairs 2-12 fire 20 times.  The
+        # error of pair 0 comes first, as pair after pair it would
+        net = OVERFLOWING
+        grid = np.array([0.0, 1.0])
+        cfg = engine._grid_config(grid)
+        scripts = [[[0.001], [0.001], [], []]]
+        scripts.insert(late, [[0.5], [0.5], [], [0.01] * 100])
+        scripts += [[[], [], [], [0.01] * 20]] * 11
+
+        step = engine._stepper(net.reactions, 3, "rtc", "grid")
+        run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
+        with pytest.raises(SimulationError) as want:
+            for pair in scripts:  # x leg, then y leg, pair after pair
+                for _ in range(2):
+                    step([0, 0, 0], [engine._increments(_Scripted(s)).__next__ for s in pair], *run)
+        rule = (engine._cap_limit(net.reactions, 2**63 - 1), 0, engine._RATE_LIMIT)
+        streams = [[_Scripted(s).random for s in pair] for pair in scripts]
+        with pytest.raises(SimulationError) as got:
+            lockstep.pair_states(
+                (net, net), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, *rule, [step, step]
+            )
+        first = "[1, 1, 50]" if late == 0 else "[1, 1, 0]"
+        assert str(got.value) == str(want.value) == f"propensity overflow at state {first}"
+
+    def test_an_event_cap_before_an_overflow_stops_the_legs(self):
+        # 20 legs would overflow on their third pass, in lockstep; the event
+        # cap of 2 stops them first, as it stops the stepper
+        grid = np.array([0.0, 1.0])
+        cfg = engine._grid_config(grid, max_events=2)
+        scripts = [[[0.001], [0.001], [], []]] * 10
+        step = engine._stepper(OVERFLOWING.reactions, 3, "rtc", "grid")
+        run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
+        want = [
+            step([0, 0, 0], [engine._increments(_Scripted(s)).__next__ for s in pair], *run)
+            for pair in scripts
+        ]
+        rule = (engine._cap_limit(OVERFLOWING.reactions, 2**63 - 1), 0, engine._RATE_LIMIT)
+        streams = [[_Scripted(s).random for s in pair] for pair in scripts]
+        rows, caps = lockstep.pair_states(
+            (OVERFLOWING, OVERFLOWING), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, *rule,
+            [step, step],
+        )
+        assert np.array_equal(rows, [[leg_rows, leg_rows] for leg_rows, _, _ in want])
+        assert caps.tolist() == [cap for _, cap, _ in want] and np.isfinite(caps).all()
+
+    @pytest.mark.parametrize(
+        "tail", [0, lockstep._TAIL, 2**62], ids=["lockstep", "default", "stepper"]
+    )
+    def test_overflow_raises_the_first_error_of_the_pairs_in_order(self, monkeypatch, tail):
+        monkeypatch.setattr(lockstep, "_TAIL", tail)
+        # once A and B are both present R3 fires at about 1e298 A B, adding an
+        # A each time, until the total passes 1e300: at A B = 100 on the x leg
+        # and 50 on the y leg, with B as the path left it; the y leg's A
+        # comes three times as fast, so either leg can fail alone
+        net = parse_model(
+            "species A B\nk1 = 1.0\nk3 = 1e298\nR1: 0 -> A @ k1\nR2: 0 -> B @ 1.0\n"
+            "R3: A + B -> 2 A + B @ k3"
+        )
+        pert = PerturbationSpec({"k1": 2.0, "k3": 1.0})
+        cfg = SimConfig(t_end=0.3, max_events=1000)
+        firsts = set()
+        for seed in range(6):
+            first = None
+            for i in range(300):  # the scalar order: pair after pair, x leg first
+                pair_cfg = dataclasses.replace(cfg, seed=mix64(seed, i))
+                try:
+                    simulate_coupled(net, [0, 0], [0, 0], pert, pair_cfg)
+                except SimulationError as exc:
+                    try:
+                        simulate_rtc(net, [0, 0], pair_cfg)
+                        leg = "y"
+                    except SimulationError:
+                        leg = "x"
+                    first = i, leg, str(exc)
+                    break
+            firsts.add((first[0] > 0, first[1]))
+            with pytest.raises(SimulationError) as got:
+                coupled_rms(net, [0, 0], [0, 0], pert, [0.0, 0.3], 300, seed, workers=1,
+                            max_events=1000)
+            assert str(got.value) == first[2]
+        # the first failure is past pair 0 and on either leg
+        assert {leg for late, leg in firsts if late} == {"x", "y"}
 
 
 class TestEnsembles:
@@ -756,10 +1097,10 @@ class TestEnsembles:
         seeds = np.array([mix64(5, i) for i in range(200)], dtype=np.uint64)
         orders = np.arange(1, 3)[None, :]
         want, want_valid = None, np.zeros(len(grid), dtype=np.int64)
-        for rows, cap_time in run_samples(seeds):
+        rows, caps = run_samples(seeds)
+        for samples, cap_time in zip(rows, caps):
             # one sample's terms, as they were computed before the chunk batching
             ok = grid < cap_time
-            samples = np.array(rows, dtype=float)
             powers = samples.sum(axis=1)[:, None] ** orders
             parts = (powers, powers**2, samples, samples**2)
             want = want or [np.zeros_like(term) for term in parts]
@@ -953,7 +1294,10 @@ class TestSteppers:
             draws = (
                 random.Random(seed)
                 if sampler == "direct"
-                else [r.random for r in engine._channel_streams(seed, self.NET.n_reactions)]
+                else [
+                    engine._increments(r).__next__
+                    for r in engine._channel_streams(seed, self.NET.n_reactions)
+                ]
             )
             step = engine._stepper(self.NET.reactions, 3, sampler, "grid")
             rows, cap_time, n_events = step(
@@ -1008,6 +1352,7 @@ class TestSteppers:
 
     def test_compiled_once_per_network_sampler_and_mode(self):
         engine._stepper.cache_clear()
+        model._rates.cache_clear()
         pert = PerturbationSpec({"kfast": 0.1})
         grid = [0.0, 0.5, 1.0]
         x0 = [10, 10, 10]
@@ -1017,8 +1362,10 @@ class TestSteppers:
             for seed in range(3):
                 simulate_direct(self.NET, x0, SimConfig(t_end=1.0, seed=seed))
                 simulate_coupled(self.NET, x0, x0, pert, SimConfig(t_end=1.0, seed=seed))
-        # direct/grid, rtc/grid for both legs, direct/path, rtc/path for both legs
+        # direct/grid, rtc/grid for both legs, direct/path, rtc/path for both
+        # legs; the lockstep pairs compile each leg's rate evaluator too
         assert engine._stepper.cache_info().misses == 6
+        assert model._rates.cache_info().misses == 2
 
 
 class TestPropensityEmitter:
@@ -1061,36 +1408,52 @@ GRID5 = np.linspace(0.0, 5.0, 5)
 ON_EVENT = np.random.Generator(np.random.PCG64(mix64(7, engine._BATCH_TAG))).standard_exponential()
 
 
-# (net, x0, grid, n, caps, which trajectories hit a cap)
+# (net, x0, grid, n, caps, which trajectories hit a cap); every case has an
+# event cap about four times its largest event count, so a sampler that
+# stops advancing a trajectory fails in seconds instead of running 10^8 passes
 BATCH_CASES = {
-    "mixed": (parse_model(MIXED), [20, 20], GRID5, 2000, {}, "none"),
+    "mixed": (parse_model(MIXED), [20, 20], GRID5, 2000, {"max_events_per_traj": 160}, "none"),
     "mixed-max-events": (
         parse_model(MIXED), [20, 20], GRID5, 2000, {"max_events_per_traj": 15}, "all"
     ),
-    "cubic-state-cap": (CUBIC, [3], GRID5, 2000, {"state_cap": 30}, "some"),
-    "enzyme": (ENZYME, get_preset("enzyme").x0, np.linspace(0.0, 0.02, 5), 500, {}, "none"),
+    "cubic-state-cap": (
+        CUBIC, [3], GRID5, 2000, {"state_cap": 30, "max_events_per_traj": 2500}, "some"
+    ),
+    "enzyme": (
+        ENZYME, get_preset("enzyme").x0, np.linspace(0.0, 0.02, 5), 500,
+        {"max_events_per_traj": 2000}, "none",
+    ),
     # a point at 0 and three more inside one gap between events
     "zero-and-gap": (
         parse_model(MIXED), [20, 20], [0.0, 0.01, 0.01 + 1e-7, 0.01 + 2e-7, 0.02, 1.0],
-        2000, {}, "none",
+        2000, {"max_events_per_traj": 80}, "none",
     ),
     # the total falls to 0, so the pending event is at inf
-    "absorbing": (parse_model("species A\nR: A -> 0 @ 1.0"), [5], GRID5, 2000, {}, "none"),
-    "n-one": (parse_model(MIXED), [20, 20], GRID5, 1, {}, "none"),
-    "event-on-grid": (BIRTH, [0], [ON_EVENT, ON_EVENT + 1.0], 4, {}, "none"),
+    "absorbing": (
+        parse_model("species A\nR: A -> 0 @ 1.0"), [5], GRID5, 2000,
+        {"max_events_per_traj": 20}, "none",
+    ),
+    "n-one": (parse_model(MIXED), [20, 20], GRID5, 1, {"max_events_per_traj": 100}, "none"),
+    "event-on-grid": (
+        BIRTH, [0], [ON_EVENT, ON_EVENT + 1.0], 4, {"max_events_per_traj": 8}, "none"
+    ),
     # trajectories leave after 1 to 15 events, on both sides of the
     # pass where at most half of them still fire
-    "birth-leaving": (BIRTH, [0], GRID5, 2000, {}, "none"),
+    "birth-leaving": (BIRTH, [0], GRID5, 2000, {"max_events_per_traj": 60}, "none"),
     # a third freeze at 1 or 2 after the first events and most of the
     # rest pass the cap within three events
-    "cubic-early-cap": (CUBIC, [3], GRID5, 2000, {"state_cap": 5}, "some"),
+    "cubic-early-cap": (
+        CUBIC, [3], GRID5, 2000, {"state_cap": 5, "max_events_per_traj": 60}, "some"
+    ),
     # about half freeze at total 0 on the first event; the rest branch
     "half-frozen": (
         parse_model("species A\nR1: A -> 0 @ 1.0\nR2: A -> 2 A @ 1.0"), [1], GRID5,
-        2000, {}, "none",
+        2000, {"max_events_per_traj": 800}, "none",
     ),
     # more lanes than one recording block holds
-    "past-one-block": (BIRTH, [0], [0.5, 1.0], 2**16 + 5, {}, "none"),
+    "past-one-block": (
+        BIRTH, [0], [0.5, 1.0], 2**16 + 5, {"max_events_per_traj": 28}, "none"
+    ),
 }
 
 
@@ -1099,7 +1462,8 @@ class TestBatchSampler:
     def _check_bytes(case):
         # uncapped digests cannot see a reassociated rate; cap times can
         net, x0, grid, n, caps, capped = case
-        states, cap_time = batch_states(net, x0, grid, n, seed=7, **caps)
+        with _time_limit(CASE_SECONDS):
+            states, cap_time = batch_states(net, x0, grid, n, seed=7, **caps)
         want_states, want_cap = _reference_batch(net, x0, grid, n, 7, **caps)
         assert states.tobytes() == want_states.tobytes()
         assert cap_time.tobytes() == want_cap.tobytes()
