@@ -20,7 +20,7 @@ and schedule-independent:
   replays the draws the nominal leg took from it, then continues it;
 * exponentials are inverse-CDF samples ``-log(1 - u)``; the RTC
   sampler's channel clocks deliver them as increments
-  (:func:`_increments`);
+  (:func:`jkl.lockstep._increments`);
 * both ensemble estimators go through one reducer, :func:`_reduce`,
   which combines fixed-size chunk sums in index order, so serial and
   parallel runs produce identical bytes.  A chunk derives all its seeds
@@ -40,19 +40,11 @@ labels or names, and every propensity is the text that
 :func:`~jkl.model._expression` writes, so the generated code produces
 the same bytes as a plain loop would.  Path mode returns the whole path
 (the public :class:`Trajectory`); grid mode, which ``ensemble_moments``
-uses, records the state only at the grid times.  ``coupled_rms`` runs
-the pairs of a chunk through :func:`jkl.lockstep.pair_states`, a numpy
-kernel that gives the grid-mode RTC stepper's bytes on every leg at once
-and hands the stepper the few legs that run long, or that overflow.
-
-The lockstep batch sampler (:func:`batch_states`) runs species-major in
-numpy on one master-seeded vector stream: exact and deterministic, but
-its per-trajectory paths depend on the batch size.  Running sums of the
-rates give the total and the channel; one gather per species moves it.
-Every row is allocated once per call and each step writes into one.
-Once at most half of the trajectories still fire, the work rows shrink to
-those that do, in their first lanes; the draws stay full width, so each
-keeps its own column.
+uses, records the state only at the grid times.  ``coupled_rms`` and
+the lockstep batch sampler :func:`batch_states` run their samples
+through the numpy kernels of :mod:`jkl.lockstep`: ``coupled_rms`` gets
+the grid-mode RTC stepper's bytes on every leg of a chunk at once, and
+hands the stepper the few legs that run long, or that overflow.
 
 Every public sampler checks its network (raising
 :class:`~jkl.model.InvalidNetworkError`) and initial state once per call;
@@ -73,7 +65,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lockstep import pair_states
+from .lockstep import _RATE_LIMIT, SimulationError, _cap_limit, _increments
+from .lockstep import direct_states, pair_states
 from .model import ReactionNetwork, _check_network, _compile, _expression, _rates
 
 __all__ = [
@@ -156,10 +149,6 @@ def _csv(header: Sequence[str], rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(map(str, row)) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-class SimulationError(RuntimeError):
-    """Hard numerical failure (non-finite propensity, integrator failure)."""
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -311,24 +300,11 @@ class PerturbationSpec:
 # generated per-network steppers
 
 
-_RATE_LIMIT = 1e300  # both direct samplers raise at a total intensity this high (or NaN)
-
-
-def _max_gain(reactions) -> int:
-    """The largest rise of the 1-norm in one event (0 when no event raises it)."""
-    return max([0, *(-sum(rxn.nu) for rxn in reactions)])
-
-
-def _cap_limit(reactions, top: int) -> int:
-    """The largest norm from which no event lifts a count past ``top``, where rows stay exact."""
-    return top - _max_gain(reactions)
-
-
 # Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
 # is the direct method's stream, or the RTC sampler's list of channel clocks,
 # each a zero-argument callable returning the channel's next increment (see
-# _increments).  The cap test heads the loop, so a start above the cap stops
-# at t = 0.
+# lockstep._increments).  The cap test heads the loop, so a start above the
+# cap stops at t = 0.
 _SKELETON = """\
 def step(x, draws, t_end, max_events, state_cap, grid=None):
     [{xs}] = x
@@ -563,20 +539,14 @@ def simulate_rtc(net: ReactionNetwork, x0: Sequence[int], cfg: SimConfig) -> Tra
     index.
     """
     _check_network(net)
-    clocks = [_increments(r).__next__ for r in _channel_streams(cfg.seed, net.n_reactions)]
+    streams = _channel_streams(cfg.seed, net.n_reactions)
+    clocks = [_increments(itertools.repeat(r.random)).__next__ for r in streams]
     return _path(net, "rtc", x0, cfg, clocks)
 
 
 def _channel_streams(seed: int, n_r: int) -> list[random.Random]:
     z = mix64(seed, _CHANNEL_TAG)
     return [random.Random(_mix(z, (r,))) for r in range(n_r)]
-
-
-def _increments(stream):
-    """The unit-exponential clock increments ``-log(1 - u)`` of ``stream``'s uniforms, in order."""
-    log, draw = math.log, stream.random
-    while True:
-        yield -log(1.0 - draw())
 
 
 def _coupled_clocks(streams: list[random.Random]) -> tuple[list, list]:
@@ -587,7 +557,7 @@ def _coupled_clocks(streams: list[random.Random]) -> tuple[list, list]:
     continues the same stream.  So each leg sees the stream's draws in
     stream order, exactly as a leg with freshly seeded streams would.
     """
-    legs = [itertools.tee(_increments(r)) for r in streams]
+    legs = [itertools.tee(_increments(itertools.repeat(r.random))) for r in streams]
     return [x.__next__ for x, _ in legs], [y.__next__ for _, y in legs]
 
 
@@ -809,12 +779,6 @@ class RmsCurve:
 
 
 def _rms_terms(grid, cfg, net, pert_net, x, y):
-    # the stop rule in exact ints: an integer norm exceeds state_cap iff it
-    # exceeds its floor
-    cap = _cap_limit(net.reactions, 2**63 - 1)
-    if cfg.state_cap < math.inf:
-        cap = min(cap, math.floor(cfg.state_cap))
-    rule = (max(cap, -1), _max_gain(net.reactions), _RATE_LIMIT)
     channels = np.arange(net.n_reactions, dtype=np.uint64)
     # the legs a chunk runs again: those that overflow, and a few that run long
     steppers = [_stepper(n.reactions, net.n_species, "rtc", "grid") for n in (net, pert_net)]
@@ -824,7 +788,7 @@ def _rms_terms(grid, cfg, net, pert_net, x, y):
         # is seeded once, pair after pair
         pair_seeds = _mix_lanes(mix64(), (seeds[:, None], _CHANNEL_TAG, channels)).tolist()
         streams = [[random.Random(s).random for s in pair] for pair in pair_seeds]
-        return pair_states((net, pert_net), (x, y), streams, grid, cfg, *rule, steppers)
+        return pair_states((net, pert_net), (x, y), streams, grid, cfg, steppers)
 
     def batch(pairs):
         diff = pairs[:, 0] - pairs[:, 1]
@@ -876,8 +840,6 @@ def coupled_rms(
 
 
 _BATCH_TAG = 0xBA7C4
-# lanes per recording block, so its index temporaries stay near 2.5 MiB
-_RECORD_BLOCK = 2**16
 
 
 def batch_states(
@@ -897,11 +859,10 @@ def batch_states(
     states past the cap are frozen and should be masked by the caller).
     The steppers' stop rule holds, with ``state_cap`` clamped to keep the
     float rows' counts within 2**53.  Memory: the (G, n, D) states and
-    the n cap times it returns, and rows of n allocated once: D state
-    rows, R running sums, the times t and t_new, the next grid times, one
-    draw row, a channel row of ``np.min_scalar_type(R)``, R - 1 bool rows
-    of the channel test and two bool rows.  Recording visits the lanes in
-    blocks of ``_RECORD_BLOCK``.
+    n cap times it returns, and rows of n allocated once: D states, R
+    running sums, t, t_new, the next grid times, one draw row, a channel
+    row of ``np.min_scalar_type(R)``, R - 1 bool rows of the channel test
+    and two bool rows.  Recording visits the lanes in blocks of 2**16.
 
     Exact per trajectory; the draw order (one exponential and one
     uniform per trajectory per step, full width) is fixed by ``seed``
@@ -920,111 +881,10 @@ def batch_states(
         raise ValueError(
             f"batch_states holds counts of at most 2**53 in float rows, got {max(x_init)}"
         )
-    state_cap = min(cfg.state_cap, _cap_limit(net.reactions, 2**53))
-    dim, n_g, n_r = net.n_species, len(grid), net.n_reactions
-    norm, gain = sum(x_init), _max_gain(net.reactions)
-    if norm > state_cap:  # stopped at t = 0, as a stepper stops: no draws
-        return np.full((n_g, n, dim), x_init, dtype=float), np.zeros(n)
+    if sum(x_init) > _cap_limit(net.reactions, 2**53, cfg.state_cap):  # stops at t = 0, no draws
+        return np.full((len(grid), n, net.n_species), x_init, dtype=float), np.zeros(n)
     rng = np.random.Generator(np.random.PCG64(mix64(cfg.seed, _BATCH_TAG)))
-    rates = _rates(net.reactions, dim, True)
-
-    # species-major rows; column R of the decrement table is the zero step
-    # of the trajectories that do not fire
-    x = np.repeat(np.array(x_init, dtype=float)[:, None], n, axis=1)
-    nu = np.zeros((dim, n_r + 1))
-    nu[:, :n_r] = net.stoichiometry
-    t = np.zeros(n)  # inf once capped: the next pass records the rest of the grid
-    t_new = np.empty(n)
-    tg = np.full(n, grid[0])  # the next grid time to record, inf once all are
-    gnext = np.append(grid, np.inf)
-    draw = np.empty(n)
-    w = np.zeros((max(n_r, 1), n))  # a network with no channel has total 0
-    sel = np.empty(n, dtype=np.min_scalar_type(n_r))
-    below = np.empty((max(n_r - 1, 0), n), dtype=bool)
-    fire = np.empty(n, dtype=bool)
-    mask = np.empty(n, dtype=bool)  # each step's own bool row in turn
-    states = np.empty((n_g, n, dim))
-    cap_time = np.full(n, np.inf)
-    # the work rows hold the trajectories ``lane`` (all n while it is None);
-    # once at most half of them fire, they shrink to views of the first m
-    # lanes, holding those that do
-    lane, m = None, n
-    # a trajectory fires on every pass until its grid is recorded, so the
-    # pass count is the event count of every trajectory that fires
-    events = 0
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            rates(w, *x)
-            for j in range(1, n_r):  # c_j = c_{j-1} + w_j, in place
-                np.add(w[j - 1], w[j], out=w[j])
-            total = w[-1]
-            if not total.max(initial=0.0) < _RATE_LIMIT:  # NaN fails it too
-                if not (total[(tg < np.inf) & (t < np.inf)] < _RATE_LIMIT).all():
-                    raise SimulationError("propensity overflow in batch run")
-            # the draws stay full width, so each trajectory reads its own
-            # column: the exponential (the bits of rng.exponential(size=n)),
-            # then the uniform, in one row
-            rng.standard_exponential(out=draw)
-            # mode "clip" gathers straight into ``out``; "raise" buffers it
-            e = draw if lane is None else draw.take(lane, out=t_new, mode="clip")
-            # t_new = t + (e / total where total > 0, else inf)
-            np.greater(total, 0.0, out=mask)
-            np.divide(e, total, out=t_new, where=mask)
-            np.copyto(t_new, np.inf, where=np.logical_not(mask, out=mask))
-            np.add(t, t_new, out=t_new)
-            rng.random(out=draw)
-
-            # record the grid points strictly before the pending event (an
-            # event on a grid point is recorded post-event, right-continuous)
-            np.greater(t_new, tg, out=mask)
-            for a in range(0, m, _RECORD_BLOCK):
-                rec = np.flatnonzero(mask[a : a + _RECORD_BLOCK])
-                if not rec.size:
-                    continue
-                rec += a
-                lo, hi = np.searchsorted(grid, tg[rec]), np.searchsorted(grid, t_new[rec])
-                for g in range(lo.min(), hi.max()):
-                    k = rec[(lo <= g) & (g < hi)]
-                    states[g, k if lane is None else lane[k]] = x[:, k].T
-                tg[rec] = gnext[hi]
-
-            # the rest fire: a pending event past t_end flushed the whole grid
-            np.less(tg, np.inf, out=fire)
-            n_fire = np.count_nonzero(fire)
-            if not n_fire:
-                break
-            if 2 * n_fire <= m:
-                lane = np.flatnonzero(fire) if lane is None else lane[fire]
-                for row in (*x, *w, t_new, tg):
-                    row[:n_fire] = row[fire]
-                m = n_fire
-                x, w, t, t_new, tg = x[:, :m], w[:, :m], t[:m], t_new[:m], tg[:m]
-                below, sel, mask, fire = below[:, :m], sel[:m], mask[:m], fire[:m]
-                fire.fill(True)
-                total = w[-1]
-            # t is free until the swap below, so it holds the gathered uniforms
-            u = draw if lane is None else draw.take(lane, out=t, mode="clip")
-            np.multiply(u, total, out=u)
-            np.less_equal(w[:-1], u, out=below).sum(axis=0, out=sel)
-            if n_fire < m:
-                np.copyto(sel, n_r, where=np.logical_not(fire, out=mask))
-            step = draw[:m]
-            for s in range(dim):
-                x[s] -= nu[s].take(sel, out=step, mode="clip")
-            t, t_new = t_new, t
-            events += 1
-            if events >= cfg.max_events:
-                capped = fire
-            elif norm + events * gain > state_cap:  # else no count can be past it yet
-                capped = np.greater(x.sum(axis=0, out=step), state_cap, out=mask)
-                capped &= fire
-            else:
-                continue
-            if capped.any():
-                cap_time[capped if lane is None else lane[capped]] = t[capped]
-                t[capped] = np.inf
-    return states, cap_time
+    return direct_states(net, x_init, grid, n, rng, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,33 @@
-"""Coupled pairs in numpy lockstep: the random-time-change kernel of ``coupled_rms``.
+"""The lane layer: the numpy lockstep kernels of ``batch_states`` and ``coupled_rms``.
 
-:func:`pair_states` runs both legs of every pair of an ensemble chunk at
-once and returns the bytes the grid-mode RTC stepper of
-:mod:`jkl.engine` returns on each leg: each pass is one turn of the
-stepper's loop on every lane, with the same float operations in the same
-order, the same stop rule and the same record rule.  It reads the
-channel streams it is given and knows nothing of how they were seeded.
+A kernel runs many samples ("lanes") at once, one event per lane per
+pass, on species-major work rows allocated once per call: column k of
+each row belongs to work row k.  :func:`direct_states` is the direct
+method on one master-seeded vector stream, exact and deterministic but
+with paths that depend on the batch size: running sums of the rates give
+the total and the channel, one gather per species moves it, and each
+pass draws a full-width row of exponentials, then one of uniforms, so
+each lane keeps its own column.  :func:`pair_states` runs both legs of
+coupled RTC pairs, each pass one turn of the RTC stepper's loop with its
+float operations in its order, so each leg gets the stepper's bytes.
 
-The unit-exponential increments ``-log(1 - u)`` of the streams it is
-given are computed with ``math.log`` on Python floats, as
-``jkl.engine._increments`` computes them, never with ``np.log``, whose
-results differ from libm's on some inputs.
+Both stop on the generated steppers' rule, defined here (``_RATE_LIMIT``
+and :func:`_cap_limit`), and share four rules on the work rows:
+
+* record (:func:`_record`): each grid time from a lane's next one to
+  record up to, not at, its pending event gets its pre-event state,
+  found by ``searchsorted`` on the lanes that pass one, in blocks of
+  ``_RECORD_BLOCK`` lanes;
+* compact (:func:`_compact`): once at most half of the lanes fire, the
+  work rows shrink to those that do, moved in order to the first
+  columns; ``lane`` then maps work rows to lanes;
+* cap schedule (:func:`_past_cap`): no norm is tested while the largest
+  start norm plus events times the largest gain of one event is within
+  the cap;
+* overflow (:func:`_overflow`): a live lane (one whose time is finite)
+  whose total intensity is not below ``_RATE_LIMIT``, NaN included,
+  fails: ``direct_states`` raises, ``pair_states`` hands it to its
+  stepper, which raises.
 """
 
 from __future__ import annotations
@@ -22,73 +39,215 @@ import numpy as np
 
 from .model import _rates
 
+_RATE_LIMIT = 1e300  # every sampler fails at a total intensity this high (or NaN)
+_RECORD_BLOCK = 2**16  # lanes per recording block, so its index temporaries stay small
 _FIRST_BLOCK = 257  # the most draws a stream's first block holds
 _TAIL = 16  # legs few enough for the stepper to run faster than a pass
 
 
-def _block_size(lam: float, most: int) -> int:
-    """Draws for the next block of a stream: 1 + ``lam + 2 sqrt(lam)``, at most ``most``.
+class SimulationError(RuntimeError):
+    """Hard numerical failure (non-finite propensity, integrator failure)."""
 
-    ``lam`` is the number of clock points a leg expects before t_end at
-    its current rate: the block covers them with two standard deviations
-    to spare.
+
+def _max_gain(reactions) -> int:
+    """The largest rise of the 1-norm in one event (0 when no event raises it)."""
+    return max([0, *(-sum(rxn.nu) for rxn in reactions)])
+
+
+def _cap_limit(reactions, top: int, state_cap: float = math.inf) -> int:
+    """The state cap as an int, at least -1, for rows that stay exact up to ``top``.
+
+    A norm passes it iff it passes ``state_cap`` or the largest norm from
+    which no event lifts a count past ``top``.
     """
+    cap = top - _max_gain(reactions)
+    if state_cap < math.inf:
+        cap = min(cap, math.floor(state_cap))
+    return max(cap, -1)
+
+
+def _increments(draws):
+    """Every RTC clock's increments: ``-log(1 - draw())`` for each ``draw`` that ``draws`` yields.
+
+    Python floats and ``math.log``: ``np.log`` differs from libm on some inputs.
+    """
+    log = math.log
+    for draw in draws:
+        yield -log(1.0 - draw())
+
+
+def _record(out, x, lane, gnext, tg, t_next, mask):
+    """The record rule: lane l of L at grid time g goes to row ``g * L + l`` of ``out``.
+
+    ``gnext`` is the grid with inf appended; ``mask`` is a scratch row.
+    """
+    np.greater(t_next, tg, out=mask)
+    width = len(out) // (len(gnext) - 1)
+    for a in range(0, len(mask), _RECORD_BLOCK):
+        rec = np.flatnonzero(mask[a : a + _RECORD_BLOCK])
+        if not rec.size:
+            continue
+        rec += a
+        lo, hi = np.searchsorted(gnext, tg[rec]), np.searchsorted(gnext, t_next[rec])
+        tg[rec] = gnext[hi]
+        at = lo * width
+        at += rec if lane is None else lane[rec]
+        state = x[:, rec].T
+        out[at] = state
+        hi -= lo + 1  # the grid times each lane passes after its first
+        for g in range(1, hi.max() + 1):  # a lane with fewer writes its last one again
+            out[at + np.minimum(hi, g) * width] = state
+
+
+def _compact(fire, n_fire, lane, moved, sized):
+    """The compact rule: None while more than half fire, else ``(lane, views)``.
+
+    The firing columns of ``moved`` move to the front; ``sized`` rows are
+    scratch.  The views are of the first ``n_fire`` columns of both.
+    """
+    if 2 * n_fire > len(fire):
+        return None
+    for rows in moved:
+        for row in np.atleast_2d(rows):
+            row[:n_fire] = row[fire]
+    lane = np.flatnonzero(fire) if lane is None else lane[fire]
+    return lane, [rows[..., :n_fire] for rows in (*moved, *sized)]
+
+
+def _past_cap(x, t, top, events, gain, cap, sums=None, out=None):
+    """The live work rows whose norm passes ``cap``, or None while the schedule says none can."""
+    if top + events * gain <= cap:
+        return None
+    past = np.greater(x.sum(axis=0, out=sums), cap, out=out)
+    past &= t < math.inf
+    return past
+
+
+def _overflow(total, t):
+    """The live work rows that overflow, or None when there are none."""
+    if total.max(initial=0.0) < _RATE_LIMIT:
+        return None
+    bad = ~(total < _RATE_LIMIT) & (t < math.inf)
+    return bad if bad.any() else None
+
+
+def direct_states(net, start, grid, n, rng, cfg):
+    """:func:`jkl.engine.batch_states` on ``rng`` from a checked ``start`` not past the cap."""
+    reactions, dim, n_g, n_r = net.reactions, net.n_species, len(grid), net.n_reactions
+    cap, gain, top = _cap_limit(reactions, 2**53, cfg.state_cap), _max_gain(reactions), sum(start)
+    rates = _rates(reactions, dim, True)
+
+    # species-major rows; column R of the decrement table is the zero step
+    # of the lanes that do not fire
+    x = np.repeat(np.array(start, dtype=float)[:, None], n, axis=1)
+    nu = np.pad(net.stoichiometry.astype(float), ((0, 0), (0, 1)))
+    t = np.zeros(n)  # inf once capped: the next pass records the rest of the grid
+    t_new, draw = np.empty((2, n))
+    tg = np.full(n, grid[0])  # the next grid time to record, inf once all are
+    gnext = np.append(grid, np.inf)
+    w = np.zeros((max(n_r, 1), n))  # a network with no channel has total 0
+    sel = np.empty(n, dtype=np.min_scalar_type(n_r))
+    below = np.empty((max(n_r - 1, 0), n), dtype=bool)
+    fire, mask = np.empty((2, n), dtype=bool)  # mask: each step's own bool row in turn
+    states = np.empty((n_g * n, dim))  # row g * n + i holds trajectory i at grid time g
+    cap_time = np.full(n, np.inf)
+    lane, m = None, n  # the work rows hold lanes ``lane``, all n while it is None
+    # a lane fires on every pass until its grid is recorded, so the pass
+    # count is the event count of every lane that fires
+    events = 0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            rates(w, *x)
+            for j in range(1, n_r):  # c_j = c_{j-1} + w_j, in place
+                np.add(w[j - 1], w[j], out=w[j])
+            total = w[-1]
+            if _overflow(total, t) is not None:
+                raise SimulationError("propensity overflow in batch run")
+            # the exponential (the bits of rng.exponential(size=n)), then the uniform
+            rng.standard_exponential(out=draw)
+            # mode "clip" gathers straight into ``out``; "raise" buffers it
+            e = draw if lane is None else draw.take(lane, out=t_new, mode="clip")
+            # t_new = t + (e / total where total > 0, else inf)
+            np.greater(total, 0.0, out=mask)
+            np.divide(e, total, out=t_new, where=mask)
+            np.copyto(t_new, np.inf, where=np.logical_not(mask, out=mask))
+            np.add(t, t_new, out=t_new)
+            rng.random(out=draw)
+
+            _record(states, x, lane, gnext, tg, t_new, mask)
+            # the rest fire: a pending event past t_end flushed the whole grid
+            np.less(tg, np.inf, out=fire)
+            n_fire = np.count_nonzero(fire)
+            if not n_fire:
+                break
+            # t is free until the swap below: it gathers the uniforms
+            shrunk = _compact(fire, n_fire, lane, (x, w, t_new, tg), (t, below, sel, mask, fire))
+            if shrunk:
+                lane, (x, w, t_new, tg, t, below, sel, mask, fire) = shrunk
+                m, total = n_fire, w[-1]
+                fire.fill(True)
+            u = draw if lane is None else draw.take(lane, out=t, mode="clip")
+            np.multiply(u, total, out=u)
+            np.less_equal(w[:-1], u, out=below).sum(axis=0, out=sel)
+            if n_fire < m:
+                np.copyto(sel, n_r, where=np.logical_not(fire, out=mask))
+            step = draw[:m]
+            for s in range(dim):
+                x[s] -= nu[s].take(sel, out=step, mode="clip")
+            t, t_new = t_new, t
+            events += 1
+            if events >= cfg.max_events:
+                capped = fire
+            else:
+                capped = _past_cap(x, t, top, events, gain, cap, step, mask)
+                if capped is None:
+                    continue
+            if capped.any():
+                cap_time[capped if lane is None else lane[capped]] = t[capped]
+                t[capped] = np.inf
+    return states.reshape(n_g, n, dim), cap_time
+
+
+def _block_size(lam: float, most: int) -> int:
+    """A block's draws: ``1 + lam + 2 sqrt(lam)`` for ``lam`` points expected, at most ``most``."""
     if not lam < most:  # NaN and inf too
         return most
     return min(1 + math.ceil(lam + 2.0 * math.sqrt(lam)), most)
 
 
-def _increments(draws, counts):
-    """The next ``count`` increments ``-log(1 - u)`` of each stream ``draw``, in turn."""
-    log = math.log
-    for draw, count in zip(draws, counts):
-        for _ in range(count):
-            yield -log(1.0 - draw())
-
-
-def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, steppers):
+def pair_states(nets, starts, streams, grid, cfg, steppers):
     """Grid rows and cap times of S coupled pairs, every leg in lockstep.
 
     ``nets`` and ``starts`` are the nominal and perturbed networks (the
     same stoichiometry) and start states; ``streams[i][r]``, a
     zero-argument callable returning uniforms, is the clock stream of
-    channel r of pair i, which both legs of the pair read.  ``cfg``
-    gives ``t_end`` and ``max_events``; ``cap`` is the state cap as an
-    int (a norm above it stops a leg), ``gain`` the largest rise of the
-    norm in one event and ``rate_limit`` the total intensity at which a
-    leg fails.  ``steppers`` are the two legs' grid-mode RTC steppers,
-    whose clocks return increments.
-
+    channel r of pair i, which both legs read.  ``cfg`` gives the run's
+    controls and ``steppers`` are the legs' grid-mode RTC steppers.
     Returns ``(rows, caps)``: the (S, 2, G, D) grid rows as floats, x leg
-    before y leg, and each pair's ``min(cap_x, cap_y)``.  A leg whose
-    total intensity reaches ``rate_limit`` stops and is run again by its
-    stepper, which raises the error; legs run again go pair after pair,
-    x leg first, so the first error is the one a run of the stepper on
-    every leg in that order raises.
+    first, and each pair's ``min(cap_x, cap_y)``.
 
-    Lane l runs leg ``l // S`` of pair ``l % S``: species-major int64
-    state rows and (R, 2S) rows of next clock points ``p`` and integrated
-    intensities ``s``.  A lane that stops fires the idle clock row R from
-    then on, and once at most half of the lanes fire, the rows shrink to
-    those that do, x legs still first.  A pass costs about as much for a
-    few legs as for all, so once at most ``_TAIL`` legs still fire and
-    they have run twice as many passes as they had when they became that
-    few, each is run again from its start by its stepper, pair after
-    pair, on its stream's increments replayed from the store.
+    Lane l runs leg ``l // S`` of pair ``l % S`` on int64 state rows and
+    rows of next clock points ``p`` and integrated intensities ``s``; a
+    lane that stops fires the idle clock row R.  Once at most
+    ``_TAIL`` legs still fire and they have run twice the passes they had
+    when they became that few, each is run again from its start by its
+    stepper, on its streams replayed from the store; so is each leg that
+    overflows, and the stepper raises.  Legs run again go pair after
+    pair, x leg first, so the first error is the one the steppers raise.
 
-    Draws: each stream's increments go into one store, in stream order,
-    which both legs read by position.  A stream draws a first block sized
-    by :func:`_block_size` from the legs' start rates (at most
-    ``_FIRST_BLOCK``), and its next block when a leg reads past the last
-    one, sized from that leg's rate and time left (at most the stream's
-    draws so far, or ``_FIRST_BLOCK``).  So the store holds at most twice
-    the draws the pairs take plus ``_FIRST_BLOCK`` per stream, in an
-    array at most 1.5 times that.  The streams stay alive until the
-    pairs are done, each with its Mersenne Twister state (about 2.9 KB
-    as a ``random.Random``): 3.7 MB for 256 pairs of a 5-channel network.
+    Draws: both legs read each stream's increments by position from one
+    store, in blocks: a first one sized by :func:`_block_size` from the
+    legs' start rates, then one whenever a leg reads past the last, sized
+    from its rate and time left; each at most the stream's draws so far
+    or ``_FIRST_BLOCK``.  So the store holds at most twice the draws the
+    pairs take plus ``_FIRST_BLOCK`` per stream, in an array at most 1.5
+    times that, and each stream's Mersenne Twister state (about 2.9 KB)
+    stays alive: 3.7 MB for 256 pairs of a 5-channel network.
     """
     reactions, dim = nets[0].reactions, nets[0].n_species
     n_r, n_s, n_g = len(reactions), len(streams), len(grid)
+    cap, gain = _cap_limit(reactions, 2**63 - 1, cfg.state_cap), _max_gain(reactions)
     streams = [draw for pair in streams for draw in pair]  # stream i * R + r
     width, n_c = 2 * n_s, max(n_r, 1)  # a network with no channel gets one idle clock
     rates = [_rates(net.reactions, dim, False) for net in nets]
@@ -102,7 +261,8 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
         lam = (cfg.t_end * w[:n_r, :2].max(axis=1)).tolist()
     filled = [_block_size(v, _FIRST_BLOCK) for v in lam] * n_s  # draws per stream
     bounds = list(itertools.accumulate(filled, initial=0))
-    store = np.fromiter(_increments(streams, filled), float, bounds[-1])
+    first = itertools.chain.from_iterable(map(itertools.repeat, streams, filled))
+    store = np.fromiter(_increments(first), float, bounds[-1])
     used = bounds[-1]
     later = {}  # the blocks each stream drew after its first
     seg = [[0] * width for _ in range(n_r)]  # each lane's block of each stream
@@ -112,7 +272,8 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
         nonlocal store, used
         if used + size > len(store):
             store = np.concatenate([store[:used], np.empty(max(used // 2, size))])
-        store[used : used + size] = np.fromiter(_increments([streams[q]], [size]), float, size)
+        block = _increments(itertools.repeat(streams[q], size))
+        store[used : used + size] = np.fromiter(block, float, size)
         filled[q] += size
         later.setdefault(q, []).append((used, used + size))
         used += size
@@ -127,8 +288,7 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
             a, b = later[q][j]
 
     # clock rows; row n_c is the idle row that stopped lanes fire
-    p = np.zeros((n_c + 1, width))
-    s = np.zeros((n_c + 1, width))
+    p, s = np.zeros((2, n_c + 1, width))
     pos = np.zeros((n_c + 1, width), dtype=np.int64)  # each clock's next draw in the store
     end = np.full((n_c + 1, width), 2**62)  # and the end of its block
     if n_r:  # stream q's first block is bounds[q]:bounds[q + 1]
@@ -138,8 +298,7 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
         pos[:n_r] = head[q] + 1
         end[:n_r] = head[q + 1]
     flat_p, flat_s, flat_pos, flat_end = (a.reshape(-1) for a in (p, s, pos, end))
-    steps = np.zeros((dim, n_c + 1), dtype=np.int64)
-    steps[:, :n_r] = nets[0].stoichiometry
+    steps = np.pad(nets[0].stoichiometry, ((0, 0), (0, n_c + 1 - n_r)))
     x = np.repeat(np.array(starts, dtype=np.int64).T, n_s, axis=1)
     t = np.zeros(width)  # inf once stopped
     t_next = np.empty(width)
@@ -147,14 +306,12 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
     gnext = np.append(grid, math.inf)
     dt = np.empty((n_c, width))
     flat_dt = dt.reshape(-1)
-    runs = np.empty((n_c, width), dtype=bool)
-    below = np.empty((n_c, width), dtype=bool)
+    runs, below = np.empty((2, n_c, width), dtype=bool)
     total = np.empty(width)
-    fire = np.empty(width, dtype=bool)
-    mask = np.empty(width, dtype=bool)
+    fire, mask = np.empty((2, width), dtype=bool)
     cols = np.arange(width)
     idle = n_c * width + cols  # the flat indices of the idle row
-    out = np.empty((n_g, width, dim), dtype=np.int64)
+    out = np.empty((n_g * width, dim), dtype=np.int64)  # row g * width + l: lane l at grid time g
     cap_time = np.full(width, math.inf)
     lane, m, mx = None, width, n_s  # the work rows hold lanes ``lane``, x legs in the first mx
     tail = 0  # the pass count when at most _TAIL legs first fired
@@ -169,23 +326,20 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
                 stop = t < math.inf
             elif not events:
                 stop = np.repeat([norm > cap for norm in norms], n_s)
-            elif top + events * gain > cap:  # else no lane can be past it yet
-                stop = (x.sum(axis=0) > cap) & (t < math.inf)
             else:
-                stop = None
-            if stop is not None:
+                stop = _past_cap(x, t, top, events, gain, cap)
+            if stop is not None:  # a stopped lane's pending event is at inf
                 cap_time[stop if lane is None else lane[stop]] = t[stop]
+                t[stop] = math.inf
             rates[0](w[:, :mx], *x[:, :mx])
             rates[1](w[:, mx:], *x[:, mx:])
             np.add(w[0], 0.0, out=total)  # 0.0 + w0 + w1 + ..., in index order
             for j in range(1, n_c):
                 np.add(total, w[j], out=total)
-            if not total.max(initial=0.0) < rate_limit:  # NaN fails it too
-                bad = ~(total < rate_limit) & (t < math.inf)
-                if stop is not None:
-                    bad &= ~stop
+            bad = _overflow(total, t)
+            if bad is not None:
                 rerun += (np.flatnonzero(bad) if lane is None else lane[bad]).tolist()
-                stop = bad if stop is None else stop | bad
+                t[bad] = math.inf
 
             # the smallest time to a clock point wins, the first of equals:
             # the lowest index.  A total of 0 leaves every time inf
@@ -198,21 +352,8 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
             flat += cols
             best = flat_dt.take(flat)
             np.add(t, best, out=t_next)
-            if stop is not None:
-                np.copyto(t_next, math.inf, where=stop)
 
-            # record the grid times strictly before the pending event, lo
-            # to hi - 1 of each lane that passes one
-            np.greater(t_next, tg, out=mask)
-            rec = np.flatnonzero(mask)
-            if rec.size:
-                lo, hi = np.searchsorted(grid, tg[rec]), np.searchsorted(grid, t_next[rec])
-                at, state = rec if lane is None else lane[rec], x[:, rec].T
-                for g in range((hi - lo).max()):
-                    more = lo + g < hi
-                    out[lo[more] + g, at[more]] = state[more]
-                tg[rec] = gnext[hi]
-
+            _record(out, x, lane, gnext, tg, t_next, mask)
             np.less_equal(t_next, cfg.t_end, out=fire)
             n_fire = np.count_nonzero(fire)
             if not n_fire:
@@ -256,21 +397,18 @@ def pair_states(nets, starts, streams, grid, cfg, cap, gain, rate_limit, stepper
                 if events >= 2 * tail:
                     rerun += (np.flatnonzero(fire) if lane is None else lane[fire]).tolist()
                     break
-            if 2 * n_fire <= m:
-                lane = np.flatnonzero(fire) if lane is None else lane[fire]
-                mx = np.count_nonzero(fire[:mx])
-                for row in (*x, *p, *s, *pos, *end, t, tg):
-                    row[:n_fire] = row[fire]
-                m = n_fire
-                x, p, s, pos, end = x[:, :m], p[:, :m], s[:, :m], pos[:, :m], end[:, :m]
-                w, dt, runs, below = w[:, :m], dt[:, :m], runs[:, :m], below[:, :m]
-                t, t_next, tg, total = t[:m], t_next[:m], tg[:m], total[:m]
-                fire, mask, cols, idle = fire[:m], mask[:m], cols[:m], idle[:m]
+            shrunk = _compact(
+                fire, n_fire, lane, (x, p, s, pos, end, t, tg),
+                (w, dt, runs, below, t_next, total, fire, mask, cols, idle),
+            )
+            if shrunk:
+                lane, (x, p, s, pos, end, t, tg, w, dt, runs, below, t_next, total, fire, mask,
+                       cols, idle) = shrunk
+                m, mx = n_fire, int(np.searchsorted(lane, n_s))
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
     for leg in sorted(rerun, key=lambda leg: (leg % n_s, leg // n_s)):
         clocks = [replay(leg % n_s * n_r + r).__next__ for r in range(n_r)]
         leg_rows, cap_time[leg], _ = steppers[leg // n_s](starts[leg // n_s], clocks, *run)
-        out[:, leg] = leg_rows
+        out[leg::width] = leg_rows
     rows = out.reshape(n_g, 2, n_s, dim).transpose(2, 1, 0, 3)
-    caps = np.minimum(cap_time[:n_s], cap_time[n_s:])
-    return np.ascontiguousarray(rows, dtype=float), caps
+    return np.ascontiguousarray(rows, dtype=float), np.minimum(cap_time[:n_s], cap_time[n_s:])

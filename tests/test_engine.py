@@ -675,6 +675,11 @@ def _time_limit(seconds):
 CASE_SECONDS = 10  # the slowest byte case takes about 1 s
 
 
+def _clock(stream):
+    """An RTC channel clock on ``stream``'s uniforms: each call returns the next increment."""
+    return lockstep._increments(itertools.repeat(stream.random)).__next__
+
+
 class _Scripted:
     """A stream of uniforms whose increments are the script's, then 10.0 each."""
 
@@ -796,6 +801,7 @@ class TestPairKernel:
         "one-draw-blocks-lockstep": {"_FIRST_BLOCK": 1, "_TAIL": 0},
         "one-draw-blocks-handed-over": {"_FIRST_BLOCK": 1, "_TAIL": 2**62},
         "lockstep-only": {"_TAIL": 0},
+        "record-blocks-of-seven": {"_RECORD_BLOCK": 7},
     }
 
     @staticmethod
@@ -895,7 +901,7 @@ class TestPairKernel:
         for i, seed in enumerate(seeds.tolist()):
             legs = []
             for leg_net, start in ((net, x0), (pert_net, y0)):
-                clocks = [engine._increments(ZeroEveryThird(s)).__next__ for s in
+                clocks = [_clock(ZeroEveryThird(s)) for s in
                           (mix64(seed, engine._CHANNEL_TAG, r) for r in range(net.n_reactions))]
                 step = engine._stepper(leg_net.reactions, net.n_species, "rtc", "grid")
                 legs.append(step(start, clocks, *run))
@@ -922,12 +928,11 @@ class TestPairKernel:
         with pytest.raises(SimulationError) as want:
             for pair in scripts:  # x leg, then y leg, pair after pair
                 for _ in range(2):
-                    step([0, 0, 0], [engine._increments(_Scripted(s)).__next__ for s in pair], *run)
-        rule = (engine._cap_limit(net.reactions, 2**63 - 1), 0, engine._RATE_LIMIT)
+                    step([0, 0, 0], [_clock(_Scripted(s)) for s in pair], *run)
         streams = [[_Scripted(s).random for s in pair] for pair in scripts]
         with pytest.raises(SimulationError) as got:
             lockstep.pair_states(
-                (net, net), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, *rule, [step, step]
+                (net, net), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, [step, step]
             )
         first = "[1, 1, 50]" if late == 0 else "[1, 1, 0]"
         assert str(got.value) == str(want.value) == f"propensity overflow at state {first}"
@@ -940,15 +945,10 @@ class TestPairKernel:
         scripts = [[[0.001], [0.001], [], []]] * 10
         step = engine._stepper(OVERFLOWING.reactions, 3, "rtc", "grid")
         run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
-        want = [
-            step([0, 0, 0], [engine._increments(_Scripted(s)).__next__ for s in pair], *run)
-            for pair in scripts
-        ]
-        rule = (engine._cap_limit(OVERFLOWING.reactions, 2**63 - 1), 0, engine._RATE_LIMIT)
+        want = [step([0, 0, 0], [_clock(_Scripted(s)) for s in pair], *run) for pair in scripts]
         streams = [[_Scripted(s).random for s in pair] for pair in scripts]
         rows, caps = lockstep.pair_states(
-            (OVERFLOWING, OVERFLOWING), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, *rule,
-            [step, step],
+            (OVERFLOWING, OVERFLOWING), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, [step, step]
         )
         assert np.array_equal(rows, [[leg_rows, leg_rows] for leg_rows, _, _ in want])
         assert caps.tolist() == [cap for _, cap, _ in want] and np.isfinite(caps).all()
@@ -1295,7 +1295,7 @@ class TestSteppers:
                 random.Random(seed)
                 if sampler == "direct"
                 else [
-                    engine._increments(r).__next__
+                    _clock(r)
                     for r in engine._channel_streams(seed, self.NET.n_reactions)
                 ]
             )
@@ -1478,7 +1478,7 @@ class TestBatchSampler:
     def test_bytes_match_the_reference_loop_in_blocks_of_seven(self, monkeypatch, case):
         # every case with n > 7 records across block ends, before and after
         # the work rows shrink
-        monkeypatch.setattr(engine, "_RECORD_BLOCK", 7)
+        monkeypatch.setattr(lockstep, "_RECORD_BLOCK", 7)
         self._check_bytes(case)
 
     def test_matches_per_trajectory_law(self):
@@ -1571,6 +1571,12 @@ class TestRateEquations:
     def test_negative_initial_rejected(self):
         with pytest.raises(ValueError):
             integrate_rre(BIMOL, [-1.0, 0.0], np.linspace(0, 1, 5))
+
+    def test_a_blow_up_before_the_grid_ends_raises(self):
+        # x' = x (x - 1) from 10 blows up at t = ln(10 / 9), about 0.105, inside the grid
+        net = parse_model("species A\nR: 2 A -> 3 A @ 1.0")
+        with pytest.raises(SimulationError, match="rate-equation integration failed"):
+            integrate_rre(net, [10.0], np.linspace(0.0, 1.0, 5))
 
     @pytest.mark.parametrize("grid", [[0.0], [1.0]])
     def test_one_point_grid_returns_the_initial_state(self, grid):
