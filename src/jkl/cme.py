@@ -54,6 +54,17 @@ class CmeError(RuntimeError):
     pass
 
 
+class _Stalled(CmeError):
+    """A Poisson series whose summed weights stalled at ``1 - gap``, short of ``1 - tol``."""
+
+    def __init__(self, tol: float, gap: float):
+        super().__init__(
+            f"uniformization cannot reach tolerance {tol:.3g} per Poisson series: "
+            f"its summed weights round to 1 - {gap:.3g} at most"
+        )
+        self.gap = gap
+
+
 @dataclass(frozen=True)
 class StateIndex:
     """Bijection between truncated lattice states and dense indices, with their transitions."""
@@ -238,7 +249,9 @@ def _uniformization_step(p, p_op, reach, a, tol, matvec):
     a sum of exact ``+0.0`` products, so the bytes equal those of
     ``p_op @ term``.  Returns the result, the number of terms taken, the
     flushed mass that the result's defect entry carries (see
-    :func:`integrate_cme`) and the number of rows computed.
+    :func:`integrate_cme`) and the number of rows computed; raises
+    :class:`_Stalled` when the summed weights stop on the term limit
+    short of ``1 - tol``.
     """
     n = len(p) - 1
     indptr, indices, data = p_op.indptr, p_op.indices, p_op.data
@@ -274,9 +287,28 @@ def _uniformization_step(p, p_op, reach, a, tol, matvec):
         result[n] += weight * term[n]
         flushed += weight * in_term  # the defect row keeps what earlier terms flushed
         acc += weight
-        if k > 10 * a + 1000:
-            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
+        if k > 10 * a + 1000:  # the sum stalls at 1 - acc, its rounding
+            raise _Stalled(tol, 1.0 - acc)
     return result, k, flushed, rows
+
+
+def _unreachable(gen, n_sub, a, tol, step_tol, gap) -> str:
+    """Why a series of mean ``a``, one of ``n_sub`` per grid step, stalled at ``1 - gap``.
+
+    ``step_tol``, this series' share of ``tol``, is below ``gap``; when
+    ``n_sub * step_tol`` is not, splitting the step into series is why.
+    Other series may stall higher, so the ``tol`` named is a lower bound.
+    """
+    state = gen.index.states[gen.index.rates.sum(axis=1).argmax()].tolist()
+    need = gap * tol / step_tol  # the tol whose share reaches this stall
+    why = (
+        f"uniformization cannot reach tolerance tol / len(grid) / n_sub = {step_tol:.3g} "
+        f"per Poisson series: lam = {gen.lam:.3g} (the outflow of state {state}) makes n_sub = "
+        f"{n_sub} series a grid step, whose summed weights round to 1 - {gap:.3g} at most; "
+    )
+    if n_sub > 1 and n_sub * step_tol > gap:
+        why += f"the horizon is too stiff, {n_sub * a:.3g} terms a step: "
+    return why + f"tol must be at least {need:.2g} for this series to pass"
 
 
 def integrate_cme(
@@ -337,7 +369,13 @@ def integrate_cme(
             a = gen.lam * dt / n_sub
             step_tol = tol / max(1, len(grid)) / n_sub
             for _ in range(n_sub):
-                p, k, moved, rows = _uniformization_step(p, p_op, reach, a, step_tol, csr_matvec)
+                try:
+                    p, k, moved, rows = _uniformization_step(
+                        p, p_op, reach, a, step_tol, csr_matvec
+                    )
+                except _Stalled as exc:
+                    why = _unreachable(gen, n_sub, a, tol, step_tol, exc.gap)
+                    raise CmeError(why) from None
                 matvecs += k
                 flushed += moved
                 row_products += rows

@@ -30,30 +30,16 @@ and schedule-independent:
   stream of each pair once, and both legs read its draws, in stream
   order, from one store.
 
-Both samplers run as generated code: for each network, sampler and
-record mode, :func:`_stepper_source` writes one straight-line Python
-function with the propensities, their index-order total, the channel
-selection and the integer state updates unrolled, and :func:`_stepper`
-compiles it once per process.  Only ``repr(float(rate))``, species
-indices and stoichiometric integers are written into the source, never
-labels or names, and every propensity is the text that
-:func:`~jkl.model._expression` writes, so the generated code produces
-the same bytes as a plain loop would.  Path mode returns the whole path
-(the public :class:`Trajectory`); grid mode, which ``ensemble_moments``
-uses, records the state only at the grid times.  ``coupled_rms`` and
-the lockstep batch sampler :func:`batch_states` run their samples
-through the numpy kernels of :mod:`jkl.lockstep`: ``coupled_rms`` gets
-the grid-mode RTC stepper's bytes on every leg of a chunk at once, and
-hands the stepper the few legs that run long, or that overflow.
-
-Every public sampler checks its network (raising
-:class:`~jkl.model.InvalidNetworkError`) and initial state once per call;
-ensemble chunks then run the compiled steppers on the checked state.
+Every path is stepped in :mod:`jkl.lockstep`: the single-path samplers
+and ``ensemble_moments`` run its generated steppers, and ``coupled_rms``
+and the lockstep batch sampler :func:`batch_states` its numpy lane
+kernels.  Every public sampler checks its network (raising
+:class:`~jkl.model.InvalidNetworkError`) and initial state once per
+call, before any path runs.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -65,9 +51,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lockstep import _RATE_LIMIT, SimulationError, _cap_limit, _increments
-from .lockstep import direct_states, pair_states
-from .model import ReactionNetwork, _check_network, _compile, _expression, _rates
+from . import lockstep
+from .lockstep import SimulationError, _cap_limit, _increments, direct_states, pair_states
+from .model import ReactionNetwork, _check_network, _rates
 
 __all__ = [
     "SimulationError",
@@ -297,166 +283,7 @@ class PerturbationSpec:
 
 
 # ---------------------------------------------------------------------------
-# generated per-network steppers
-
-
-# Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
-# is the direct method's stream, or the RTC sampler's list of channel clocks,
-# each a zero-argument callable returning the channel's next increment (see
-# lockstep._increments).  The cap test heads the loop, so a start above the
-# cap stops at t = 0.
-_SKELETON = """\
-def step(x, draws, t_end, max_events, state_cap, grid=None):
-    [{xs}] = x
-    norm = {norm}
-    state_cap = min(state_cap, {limit})
-    t = 0.0
-    n = 0
-    status = 't_end'
-{start}
-    while True:
-        if norm > state_cap:
-            status = 'state_cap'
-            break
-        if n >= max_events:
-            status = 'max_events'
-            break
-{rates}
-        if not total < {rate_limit}:
-            raise SimulationError(f'propensity overflow at state {{[{xs}]}}')
-        if total <= 0.0:
-            break
-{wait}
-        if t_next > t_end:
-            break
-{before}
-{fire}
-        t = t_next
-        n += 1
-{after}
-{stop}
-"""
-
-
-def _tuple_source(names: list[str]) -> str:
-    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
-
-
-def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
-    """Python source of the straight-line stepper for one network.
-
-    The propensities, their index-order total and the channel selection
-    are unrolled and each channel's ``nu`` becomes fixed integer updates
-    of the locals ``x0, x1, ...``; the 1-norm is kept incrementally.  Only
-    ``repr(float(rate))``, species indices and stoichiometric integers
-    enter the text.  ``path`` mode returns ``(times, states, channels,
-    status, internal)`` with ``internal`` the RTC sampler's integrated
-    intensities (None for direct); ``grid`` mode records the state only
-    at the grid times and returns ``(rows, cap_time, events)``.
-    """
-    n_r = len(reactions)
-    xs = [f"x{s}" for s in range(dim)]
-    row = _tuple_source(xs)
-    rtc, grid = sampler == "rtc", mode == "grid"
-    exprs = [_expression(rxn.propensity, False) for rxn in reactions]
-
-    def update(j: int, pad: str) -> list[str]:
-        nu = reactions[j].nu
-        out = [f"{pad}{xs[s]} {'-' if d > 0 else '+'}= {abs(d)}" for s, d in enumerate(nu) if d]
-        if sum(nu):
-            out.append(f"{pad}norm {'-' if sum(nu) > 0 else '+'}= {abs(sum(nu))}")
-        if rtc:
-            out[:0] = [f"{pad}s{j} = p{j}", f"{pad}p{j} += clock{j}()"]
-        if not grid:
-            out.append(f"{pad}channels.append({j})")
-        return out or [f"{pad}pass"]
-
-    if rtc:
-        # p_j is channel j's next clock point, s_j its integrated intensity
-        start = [f"    clock{j} = draws[{j}]" for j in range(n_r)]
-        start += [f"    p{j} = clock{j}()" for j in range(n_r)]
-        start += [f"    s{j} = 0.0" for j in range(n_r)]
-        rates = [f"        w{j} = {expr}" for j, expr in enumerate(exprs)]
-        rates.append(f"        total = {' + '.join(['0.0'] + [f'w{j}' for j in range(n_r)])}")
-        # the smallest time to a clock point wins; strict, so ties go to
-        # the lowest index
-        wait = ["        best = inf", "        fired = -1"]
-        for j in range(n_r):
-            wait += [
-                f"        if w{j} > 0.0:",
-                f"            dt = (p{j} - s{j}) / w{j}",
-                "            if dt < best:",
-                "                best = dt",
-                f"                fired = {j}",
-            ]
-        wait.append("        t_next = t + best")
-        # every running channel advances, clamped at its clock point; the
-        # fired one is then set to its clock point exactly
-        fire = []
-        for j in range(n_r):
-            fire += [
-                f"        if w{j} > 0.0:",
-                f"            adv = s{j} + w{j} * best",
-                f"            s{j} = adv if adv < p{j} else p{j}",
-            ]
-        tests = [f"fired == {j}" for j in range(n_r)]
-    else:
-        start = ["    uniform = draws.random"]
-        # c_j = 0.0 + w0 + ... + w_j, summed in index order: the cumulative
-        # intensities of the inversion, and the total
-        rates = [
-            f"        c{j} = {f'c{j - 1}' if j else '0.0'} + {expr}"
-            for j, expr in enumerate(exprs)
-        ]
-        rates.append(f"        total = {f'c{n_r - 1}' if n_r else '0.0'}")
-        wait = ["        t_next = t + -log(1.0 - uniform()) / total"]
-        fire = ["        target = uniform() * total"]
-        tests = [f"target < c{j}" for j in range(n_r)]
-    for j in range(n_r):  # a single channel needs no test
-        head = "else" if j == n_r - 1 else f"{'elif' if j else 'if'} {tests[j]}"
-        fire += update(j, "        ") if n_r == 1 else [f"        {head}:", *update(j, " " * 12)]
-
-    if grid:
-        start += ["    rows = []", "    grid = [*grid, inf]", "    tg = grid[0]"]
-        # grid times strictly before the event keep the pre-event state
-        before = [
-            "        while tg < t_next:",
-            f"            rows.append({row})",
-            "            tg = grid[len(rows)]",
-        ]
-        after = []
-        stop = [
-            f"    rows += [{row}] * (len(grid) - 1 - len(rows))",
-            "    return rows, (inf if status == 't_end' else t), n",
-        ]
-    else:
-        start += ["    times = [0.0]", f"    states = [{row}]", "    channels = []"]
-        before = []
-        after = ["        times.append(t)", f"        states.append({row})"]
-        internal = _tuple_source([f"s{j}" for j in range(n_r)]) if rtc else "None"
-        stop = [f"    return times, states, channels, status, {internal}"]
-    slots = dict(
-        start=start, rates=rates, wait=wait, before=before, fire=fire, after=after, stop=stop
-    )
-    source = _SKELETON.format(
-        xs=", ".join(xs),
-        norm=" + ".join(xs) or "0",
-        limit=_cap_limit(reactions, 2**63 - 1),
-        rate_limit=_RATE_LIMIT,
-        **{name: "\n".join(lines) for name, lines in slots.items()},
-    )
-    return "".join(line for line in source.splitlines(keepends=True) if line.strip())
-
-
-@functools.lru_cache(maxsize=256)
-def _stepper(reactions, dim: int, sampler: str, mode: str):
-    """The compiled stepper for one network, sampler and mode, built once per process.
-
-    Keyed by ``net.reactions`` (hashable) and ``net.n_species``; the most
-    recently used 256 steppers are kept.
-    """
-    source = _stepper_source(reactions, dim, sampler, mode)
-    return _compile(source, "step", SimulationError=SimulationError, log=math.log)
+# single paths
 
 
 def _counts(values: Sequence[int], what: str) -> list[int]:
@@ -499,7 +326,7 @@ def _check_real_state(x0: Sequence[float], dim: int) -> np.ndarray:
 def _path(net, sampler: str, x0, cfg: SimConfig, draws) -> Trajectory:
     """One full sample path from the compiled path-mode stepper on ``draws``."""
     x = _check_state(x0, net.n_species)
-    step = _stepper(net.reactions, net.n_species, sampler, "path")
+    step = lockstep._stepper(net.reactions, net.n_species, sampler, "path")
     times, states, channels, status, internal = step(
         x, draws, cfg.t_end, cfg.max_events, cfg.state_cap
     )
@@ -694,7 +521,7 @@ def _reduce(terms, targs, grid, n, seed, workers, max_events, state_cap):
 
 
 def _moment_terms(grid, cfg, net, x, p_max):
-    step = _stepper(net.reactions, net.n_species, "direct", "grid")
+    step = lockstep._stepper(net.reactions, net.n_species, "direct", "grid")
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
     orders = np.arange(1, p_max + 1)
 
@@ -780,15 +607,13 @@ class RmsCurve:
 
 def _rms_terms(grid, cfg, net, pert_net, x, y):
     channels = np.arange(net.n_reactions, dtype=np.uint64)
-    # the legs a chunk runs again: those that overflow, and a few that run long
-    steppers = [_stepper(n.reactions, net.n_species, "rtc", "grid") for n in (net, pert_net)]
 
     def samples(seeds):
         # channel r of pair i reads the stream _channel_streams gives it; each
         # is seeded once, pair after pair
         pair_seeds = _mix_lanes(mix64(), (seeds[:, None], _CHANNEL_TAG, channels)).tolist()
         streams = [[random.Random(s).random for s in pair] for pair in pair_seeds]
-        return pair_states((net, pert_net), (x, y), streams, grid, cfg, steppers)
+        return pair_states((net, pert_net), (x, y), streams, grid, cfg)
 
     def batch(pairs):
         diff = pairs[:, 0] - pairs[:, 1]

@@ -1,18 +1,36 @@
-"""The lane layer: the numpy lockstep kernels of ``batch_states`` and ``coupled_rms``.
+"""The sample-path kernels: generated scalar steppers and numpy lane kernels.
 
-A kernel runs many samples ("lanes") at once, one event per lane per
-pass, on species-major work rows allocated once per call: column k of
-each row belongs to work row k.  :func:`direct_states` is the direct
-method on one master-seeded vector stream, exact and deterministic but
-with paths that depend on the batch size: running sums of the rates give
-the total and the channel, one gather per species moves it, and each
-pass draws a full-width row of exponentials, then one of uniforms, so
-each lane keeps its own column.  :func:`pair_states` runs both legs of
-coupled RTC pairs, each pass one turn of the RTC stepper's loop with its
-float operations in its order, so each leg gets the stepper's bytes.
+Every sampler steps its paths here, in one of two forms that give the
+same bytes on the same draws.
 
-Both stop on the generated steppers' rule, defined here (``_RATE_LIMIT``
-and :func:`_cap_limit`), and share four rules on the work rows:
+Generated code: for each network, sampler and record mode,
+:func:`_stepper_source` writes one straight-line Python function with
+the propensities, their index-order total, the channel selection and
+the integer state updates unrolled, and :func:`_stepper` compiles it
+once per process.  Only ``repr(float(rate))``, species indices and
+stoichiometric integers are written into the source, never labels or
+names, and every propensity is the text that
+:func:`~jkl.model._expression` writes, so the generated code produces
+the same bytes as a plain loop would.  Path mode returns the whole path
+(the public :class:`~jkl.engine.Trajectory`); grid mode, which
+``ensemble_moments`` uses, records the state only at the grid times.
+
+Lane kernels: a kernel runs many samples ("lanes") at once, one event
+per lane per pass, on species-major work rows allocated once per call:
+column k of each row belongs to work row k.  :func:`direct_states` is
+the direct method on one master-seeded vector stream, exact and
+deterministic but with paths that depend on the batch size: running sums
+of the rates give the total and the channel, one gather per species
+moves it, and each pass draws a full-width row of exponentials, then one
+of uniforms, so each lane keeps its own column.  :func:`pair_states`
+runs both legs of coupled RTC pairs, each pass one turn of the RTC
+stepper's loop with its float operations in its order, so each leg gets
+the stepper's bytes, and hands the stepper the few legs that run long,
+or that overflow.
+
+Both forms stop on one rule, defined here (``_RATE_LIMIT`` and
+:func:`_cap_limit`), and the lane kernels share four rules on the work
+rows:
 
 * record (:func:`_record`): each grid time from a lane's next one to
   record up to, not at, its pending event gets its pre-event state,
@@ -32,12 +50,13 @@ and :func:`_cap_limit`), and share four rules on the work rows:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .model import _rates
+from .model import _compile, _expression, _rates
 
 _RATE_LIMIT = 1e300  # every sampler fails at a total intensity this high (or NaN)
 _RECORD_BLOCK = 2**16  # lanes per recording block, so its index temporaries stay small
@@ -74,6 +93,165 @@ def _increments(draws):
     log = math.log
     for draw in draws:
         yield -log(1.0 - draw())
+
+
+# Every stepper has this shape; _stepper_source fills the {slots}.  ``draws``
+# is the direct method's stream, or the RTC sampler's list of channel clocks,
+# each a zero-argument callable returning the channel's next increment (see
+# _increments).  The cap test heads the loop, so a start above the cap stops
+# at t = 0.
+_SKELETON = """\
+def step(x, draws, t_end, max_events, state_cap, grid=None):
+    [{xs}] = x
+    norm = {norm}
+    state_cap = min(state_cap, {limit})
+    t = 0.0
+    n = 0
+    status = 't_end'
+{start}
+    while True:
+        if norm > state_cap:
+            status = 'state_cap'
+            break
+        if n >= max_events:
+            status = 'max_events'
+            break
+{rates}
+        if not total < {rate_limit}:
+            raise SimulationError(f'propensity overflow at state {{[{xs}]}}')
+        if total <= 0.0:
+            break
+{wait}
+        if t_next > t_end:
+            break
+{before}
+{fire}
+        t = t_next
+        n += 1
+{after}
+{stop}
+"""
+
+
+def _tuple_source(names: list[str]) -> str:
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
+
+
+def _stepper_source(reactions, dim: int, sampler: str, mode: str) -> str:
+    """Python source of the straight-line stepper for one network.
+
+    The propensities, their index-order total and the channel selection
+    are unrolled and each channel's ``nu`` becomes fixed integer updates
+    of the locals ``x0, x1, ...``; the 1-norm is kept incrementally.  Only
+    ``repr(float(rate))``, species indices and stoichiometric integers
+    enter the text.  ``path`` mode returns ``(times, states, channels,
+    status, internal)`` with ``internal`` the RTC sampler's integrated
+    intensities (None for direct); ``grid`` mode records the state only
+    at the grid times and returns ``(rows, cap_time, events)``.
+    """
+    n_r = len(reactions)
+    xs = [f"x{s}" for s in range(dim)]
+    row = _tuple_source(xs)
+    rtc, grid = sampler == "rtc", mode == "grid"
+    exprs = [_expression(rxn.propensity, False) for rxn in reactions]
+
+    def update(j: int, pad: str) -> list[str]:
+        nu = reactions[j].nu
+        out = [f"{pad}{xs[s]} {'-' if d > 0 else '+'}= {abs(d)}" for s, d in enumerate(nu) if d]
+        if sum(nu):
+            out.append(f"{pad}norm {'-' if sum(nu) > 0 else '+'}= {abs(sum(nu))}")
+        if rtc:
+            out[:0] = [f"{pad}s{j} = p{j}", f"{pad}p{j} += clock{j}()"]
+        if not grid:
+            out.append(f"{pad}channels.append({j})")
+        return out or [f"{pad}pass"]
+
+    if rtc:
+        # p_j is channel j's next clock point, s_j its integrated intensity
+        start = [f"    clock{j} = draws[{j}]" for j in range(n_r)]
+        start += [f"    p{j} = clock{j}()" for j in range(n_r)]
+        start += [f"    s{j} = 0.0" for j in range(n_r)]
+        rates = [f"        w{j} = {expr}" for j, expr in enumerate(exprs)]
+        rates.append(f"        total = {' + '.join(['0.0'] + [f'w{j}' for j in range(n_r)])}")
+        # the smallest time to a clock point wins; strict, so ties go to
+        # the lowest index
+        wait = ["        best = inf", "        fired = -1"]
+        for j in range(n_r):
+            wait += [
+                f"        if w{j} > 0.0:",
+                f"            dt = (p{j} - s{j}) / w{j}",
+                "            if dt < best:",
+                "                best = dt",
+                f"                fired = {j}",
+            ]
+        wait.append("        t_next = t + best")
+        # every running channel advances, clamped at its clock point; the
+        # fired one is then set to its clock point exactly
+        fire = []
+        for j in range(n_r):
+            fire += [
+                f"        if w{j} > 0.0:",
+                f"            adv = s{j} + w{j} * best",
+                f"            s{j} = adv if adv < p{j} else p{j}",
+            ]
+        tests = [f"fired == {j}" for j in range(n_r)]
+    else:
+        start = ["    uniform = draws.random"]
+        # c_j = 0.0 + w0 + ... + w_j, summed in index order: the cumulative
+        # intensities of the inversion, and the total
+        rates = [
+            f"        c{j} = {f'c{j - 1}' if j else '0.0'} + {expr}"
+            for j, expr in enumerate(exprs)
+        ]
+        rates.append(f"        total = {f'c{n_r - 1}' if n_r else '0.0'}")
+        wait = ["        t_next = t + -log(1.0 - uniform()) / total"]
+        fire = ["        target = uniform() * total"]
+        tests = [f"target < c{j}" for j in range(n_r)]
+    for j in range(n_r):  # a single channel needs no test
+        head = "else" if j == n_r - 1 else f"{'elif' if j else 'if'} {tests[j]}"
+        fire += update(j, "        ") if n_r == 1 else [f"        {head}:", *update(j, " " * 12)]
+
+    if grid:
+        start += ["    rows = []", "    grid = [*grid, inf]", "    tg = grid[0]"]
+        # grid times strictly before the event keep the pre-event state
+        before = [
+            "        while tg < t_next:",
+            f"            rows.append({row})",
+            "            tg = grid[len(rows)]",
+        ]
+        after = []
+        stop = [
+            f"    rows += [{row}] * (len(grid) - 1 - len(rows))",
+            "    return rows, (inf if status == 't_end' else t), n",
+        ]
+    else:
+        start += ["    times = [0.0]", f"    states = [{row}]", "    channels = []"]
+        before = []
+        after = ["        times.append(t)", f"        states.append({row})"]
+        internal = _tuple_source([f"s{j}" for j in range(n_r)]) if rtc else "None"
+        stop = [f"    return times, states, channels, status, {internal}"]
+    slots = dict(
+        start=start, rates=rates, wait=wait, before=before, fire=fire, after=after, stop=stop
+    )
+    source = _SKELETON.format(
+        xs=", ".join(xs),
+        norm=" + ".join(xs) or "0",
+        limit=_cap_limit(reactions, 2**63 - 1),
+        rate_limit=_RATE_LIMIT,
+        **{name: "\n".join(lines) for name, lines in slots.items()},
+    )
+    return "".join(line for line in source.splitlines(keepends=True) if line.strip())
+
+
+@functools.lru_cache(maxsize=256)
+def _stepper(reactions, dim: int, sampler: str, mode: str):
+    """The compiled stepper for one network, sampler and mode, built once per process.
+
+    Keyed by ``net.reactions`` (hashable) and ``net.n_species``; the most
+    recently used 256 steppers are kept.
+    """
+    source = _stepper_source(reactions, dim, sampler, mode)
+    return _compile(source, "step", SimulationError=SimulationError, log=math.log)
 
 
 def _record(out, x, lane, gnext, tg, t_next, mask):
@@ -216,34 +394,37 @@ def _block_size(lam: float, most: int) -> int:
     return min(1 + math.ceil(lam + 2.0 * math.sqrt(lam)), most)
 
 
-def pair_states(nets, starts, streams, grid, cfg, steppers):
+def pair_states(nets, starts, streams, grid, cfg):
     """Grid rows and cap times of S coupled pairs, every leg in lockstep.
 
     ``nets`` and ``starts`` are the nominal and perturbed networks (the
     same stoichiometry) and start states; ``streams[i][r]``, a
     zero-argument callable returning uniforms, is the clock stream of
-    channel r of pair i, which both legs read.  ``cfg`` gives the run's
-    controls and ``steppers`` are the legs' grid-mode RTC steppers.
-    Returns ``(rows, caps)``: the (S, 2, G, D) grid rows as floats, x leg
-    first, and each pair's ``min(cap_x, cap_y)``.
+    channel r of pair i, which both legs read.  Returns ``(rows, caps)``:
+    the (S, 2, G, D) grid rows as floats, x leg first, and each pair's
+    ``min(cap_x, cap_y)``.
 
     Lane l runs leg ``l // S`` of pair ``l % S`` on int64 state rows and
     rows of next clock points ``p`` and integrated intensities ``s``; a
     lane that stops fires the idle clock row R.  Once at most
     ``_TAIL`` legs still fire and they have run twice the passes they had
     when they became that few, each is run again from its start by its
-    stepper, on its streams replayed from the store; so is each leg that
-    overflows, and the stepper raises.  Legs run again go pair after
-    pair, x leg first, so the first error is the one the steppers raise.
+    network's grid-mode RTC stepper, on its streams replayed from the
+    store; so is each leg that overflows, and the stepper raises.  Legs
+    run again go pair after pair, x leg first, so the first error is the
+    one the steppers raise.
 
     Draws: both legs read each stream's increments by position from one
     store, in blocks: a first one sized by :func:`_block_size` from the
     legs' start rates, then one whenever a leg reads past the last, sized
     from its rate and time left; each at most the stream's draws so far
-    or ``_FIRST_BLOCK``.  So the store holds at most twice the draws the
-    pairs take plus ``_FIRST_BLOCK`` per stream, in an array at most 1.5
-    times that, and each stream's Mersenne Twister state (about 2.9 KB)
-    stays alive: 3.7 MB for 256 pairs of a 5-channel network.
+    or ``_FIRST_BLOCK``.  ``succ`` maps a block's end to the next block of
+    its stream: a clock at its block's end reads on there, and one that
+    finds no entry leads its stream and draws the next.  So the store
+    holds at most twice the draws the pairs take plus ``_FIRST_BLOCK`` per
+    stream, in an array at most 1.5 times that, and each stream's Mersenne
+    Twister state (about 2.9 KB) stays alive: 3.7 MB for 256 pairs of a
+    5-channel network.
     """
     reactions, dim = nets[0].reactions, nets[0].n_species
     n_r, n_s, n_g = len(reactions), len(streams), len(grid)
@@ -264,28 +445,27 @@ def pair_states(nets, starts, streams, grid, cfg, steppers):
     first = itertools.chain.from_iterable(map(itertools.repeat, streams, filled))
     store = np.fromiter(_increments(first), float, bounds[-1])
     used = bounds[-1]
-    later = {}  # the blocks each stream drew after its first
-    seg = [[0] * width for _ in range(n_r)]  # each lane's block of each stream
+    succ = {}  # a block's end: the next block of its stream
 
-    def draw_block(q, size):
-        """Append stream q's next ``size`` increments to the store as its next block."""
+    def draw_block(q, end, lam):
+        """Append stream q's next block, sized for ``lam`` points, after ``end``; return it."""
         nonlocal store, used
+        size = _block_size(lam, max(filled[q], _FIRST_BLOCK))
         if used + size > len(store):
             store = np.concatenate([store[:used], np.empty(max(used // 2, size))])
         block = _increments(itertools.repeat(streams[q], size))
         store[used : used + size] = np.fromiter(block, float, size)
         filled[q] += size
-        later.setdefault(q, []).append((used, used + size))
+        succ[end] = used, used + size
         used += size
+        return succ[end]
 
     def replay(q):
         """Stream q's increments from its first, drawing blocks when they run out."""
         a, b = bounds[q], bounds[q + 1]
-        for j in itertools.count():
+        while True:
             yield from store[a:b].tolist()
-            if j == len(later.get(q, ())):
-                draw_block(q, max(filled[q], _FIRST_BLOCK))
-            a, b = later[q][j]
+            a, b = succ.get(b) or draw_block(q, b, math.inf)
 
     # clock rows; row n_c is the idle row that stopped lanes fire
     p, s = np.zeros((2, n_c + 1, width))
@@ -372,17 +552,16 @@ def pair_states(nets, starts, streams, grid, cfg, steppers):
             np.copyto(s[:n_c], dt, where=runs)
             point = flat_p.take(flat)
             flat_s.put(flat, point)
-            at = flat_pos.take(flat)
-            if not (at < flat_end.take(flat)).all():
-                for k in np.flatnonzero(at >= flat_end.take(flat)).tolist():
-                    r, leg = int(fired[k]), k if lane is None else int(lane[k])
-                    q = leg % n_s * n_r + r
-                    seg[r][leg] += 1
-                    if seg[r][leg] > len(later.get(q, ())):  # this leg leads: draw on
+            at, ends = flat_pos.take(flat), flat_end.take(flat)
+            if not (at < ends).all():
+                for k in np.flatnonzero(at >= ends).tolist():
+                    r, tip = int(fired[k]), int(ends[k])
+                    block = succ.get(tip)
+                    if block is None:  # this leg leads its stream: draw on
+                        q = (k if lane is None else int(lane[k])) % n_s * n_r + r
                         lam = float(w[r, k]) * (cfg.t_end - float(t_next[k]))
-                        draw_block(q, _block_size(lam, max(filled[q], _FIRST_BLOCK)))
-                    flat_pos[r * width + k], flat_end[r * width + k] = later[q][seg[r][leg] - 1]
-                    at[k] = flat_pos[r * width + k]
+                        block = draw_block(q, tip, lam)
+                    at[k], flat_end[r * width + k] = block
             # the idle row's reads are clipped
             point += store.take(at, mode="clip")
             flat_p.put(flat, point)
@@ -405,6 +584,7 @@ def pair_states(nets, starts, streams, grid, cfg, steppers):
                 lane, (x, p, s, pos, end, t, tg, w, dt, runs, below, t_next, total, fire, mask,
                        cols, idle) = shrunk
                 m, mx = n_fire, int(np.searchsorted(lane, n_s))
+    steppers = [_stepper(net.reactions, dim, "rtc", "grid") for net in nets]
     run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
     for leg in sorted(rerun, key=lambda leg: (leg % n_s, leg // n_s)):
         clocks = [replay(leg % n_s * n_r + r).__next__ for r in range(n_r)]

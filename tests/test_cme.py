@@ -419,6 +419,30 @@ class TestIntegration:
         with pytest.raises(CmeError, match="tolerance"):
             integrate_cme(gen, point_mass(idx, [0, 0]), np.linspace(0.01, 2.0, 20), tol=1e-15)
 
+    def test_unreachable_tolerance_names_its_series(self):
+        # one series per grid step, its share 5e-17 below the rounding of the weights
+        idx = enumerate_states(BIMOL, [0, 0], 30)
+        gen = build_generator(BIMOL, idx)
+        with pytest.raises(CmeError) as got:
+            integrate_cme(gen, point_mass(idx, [0, 0]), np.linspace(0.01, 2.0, 20), tol=1e-15)
+        assert "n_sub = 5e-17 per Poisson series" in str(got.value)
+        assert "n_sub = 1 series" in str(got.value) and "too stiff" not in str(got.value)
+        assert str(got.value).endswith("tol must be at least 6.7e-15 for this series to pass")
+
+    def test_stiff_horizon_is_named_as_the_cause(self):
+        # lam = 3e8 at A = 3 splits each of 50 steps of 0.02 into 12 000 series
+        # of mean 500, whose share 1.63e-16 of tol is below the rounding of
+        # their summed weights, where the 2e-12 share of one series is not
+        net = parse_model("species A\nR1: A -> 0 @ 1e8")
+        idx = enumerate_states(net, [3], 6)
+        gen = build_generator(net, idx)
+        with pytest.raises(CmeError, match="tolerance") as got:
+            integrate_cme(gen, point_mass(idx, [3]), np.linspace(0.0, 1.0, 51))
+        msg = str(got.value)
+        assert "lam = 3e+08 (the outflow of state [3])" in msg and "n_sub = 12000 series" in msg
+        assert "tolerance tol / len(grid) / n_sub = 1.63e-16 per Poisson series" in msg
+        assert "horizon is too stiff, 6e+06 terms a step: tol must be at least 5.4e-10" in msg
+
     def test_bad_p0_rejected(self):
         idx = enumerate_states(BIRTH, [0], 4)
         gen = build_generator(BIRTH, idx)

@@ -294,6 +294,22 @@ class TestEntryValidation:
         with pytest.raises(ValueError, match="fit a 64-bit integer, got "):
             ENTRY_POINTS[name](BIRTH, [x0])
 
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_network_with_no_channel_keeps_its_start(self, name):
+        # nothing fires: every sampler runs to t_end from the start state
+        got = ENTRY_POINTS[name](parse_model("species A\n"), [3])
+        paths = {"simulate_direct": [got], "simulate_rtc": [got], "simulate_coupled": got}
+        if name in paths:
+            assert [(p.n_events, p.states.tolist(), p.status) for p in paths[name]] == [
+                (0, [[3]], "t_end")
+            ] * len(paths[name])
+        elif name == "batch_states":
+            assert got[0].tolist() == [[[3.0]] * 4] and got[1].tolist() == [math.inf] * 4
+        elif name == "ensemble_moments":
+            assert got.species_mean.tolist() == [[3.0]] * 2
+        else:
+            assert got.species_rms.tolist() == [[0.0]] * 2
+
     # batch_states holds counts in float rows: TestStopRule checks its top
     @pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - {"batch_states"}))
     def test_initial_state_at_int64_max_accepted(self, name):
@@ -834,7 +850,7 @@ class TestPairKernel:
         # cubic from 3: most legs freeze below 3 or stop within a few hundred
         # events, a few run on to the event cap; those finish in the stepper
         runs = []
-        stepper = engine._stepper
+        stepper = lockstep._stepper
 
         def counting(*key):
             step = stepper(*key)
@@ -845,7 +861,7 @@ class TestPairKernel:
 
             return counted
 
-        monkeypatch.setattr(engine, "_stepper", counting)
+        monkeypatch.setattr(lockstep, "_stepper", counting)
         self._check_bytes(
             (CUBIC, [3], [3], PerturbationSpec(), np.linspace(0.0, 1.0, 6), 64,
              {"state_cap": 10**6, "max_events": 4000}, "some")
@@ -903,7 +919,7 @@ class TestPairKernel:
             for leg_net, start in ((net, x0), (pert_net, y0)):
                 clocks = [_clock(ZeroEveryThird(s)) for s in
                           (mix64(seed, engine._CHANNEL_TAG, r) for r in range(net.n_reactions))]
-                step = engine._stepper(leg_net.reactions, net.n_species, "rtc", "grid")
+                step = lockstep._stepper(leg_net.reactions, net.n_species, "rtc", "grid")
                 legs.append(step(start, clocks, *run))
             assert np.array_equal(rows[i], [leg_rows for leg_rows, _, _ in legs])
             assert cap_time[i] == min(cap for _, cap, _ in legs)
@@ -923,7 +939,7 @@ class TestPairKernel:
         scripts.insert(late, [[0.5], [0.5], [], [0.01] * 100])
         scripts += [[[], [], [], [0.01] * 20]] * 11
 
-        step = engine._stepper(net.reactions, 3, "rtc", "grid")
+        step = lockstep._stepper(net.reactions, 3, "rtc", "grid")
         run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
         with pytest.raises(SimulationError) as want:
             for pair in scripts:  # x leg, then y leg, pair after pair
@@ -931,9 +947,7 @@ class TestPairKernel:
                     step([0, 0, 0], [_clock(_Scripted(s)) for s in pair], *run)
         streams = [[_Scripted(s).random for s in pair] for pair in scripts]
         with pytest.raises(SimulationError) as got:
-            lockstep.pair_states(
-                (net, net), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, [step, step]
-            )
+            lockstep.pair_states((net, net), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg)
         first = "[1, 1, 50]" if late == 0 else "[1, 1, 0]"
         assert str(got.value) == str(want.value) == f"propensity overflow at state {first}"
 
@@ -943,12 +957,12 @@ class TestPairKernel:
         grid = np.array([0.0, 1.0])
         cfg = engine._grid_config(grid, max_events=2)
         scripts = [[[0.001], [0.001], [], []]] * 10
-        step = engine._stepper(OVERFLOWING.reactions, 3, "rtc", "grid")
+        step = lockstep._stepper(OVERFLOWING.reactions, 3, "rtc", "grid")
         run = (cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist())
         want = [step([0, 0, 0], [_clock(_Scripted(s)) for s in pair], *run) for pair in scripts]
         streams = [[_Scripted(s).random for s in pair] for pair in scripts]
         rows, caps = lockstep.pair_states(
-            (OVERFLOWING, OVERFLOWING), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg, [step, step]
+            (OVERFLOWING, OVERFLOWING), ([0, 0, 0], [0, 0, 0]), streams, grid, cfg
         )
         assert np.array_equal(rows, [[leg_rows, leg_rows] for leg_rows, _, _ in want])
         assert caps.tolist() == [cap for _, cap, _ in want] and np.isfinite(caps).all()
@@ -1076,8 +1090,8 @@ class TestEnsembles:
 
             return counted
 
-        stepper = engine._stepper
-        monkeypatch.setattr(engine, "_stepper", counting_stepper)
+        stepper = lockstep._stepper
+        monkeypatch.setattr(lockstep, "_stepper", counting_stepper)
         x0 = get_preset("enzyme").x0
         table = ensemble_moments(ENZYME, x0, [0.0], 1, 64, 1, workers=1)
         assert len(events) == 64 and sum(events) == 0
@@ -1299,7 +1313,7 @@ class TestSteppers:
                     for r in engine._channel_streams(seed, self.NET.n_reactions)
                 ]
             )
-            step = engine._stepper(self.NET.reactions, 3, sampler, "grid")
+            step = lockstep._stepper(self.NET.reactions, 3, sampler, "grid")
             rows, cap_time, n_events = step(
                 [10, 10, 10], draws, cfg.t_end, cfg.max_events, cfg.state_cap, grid.tolist()
             )
@@ -1335,7 +1349,7 @@ class TestSteppers:
     def test_source_holds_only_literals(self):
         for sampler in ("direct", "rtc"):
             for mode in ("path", "grid"):
-                src = engine._stepper_source(self.NET.reactions, 3, sampler, mode)
+                src = lockstep._stepper_source(self.NET.reactions, 3, sampler, mode)
                 for name in ("Alpha", "Beta", "birth", "bind", "kfast"):
                     assert name not in src
                 assert "0.013 * x0 * x1" in src and "0.0007 * x0 * x1 * (x1 - 1)" in src
@@ -1351,7 +1365,7 @@ class TestSteppers:
             assert bilinear in src and dimer in src and "0.0007 * x0 * x1 * (x1 - 1)" in src
 
     def test_compiled_once_per_network_sampler_and_mode(self):
-        engine._stepper.cache_clear()
+        lockstep._stepper.cache_clear()
         model._rates.cache_clear()
         pert = PerturbationSpec({"kfast": 0.1})
         grid = [0.0, 0.5, 1.0]
@@ -1364,7 +1378,7 @@ class TestSteppers:
                 simulate_coupled(self.NET, x0, x0, pert, SimConfig(t_end=1.0, seed=seed))
         # direct/grid, rtc/grid for both legs, direct/path, rtc/path for both
         # legs; the lockstep pairs compile each leg's rate evaluator too
-        assert engine._stepper.cache_info().misses == 6
+        assert lockstep._stepper.cache_info().misses == 6
         assert model._rates.cache_info().misses == 2
 
 

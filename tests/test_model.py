@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jkl import engine, model
+from jkl import lockstep, model
 from jkl.model import (
     Propensity,
     Reaction,
@@ -60,14 +60,14 @@ class TestPropensityEval:
         # 0.0 == -0.0 as floats, but the propensities they give differ in sign,
         # so neither network may be served the other's compiled code
         model._rates.cache_clear()
-        engine._stepper.cache_clear()
+        lockstep._stepper.cache_clear()
         for rate in rates:
             net = parse_model(f"species A\nR: A -> 0 @ {rate!r}")
             w = propensity_eval(net, [3])
             assert math.copysign(1.0, w[0]) == math.copysign(1.0, rate)
-            engine._stepper(net.reactions, 1, "direct", "path")
+            lockstep._stepper(net.reactions, 1, "direct", "path")
         assert model._rates.cache_info().misses == 2
-        assert engine._stepper.cache_info().misses == 2
+        assert lockstep._stepper.cache_info().misses == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
