@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .analyzer import StabilityReport, one_sided_constants
-from .engine import _check_grid, _check_real_state, _check_state, _csv, integrate_rre
+from .engine import ODE_TOL, _check_grid, _check_real_state, _check_state, _csv, integrate_rre
 from .model import ReactionNetwork
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "coefficient_perturbation_curve",
     "cubic_blowup_lowerbound",
 ]
-
-ODE_TOL = 1e-8  # rtol and atol of both rate-equation solves in ode_divergence_bound
-
 
 @dataclass(frozen=True)
 class BoundCurve:

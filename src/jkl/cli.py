@@ -232,6 +232,12 @@ def cmd_bounds(args) -> int:
         curve = bnd.cubic_blowup_lowerbound(x0, _grid(args))
         _emit(args, curve.to_csv())
         return EXIT_OK
+    if kind == "ode-divergence":  # reads the l-free pair (M, mu), so needs no weight vector
+        x0 = _initial_state(args, net, default_x0)
+        grid = _grid(args)
+        curve = bnd.ode_divergence_bound(net, x0, _perturbed_state(args, net, x0), grid)
+        _emit(args, curve.to_csv())
+        return EXIT_OK
     report = analyze(net, weight="auto")
     if kind == "asymptotic":
         p = 1 if args.p is None else args.p
@@ -254,8 +260,6 @@ def cmd_bounds(args) -> int:
         if not args.p or args.p <= 2:
             raise CliError("--p must be an integer > 2 for --kind pth")
         curve = bnd.pth_moment_curve(report, x0_norm, args.p, grid)
-    elif kind == "ode-divergence":
-        curve = bnd.ode_divergence_bound(net, x0, _perturbed_state(args, net, x0), grid)
     elif kind == "initial":
         curve = bnd.initial_perturbation_curve(report, x0, _perturbed_state(args, net, x0), grid)
     else:  # coeff
@@ -279,7 +283,13 @@ def cmd_cme(args) -> int:
     caps_arg = caps_vec if per_species else caps_vec[0]
     idx = cme.enumerate_states(net, x0, caps_arg, max_states=args.max_states)
     gen = cme.build_generator(net, idx)
-    sol = cme.integrate_cme(gen, cme.point_mass(idx, x0), grid)
+    try:
+        sol = cme.integrate_cme(gen, cme.point_mass(idx, x0), grid)
+    except cme.CmeError as exc:
+        raise cme.CmeError(
+            f"{exc}; jkl cme integrates at integrate_cme's default tol of {cme.DEFAULT_TOL:g}, "
+            "which only a Python caller can change"
+        ) from None
     rows = []
     for probs, t, defect in zip(sol.probs, grid.tolist(), sol.defect.tolist()):
         mom = cme.cme_moments(probs, idx, args.p, defect=defect)

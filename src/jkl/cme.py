@@ -46,23 +46,13 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STATES = 2 * 10**6
+DEFAULT_TOL = 1e-10  # integrate_cme's default tol; jkl cme always runs at it
 DEFECT_THRESHOLD = 0.05  # CmeSolution.unreliable once the defect exceeds this
 _TINY = np.finfo(float).tiny  # smallest normal double; terms below it go to the defect
 
 
 class CmeError(RuntimeError):
     pass
-
-
-class _Stalled(CmeError):
-    """A Poisson series whose summed weights stalled at ``1 - gap``, short of ``1 - tol``."""
-
-    def __init__(self, tol: float, gap: float):
-        super().__init__(
-            f"uniformization cannot reach tolerance {tol:.3g} per Poisson series: "
-            f"its summed weights round to 1 - {gap:.3g} at most"
-        )
-        self.gap = gap
 
 
 @dataclass(frozen=True)
@@ -239,33 +229,27 @@ def _reach(p_op) -> list:
     return [0, *(np.maximum.accumulate(fed) + 1).tolist()]
 
 
-def _uniformization_step(p, p_op, reach, a, tol, matvec):
-    """exp(a (P - I)) p via the truncated Poisson series, a = lam * dt.
+def _uniformization_step(p, p_op, reach, weights, matvec):
+    """exp(a (P - I)) p as the truncated Poisson(a) series whose term weights are ``weights``.
 
-    Each term multiplies only the retained rows ``[0, reach[hi])`` its
+    Term k >= 1 multiplies only the retained rows ``[0, reach[hi])`` its
     nonzero prefix ``[0, hi)`` can feed, plus the defect row; ``matvec``
     is scipy's CSR kernel, which adds each row's products in storage
     order onto the output slot.  Every other row of the full product is
     a sum of exact ``+0.0`` products, so the bytes equal those of
-    ``p_op @ term``.  Returns the result, the number of terms taken, the
-    flushed mass that the result's defect entry carries (see
-    :func:`integrate_cme`) and the number of rows computed; raises
-    :class:`_Stalled` when the summed weights stop on the term limit
-    short of ``1 - tol``.
+    ``p_op @ term``.  Returns the result, the flushed mass that its
+    defect entry carries (see :func:`integrate_cme`) and the number of
+    rows computed.
     """
     n = len(p) - 1
     indptr, indices, data = p_op.indptr, p_op.indices, p_op.data
-    result = p * np.exp(-a)
+    result = p * weights[0]
     term, out = p.copy(), np.zeros_like(p)
     hi = (p[:n] != 0.0).tobytes().rfind(1) + 1  # term[hi:n] == 0
     stale = 0  # out[stale:n] == 0
-    weight = np.exp(-a)
-    acc = weight
-    k = rows = 0
+    rows = 0
     in_term = flushed = 0.0
-    # the tail after k terms is 1 - acc; stop once it is below tol
-    while acc < 1.0 - tol:
-        k += 1
+    for weight in weights[1:]:
         r = reach[hi]
         out[: max(r, stale)] = 0.0
         out[n] = 0.0
@@ -282,14 +266,10 @@ def _uniformization_step(p, p_op, reach, a, tol, matvec):
             term[n] += moved
             in_term += moved
         hi = big.tobytes().rfind(1) + 1  # a bool is one byte: 1 past the last kept entry
-        weight *= a / k
         result[:r] += weight * kept
         result[n] += weight * term[n]
         flushed += weight * in_term  # the defect row keeps what earlier terms flushed
-        acc += weight
-        if k > 10 * a + 1000:  # the sum stalls at 1 - acc, its rounding
-            raise _Stalled(tol, 1.0 - acc)
-    return result, k, flushed, rows
+    return result, flushed, rows
 
 
 def _unreachable(gen, n_sub, a, tol, step_tol, gap) -> str:
@@ -315,7 +295,7 @@ def integrate_cme(
     gen: GeneratorMatrix,
     p0: np.ndarray,
     grid: Sequence[float],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> CmeSolution:
     """Integrate p' = Q p on the grid by uniformization.
 
@@ -324,7 +304,8 @@ def integrate_cme(
     is split into Poisson series of mean at most 500, so the cost is
     about ``lam * horizon`` Poisson terms on any horizon, each a product
     over the rows its support reaches (``row_products`` counts them).
-    ``retained + defect = 1`` holds to within ``tol``.
+    ``retained + defect = 1`` holds to within ``tol``.  Every series'
+    weights, and so ``matvecs``, are fixed before the first product.
 
     After each product, retained entries below ``np.finfo(float).tiny``
     are set to zero and their sum is added to the defect entry.  Since
@@ -337,7 +318,8 @@ def integrate_cme(
         ValueError: if the grid is not a finite, non-negative, increasing
             axis, ``tol`` is not in (0, 1), or ``p0`` is not a probability
             vector on the index.
-        CmeError: if a Poisson series cannot reach its share of ``tol``.
+        CmeError: before any product, if a Poisson series cannot reach
+            its share of ``tol``.
     """
     import scipy.sparse
     from scipy.sparse._sparsetools import csr_matvec  # the kernel behind csr_matrix @ v
@@ -352,34 +334,40 @@ def integrate_cme(
     if not np.isfinite(p0).all() or abs(p0.sum() - 1.0) > 1e-9 or (p0 < 0).any():
         raise ValueError("p0 must be a finite probability vector")
 
-    out = np.empty((len(grid), n))
-    defect = np.empty(len(grid))
-    p = np.concatenate([p0, [0.0]])
-    matvecs, flushed, row_products = 0, 0.0, 0
-
-    ident = scipy.sparse.identity(n + 1, format="csr")
-    p_op = (ident + gen.q / gen.lam).tocsr() if gen.lam > 0 else ident
-    reach = _reach(p_op)
+    plan = []  # (n_sub, weights) per grid interval, all fixed before the first product
     t_prev = 0.0
-    for g, t in enumerate(grid):
-        dt = float(t) - t_prev
+    for t in grid.tolist():
+        dt, t_prev = t - t_prev, t
+        n_sub, weights = 0, []  # no series where the interval is empty or nothing moves
         if dt > 0 and gen.lam > 0:
             # keep each Poisson series within floating-point range
             n_sub = max(1, int(np.ceil(gen.lam * dt / 500.0)))
             a = gen.lam * dt / n_sub
             step_tol = tol / max(1, len(grid)) / n_sub
-            for _ in range(n_sub):
-                try:
-                    p, k, moved, rows = _uniformization_step(
-                        p, p_op, reach, a, step_tol, csr_matvec
-                    )
-                except _Stalled as exc:
-                    why = _unreachable(gen, n_sub, a, tol, step_tol, exc.gap)
-                    raise CmeError(why) from None
-                matvecs += k
-                flushed += moved
-                row_products += rows
-        t_prev = float(t)
+            weight = acc = np.exp(-a)
+            weights = [weight]
+            # the tail after k terms is 1 - acc; stop once it is below step_tol
+            while acc < 1.0 - step_tol:
+                k = len(weights)
+                weight *= a / k
+                weights.append(weight)
+                acc += weight
+                if k > 10 * a + 1000:  # the sum stalls at 1 - acc, its rounding
+                    raise CmeError(_unreachable(gen, n_sub, a, tol, step_tol, 1.0 - acc))
+        plan.append((n_sub, np.array(weights)))
+
+    out = np.empty((len(grid), n))
+    defect = np.empty(len(grid))
+    p = np.concatenate([p0, [0.0]])
+    flushed, row_products = 0.0, 0
+    ident = scipy.sparse.identity(n + 1, format="csr")
+    p_op = (ident + gen.q / gen.lam).tocsr() if gen.lam > 0 else ident
+    reach = _reach(p_op)
+    for g, (n_sub, weights) in enumerate(plan):
+        for _ in range(n_sub):
+            p, moved, rows = _uniformization_step(p, p_op, reach, weights, csr_matvec)
+            flushed += moved
+            row_products += rows
         out[g] = p[:n]
         defect[g] = p[n]
 
@@ -388,7 +376,7 @@ def integrate_cme(
         probs=out,
         defect=defect,
         unreliable=bool(defect.max() > DEFECT_THRESHOLD),
-        matvecs=matvecs,
+        matvecs=sum(n_sub * (len(weights) - 1) for n_sub, weights in plan),
         flushed=float(flushed),
         row_products=row_products,
     )

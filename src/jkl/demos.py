@@ -300,8 +300,6 @@ def _oracle_case(net, x0, caps, times, samples, seed):
             se_v = float(np.sqrt(max(m4 - v_emp**2, 0.0) / n_ok))
             z_m = (m_emp - float(mom.species_mean[s])) / se_m if se_m > 0 else 0.0
             z_v = (v_emp - float(mom.species_var[s])) / se_v if se_v > 0 else 0.0
-            if abs(float(mom.species_var[s])) < 1e-12 and abs(v_emp) < 1e-12:
-                z_v = 0.0
             max_z = max(max_z, abs(z_m), abs(z_v))
             rows.append(
                 (float(t), s, m_emp, se_m, float(mom.species_mean[s]), v_emp, se_v,

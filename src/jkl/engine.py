@@ -726,11 +726,14 @@ class OdeSolution:
         return _csv(["time", *species], rows)
 
 
+ODE_TOL = 1e-8  # rtol and atol of a rate-equation solve unless the caller sets tol
+
+
 def integrate_rre(
     net: ReactionNetwork,
     x0: Sequence[float],
     grid: Sequence[float],
-    tol: float = 1e-8,
+    tol: float = ODE_TOL,
 ) -> OdeSolution:
     """Adaptive embedded Runge-Kutta 4(5) solution of x' = -N w(x).
 

@@ -5,12 +5,16 @@ import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from jkl import demos
+from jkl.analyzer import WeightVectorNotFound, analyze
+from jkl.bounds import ode_divergence_bound
 from jkl.cli import build_parser, main
 from jkl.cme import enumerate_states
 from jkl.demos import DEMO_NAMES
+from jkl.parser import parse_model
 from jkl.presets import get_preset
 from test_analyzer import LOG_NORM_SUM_OVERFLOWS, SUM_OVERFLOWS
 from test_bounds import EXTREME_RATES
@@ -377,6 +381,32 @@ class TestBounds:
         assert code == 0 and err == ""
         assert out
 
+    def test_ode_divergence_needs_no_weight_vector(self, capsys, tmp_path):
+        # no l > 0 balances R1's quadratic column, but (M, mu) needs no l
+        text = (
+            "species A B\nR1: A + B -> 2 A + 2 B @ 1.0\n"
+            "R2: A -> 0 @ 1000.0\nR3: B -> 0 @ 1000.0\n"
+        )
+        net = parse_model(text)
+        with pytest.raises(WeightVectorNotFound):
+            analyze(net, weight="auto")
+        path = tmp_path / "rejected.rxn"
+        path.write_text(text)
+        got = run(capsys, "bounds", "--model", str(path), "--kind", "ode-divergence",
+                  "--x0", "2,2", "--y0", "3,2", "--t-end", "0.01", "--grid", "2")
+        want = ode_divergence_bound(net, [2, 2], [3, 2], np.linspace(0.0, 0.01, 3)).to_csv()
+        assert got == (0, want, "")
+
+    def test_ode_divergence_rejects_a_cubic_network(self, capsys):
+        code, out, err = run(capsys, "bounds", "--preset", "cubic", "--kind", "ode-divergence",
+                             "--t-end", "1", "--grid", "2", "--y0", "4")
+        assert code == 3 and out == ""
+        assert err == (
+            "error: reaction R1 has an order-3 propensity; the stability analysis requires at "
+            "most quadratic growth of the propensities (finite growth pair (Gamma, gamma)); "
+            "order-3 kinds are simulation-only\n"
+        )
+
     @pytest.mark.parametrize("grid", ["1e3", "abc"])
     def test_grid_that_is_not_a_count_names_the_flag(self, capsys, grid):
         code, out, err = run(capsys, "bounds", "--preset", "bimol", "--kind", "first",
@@ -541,6 +571,21 @@ class TestCme:
                              "--max-states", "5")
         assert code == 4 and out == ""
         assert err == "error: state set exceeds 5 states; tighten the caps\n"
+
+    def test_stiff_horizon_names_the_tol_it_ran_at(self, capsys, tmp_path):
+        path = tmp_path / "stiff.rxn"
+        path.write_text("species A\nR1: A -> 0 @ 1e8\n")
+        code, out, err = run(capsys, "cme", "--model", str(path), "--x0", "3", "--caps", "6",
+                             "--t-end", "1")
+        assert code == 4 and out == ""
+        assert err == (
+            "error: uniformization cannot reach tolerance tol / len(grid) / n_sub = 1.63e-16 "
+            "per Poisson series: lam = 3e+08 (the outflow of state [3]) makes n_sub = 12000 "
+            "series a grid step, whose summed weights round to 1 - 8.88e-16 at most; the "
+            "horizon is too stiff, 6e+06 terms a step: tol must be at least 5.4e-10 for this "
+            "series to pass; jkl cme integrates at integrate_cme's default tol of 1e-10, which "
+            "only a Python caller can change\n"
+        )
 
     @pytest.mark.parametrize("caps", ["abc", "1.5", "5,x", "5,"])
     def test_caps_that_are_not_integers_name_the_flag(self, capsys, caps):

@@ -443,6 +443,37 @@ class TestIntegration:
         assert "tolerance tol / len(grid) / n_sub = 1.63e-16 per Poisson series" in msg
         assert "horizon is too stiff, 6e+06 terms a step: tol must be at least 5.4e-10" in msg
 
+    def test_a_stalled_series_fails_before_any_product(self, monkeypatch):
+        # the two stall inputs above: the plan rejects them before the first series runs
+        def no_step(*args):
+            pytest.fail("a Poisson series ran before a stalled series was rejected")
+
+        monkeypatch.setattr(cme, "_uniformization_step", no_step)
+        bimol = enumerate_states(BIMOL, [0, 0], 30)
+        with pytest.raises(CmeError) as got:
+            integrate_cme(
+                build_generator(BIMOL, bimol), point_mass(bimol, [0, 0]),
+                np.linspace(0.01, 2.0, 20), tol=1e-15,
+            )
+        assert str(got.value) == (
+            "uniformization cannot reach tolerance tol / len(grid) / n_sub = 5e-17 per Poisson "
+            "series: lam = 902 (the outflow of state [30, 30]) makes n_sub = 1 series a grid "
+            "step, whose summed weights round to 1 - 3.33e-16 at most; tol must be at least "
+            "6.7e-15 for this series to pass"
+        )
+        net = parse_model("species A\nR1: A -> 0 @ 1e8")
+        idx = enumerate_states(net, [3], 6)
+        with pytest.raises(CmeError) as got:
+            integrate_cme(
+                build_generator(net, idx), point_mass(idx, [3]), np.linspace(0.0, 1.0, 51)
+            )
+        assert str(got.value) == (
+            "uniformization cannot reach tolerance tol / len(grid) / n_sub = 1.63e-16 per Poisson "
+            "series: lam = 3e+08 (the outflow of state [3]) makes n_sub = 12000 series a grid "
+            "step, whose summed weights round to 1 - 8.88e-16 at most; the horizon is too stiff, "
+            "6e+06 terms a step: tol must be at least 5.4e-10 for this series to pass"
+        )
+
     def test_bad_p0_rejected(self):
         idx = enumerate_states(BIRTH, [0], 4)
         gen = build_generator(BIRTH, idx)
@@ -475,21 +506,13 @@ class TestIntegration:
             integrate_cme(gen, p0, np.array([1.0]))
 
 
-def _reference_step(p, p_op, a, tol):
+def _reference_step(p, p_op, weights):
     """The Poisson series without the sub-tiny flush: every term kept as computed."""
-    result = p * np.exp(-a)
+    result = p * weights[0]
     term = p.copy()
-    weight = np.exp(-a)
-    acc = weight
-    k = 0
-    while acc < 1.0 - tol:
-        k += 1
+    for weight in weights[1:]:
         term = p_op @ term
-        weight *= a / k
         result += weight * term
-        acc += weight
-        if k > 10 * a + 1000:
-            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
     return result
 
 
@@ -506,7 +529,7 @@ class TestSubnormalFlush:
             m.setattr(
                 cme,
                 "_uniformization_step",
-                lambda p, p_op, reach, a, tol, matvec: (_reference_step(p, p_op, a, tol), 0, 0.0, 0),
+                lambda p, p_op, reach, weights, matvec: (_reference_step(p, p_op, weights), 0.0, 0),
             )
             ref = integrate_cme(gen, p0, grid)
         assert ((ref.probs > 0) & (ref.probs < tiny)).any()
@@ -522,17 +545,12 @@ class TestSubnormalFlush:
         assert np.abs(sol.total_mass() - 1.0).max() <= 1e-10
 
 
-def _full_step(p, p_op, a, tol):
+def _full_step(p, p_op, weights):
     """The Poisson series over the full matrix: every term multiplies every row."""
-    result = p * np.exp(-a)
+    result = p * weights[0]
     term = p.copy()
-    weight = np.exp(-a)
-    acc = weight
-    k = 0
     in_term = flushed = 0.0
-    # the tail after k terms is 1 - acc; stop once it is below tol
-    while acc < 1.0 - tol:
-        k += 1
+    for weight in weights[1:]:
         term = p_op @ term
         kept = term[:-1]
         low = (kept > 0.0) & (kept < cme._TINY)  # exact zeros need no flush
@@ -541,13 +559,23 @@ def _full_step(p, p_op, a, tol):
             kept[low] = 0.0
             term[-1] += moved
             in_term += moved
-        weight *= a / k
         result += weight * term
         flushed += weight * in_term  # the defect row keeps what earlier terms flushed
+    return result, flushed
+
+
+def _reference_weights(a, tol):
+    """The Poisson(a) weights term by term, until their sum reaches 1 - tol."""
+    weight = acc = np.exp(-a)
+    weights = [weight]
+    while acc < 1.0 - tol:
+        k = len(weights)
+        weight *= a / k
+        weights.append(weight)
         acc += weight
         if k > 10 * a + 1000:
-            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}; loosen tol")
-    return result, k, flushed
+            raise CmeError(f"uniformization cannot reach tolerance {tol:.3g}")
+    return weights
 
 
 def _random_cases(count=20, seed=16):
@@ -583,13 +611,37 @@ class TestSupportPrefix:
             m.setattr(
                 cme,
                 "_uniformization_step",
-                lambda p, p_op, reach, a, tol, matvec: (*_full_step(p, p_op, a, tol), 0),
+                lambda p, p_op, reach, weights, matvec: (*_full_step(p, p_op, weights), 0),
             )
             ref = integrate_cme(gen, p0, grid)
         assert sol.probs.tobytes() == ref.probs.tobytes()
         assert sol.defect.tobytes() == ref.defect.tobytes()
-        assert (sol.flushed, sol.matvecs) == (ref.flushed, ref.matvecs)
+        assert sol.flushed == ref.flushed
         assert sol.matvecs <= sol.row_products <= sol.matvecs * (idx.n_states + 1)
+
+    @pytest.mark.parametrize("net, x0, caps, grid", CASES)
+    def test_planned_weights_match_the_term_by_term_recurrence(
+        self, monkeypatch, net, x0, caps, grid
+    ):
+        idx = enumerate_states(net, x0, caps)
+        gen = build_generator(net, idx)
+        step, seen = cme._uniformization_step, []
+
+        def record(p, p_op, reach, weights, matvec):
+            seen.append(weights)
+            return step(p, p_op, reach, weights, matvec)
+
+        monkeypatch.setattr(cme, "_uniformization_step", record)
+        sol = integrate_cme(gen, point_mass(idx, x0), grid)
+        want, t_prev = [], 0.0
+        for t in grid.tolist():
+            dt, t_prev = t - t_prev, t
+            if dt > 0 and gen.lam > 0:
+                n_sub = max(1, math.ceil(gen.lam * dt / 500.0))
+                a = gen.lam * dt / n_sub
+                want += [np.array(_reference_weights(a, 1e-10 / len(grid) / n_sub))] * n_sub
+        assert [w.tobytes() for w in seen] == [w.tobytes() for w in want]
+        assert sol.matvecs == sum(len(w) - 1 for w in want)
 
     def test_prefix_share(self):
         # bimol from (0, 0): the support covers under half the index at caps 120
